@@ -74,9 +74,9 @@ func BenchmarkProgressIdle(b *testing.B) {
 
 // BenchmarkAggrEncodeDecode measures the aggregation train codec.
 func BenchmarkAggrEncodeDecode(b *testing.B) {
-	var train []*pack
+	var train []*SendReq
 	for i := 0; i < 8; i++ {
-		train = append(train, &pack{req: &SendReq{tag: i, seq: uint64(i + 1), data: make([]byte, 256)}})
+		train = append(train, &SendReq{tag: i, seq: uint64(i + 1), data: make([]byte, 256)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"sync"
+
+	"pioman/internal/fabric"
+	"pioman/internal/fabric/bufpool"
+	"pioman/internal/nic"
+	"pioman/internal/topo"
+	"pioman/internal/trace"
+	"pioman/internal/wire"
+)
+
+// arrival is one matchable inbound event — an eager payload or a
+// rendezvous RTS — from the moment its frame is decoded until a receive
+// consumes it. The same struct rides every stage, so a stage change is a
+// list move, never a field-by-field copy: held in its sender's stash
+// until its predecessors in the stream have been processed, then either
+// matched on the spot or appended to the engine's unexpected list to
+// wait for its Irecv.
+//
+// pkt, when set, is the inbound packet whose buffers payload borrows; it
+// goes back to the fabric packet pool when the arrival is released or
+// turns unexpected (the payload moves to a staging copy first) — the
+// engine's half of the inbound-buffer ownership rule (docs/FABRIC.md):
+// the fabric owns arrival buffers, the engine returns them after copying
+// payloads to their final destination. Arrivals recycle through a
+// freelist, so even the unexpected path allocates no bookkeeping.
+type arrival struct {
+	isRTS   bool
+	src     int
+	tag     int
+	seq     uint64
+	msgID   uint64 // RTS only
+	payload []byte // eager: the frame's payload, or the pooled staging copy once unexpected
+	msgLen  int    // RTS: announced message length
+	rail    *nic.Driver
+	pkt     *wire.Packet
+}
+
+// arrivalPool recycles arrival structs.
+var arrivalPool = sync.Pool{New: func() any { return new(arrival) }}
+
+// newArrival draws a zeroed arrival from the freelist and fills the
+// fields every kind shares.
+func newArrival(rail *nic.Driver, src, tag int, seq uint64) *arrival {
+	ev := arrivalPool.Get().(*arrival)
+	ev.rail, ev.src, ev.tag, ev.seq = rail, src, tag, seq
+	return ev
+}
+
+// release retires a fully processed arrival: the inbound packet (when it
+// still owns one) goes back to the fabric pools, the struct to the
+// freelist. The caller must have copied the payload out first.
+func (ev *arrival) release() {
+	fabric.ReleasePacket(ev.pkt)
+	*ev = arrival{}
+	arrivalPool.Put(ev)
+}
+
+// handleMatchable enforces per-sender stream order: the arrival is
+// processed only when every lower-sequence one from the same sender has
+// been; a gap (small packet overtook a bulk one on the wire) parks it in
+// the sender's stash until the gap fills, and filling a gap drains every
+// stashed successor it was blocking. Arrivals no list retained are
+// released, which recycles the struct and its inbound packet buffers.
+func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
+	p := &e.peers[ev.src]
+	e.qlock.Lock()
+	next := p.lastSeq + 1
+	switch {
+	case p.dead.Load():
+		// Checked under qlock, which the death sweep's reset also holds:
+		// a frame of the dead incarnation cannot slip into the zeroed
+		// stream state and collide with its successor's sequence numbers.
+		e.nDropped.Add(1)
+	case ev.seq < next && !ev.isRTS:
+		e.qlock.Unlock()
+		panic("core: duplicate sequence number in sender stream")
+	case ev.seq < next:
+		// A replayed RTS already advanced the stream past this sequence
+		// (the replay machinery races slow originals by design); the late
+		// original carries nothing new.
+	case ev.seq > next && p.stash[ev.seq] != nil:
+		// The slot is taken: a replay overtook its stashed original (or
+		// vice versa). Keep the first, drop the newcomer.
+	case ev.seq > next:
+		if p.stash == nil {
+			p.stash = make(map[uint64]*arrival)
+		}
+		p.stash[ev.seq] = ev
+		ev = nil
+	default:
+		for ev != nil {
+			p.lastSeq = ev.seq
+			e.qlock.Unlock()
+			if !e.processMatchable(core, ev) {
+				ev.release()
+			}
+			e.qlock.Lock()
+			// A reset in the unlocked window leaves an empty stash and the
+			// loop ends; otherwise pick up the successor the gap blocked.
+			ev = p.stash[p.lastSeq+1]
+			delete(p.stash, p.lastSeq+1)
+		}
+	}
+	e.qlock.Unlock()
+	if ev != nil {
+		ev.release()
+	}
+}
+
+// processMatchable dispatches an in-order arrival and reports whether a
+// list kept it (it turned unexpected); otherwise the caller releases it.
+func (e *Engine) processMatchable(core topo.CoreID, ev *arrival) (kept bool) {
+	if ev.isRTS {
+		return e.handleRTS(core, ev)
+	}
+	return e.handleEager(core, ev)
+}
+
+// handleEager delivers one eager payload: straight into the posted buffer
+// when expected (the NIC DMA'd it there — no CPU charge beyond the
+// physical copy), or into the unexpected pool otherwise (a real copy,
+// charged to the polling core, §2.2). Unexpected staging borrows from
+// the fabric buffer pool and is returned after the pool-to-application
+// copy, so even the unexpected path recycles its buffers.
+func (e *Engine) handleEager(core topo.CoreID, ev *arrival) (kept bool) {
+	e.qlock.Lock()
+	r := e.matchPostedLocked(ev.src, ev.tag)
+	e.qlock.Unlock()
+	if r != nil {
+		e.deliverEager(core, r, ev.src, ev.tag, ev.payload)
+		return false
+	}
+	// Unexpected: pay the pool copy, then re-check — a receive may have
+	// been posted while we copied.
+	pooled := bufpool.Get(len(ev.payload))
+	copy(pooled, ev.payload)
+	ev.rail.ChargeMatchCopy(len(pooled))
+	e.nUnexp.Add(1)
+	if e.tracing() {
+		e.cfg.Trace.Recordf(trace.KindUnexpected, int(core), ev.tag, len(pooled), "src=%d", ev.src)
+	}
+	e.qlock.Lock()
+	if r := e.matchPostedLocked(ev.src, ev.tag); r != nil {
+		e.qlock.Unlock()
+		// Second copy, pool to application buffer.
+		ev.rail.ChargeMatchCopy(len(pooled))
+		e.deliverEager(core, r, ev.src, ev.tag, pooled)
+		bufpool.Put(pooled)
+		return false
+	}
+	// The arrival itself becomes the unexpected entry, now owning the
+	// staging copy instead of the inbound frame.
+	pkt := ev.pkt
+	ev.payload, ev.pkt = pooled, nil
+	e.unexpected = append(e.unexpected, ev)
+	e.qlock.Unlock()
+	fabric.ReleasePacket(pkt)
+	return true
+}
+
+// deliverEager finishes an expected eager reception. Complete runs last;
+// the request is not touched afterwards (the application may already be
+// releasing it to the freelist).
+func (e *Engine) deliverEager(core topo.CoreID, r *RecvReq, src, tag int, payload []byte) {
+	n := copy(r.buf, payload)
+	r.n, r.from, r.truncated = n, src, len(payload) > len(r.buf)
+	r.gotTag = tag
+	if e.tracing() {
+		e.cfg.Trace.Recordf(trace.KindMatch, int(core), r.tag, n, "src=%d", src)
+		e.cfg.Trace.Recordf(trace.KindComplete, int(core), r.tag, n, "recv")
+	}
+	r.req.Complete()
+}
+
+// matchPostedLocked removes and returns the oldest posted receive matching
+// (src, tag); caller holds qlock. A posted receive may wildcard the source
+// (AnySource) and/or the tag (AnyTag).
+func (e *Engine) matchPostedLocked(src, tag int) *RecvReq {
+	for i, r := range e.posted {
+		if (r.tag == tag || r.tag == AnyTag) && (r.src == AnySource || r.src == src) {
+			e.posted = append(e.posted[:i], e.posted[i+1:]...)
+			return r
+		}
+	}
+	return nil
+}
+
+// takeUnexpected removes and returns the oldest unexpected arrival
+// matching (src, tag); caller holds qlock. src may be AnySource and tag
+// AnyTag.
+func (e *Engine) takeUnexpected(src, tag int) *arrival {
+	for i, u := range e.unexpected {
+		if (tag == AnyTag || u.tag == tag) && (src == AnySource || u.src == src) {
+			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+			return u
+		}
+	}
+	return nil
+}
+
+// deliverUnexpected completes an Irecv against a buffered unexpected
+// arrival and releases it: eager data pays the pool-to-application copy
+// on the calling core and the staging buffer goes back to the fabric
+// buffer pool; a pending RTS is answered with a CTS. Complete runs last;
+// the request is not touched afterwards.
+func (e *Engine) deliverUnexpected(r *RecvReq, u *arrival) {
+	defer u.release()
+	if u.isRTS {
+		e.qlock.Lock()
+		e.expectData(r, u)
+		e.qlock.Unlock()
+		e.sendCTS(-1, u)
+		e.kick()
+		return
+	}
+	u.rail.ChargeMatchCopy(len(u.payload))
+	n := copy(r.buf, u.payload)
+	r.n, r.from, r.truncated = n, u.src, len(u.payload) > len(r.buf)
+	r.gotTag = u.tag
+	bufpool.Put(u.payload)
+	if e.tracing() {
+		e.cfg.Trace.Recordf(trace.KindMatch, -1, r.tag, n, "unexpected src=%d", u.src)
+	}
+	r.req.Complete()
+}

@@ -88,7 +88,7 @@ type Config struct {
 	// MultirailMin is the smallest rendezvous payload the multirail
 	// strategy splits across rails.
 	MultirailMin int
-	// MaxPendingRdvPerPeer caps how many rendezvous sends to one
+	// maxPendingRdvPerPeer caps how many rendezvous sends to one
 	// destination may sit in the unacked replay window (RTS posted or
 	// data in flight) at once. The self-healing sublayer retains every
 	// unacked request — and its application buffer — until the
@@ -97,8 +97,9 @@ type Config struct {
 	// bound. Excess sends keep their sequence number and park in a
 	// per-peer FIFO with no RTS on the wire; each DATA-ack admits the
 	// next parked send. Isend never blocks. Zero selects
-	// defaultMaxPendingRdv.
-	MaxPendingRdvPerPeer int
+	// defaultMaxPendingRdv; unexported because no caller outside this
+	// package's tests ever needed another value.
+	maxPendingRdvPerPeer int
 	// WaitSpin bounds inline polling in Wait before blocking on the
 	// completion flag. Zero selects the host-tuned default,
 	// AutoWaitSpin(false); the mpi layer passes its NoIdlePolling flag
@@ -108,14 +109,11 @@ type Config struct {
 	Trace *trace.Recorder
 	// Metrics, if non-nil, registers the engine's counters, latency
 	// histograms, and every rail driver's counters with the registry
-	// under "node<rank>.*" names (docs/OBSERVABILITY.md catalogs them).
+	// under "node<rank>.*" names (docs/OBSERVABILITY.md catalogs them),
+	// including one "node<rank>.peer.<k>.*" family per rank of the world.
 	// Leaving it nil keeps the engine exactly as unmetered as before:
 	// recording sites guard on one nil check.
 	Metrics *telemetry.Registry
-	// MetricsPeers sizes the per-peer counter families
-	// ("node<rank>.peer.<k>.*") — normally the world's node count. Zero
-	// registers no per-peer series.
-	MetricsPeers int
 	// PeerDeadline bounds how long the engine keeps replaying toward a
 	// silent peer before declaring the rank dead. With it set, every
 	// inbound frame stamps the sender's last-heard clock, and a
@@ -158,9 +156,35 @@ type Stats struct {
 	// ones failed by the death sweep plus new posts refused fast.
 	PeerDead   uint64
 	ReqsFailed uint64
+	// FramesDropped counts inbound frames discarded unprocessed: a source
+	// rank outside the world, or a matchable frame from a rank currently
+	// declared dead.
+	FramesDropped uint64
 }
 
 // Engine is one node's communication engine.
+//
+// State lives in two places. Everything the engine knows about one rank
+// — both stream counters, the unacked rendezvous window, in-flight
+// receptions, the done-ring, the session id, liveness — is that rank's
+// peer struct (peer.go), held in a slice sized once from the world; the
+// posted and unexpected lists stay engine-wide because an AnySource
+// receive matches across every rank.
+//
+// Lock order, for the six spinlocks below:
+//
+//	biglock → pollLock → submitLock → maintLock → { qlock | wokenMu }
+//
+// biglock (Sequential mode only) wraps whole library calls and is the
+// outermost. pollLock, submitLock and maintLock are only ever TryLocked
+// — a contending core moves on instead of waiting — so they cannot
+// deadlock whatever the nesting; in practice a pollLock holder may try
+// submitLock (a control handler posting a send) and maintLock is tried
+// with neither held. qlock and wokenMu are the two blocking leaves:
+// neither is held while acquiring any other lock, and nothing that can
+// block or run long (a rail send, a payload copy, a request completion,
+// which wakes threads) happens under them. The atomics read without any
+// lock are named where they are declared.
 type Engine struct {
 	node  int
 	cfg   Config
@@ -169,57 +193,20 @@ type Engine struct {
 	rails []*nic.Driver
 	strat strategy
 
-	// qlock protects the request queues and matching state. Critical
-	// sections are short (list manipulation only); long operations
-	// (copies, submissions) run outside it.
+	// qlock protects the matching lists, the strategy queue and every
+	// peer's protocol state. Critical sections are short (list
+	// manipulation only); long operations (copies, submissions) run
+	// outside it.
 	qlock      sync2.SpinLock
 	posted     []*RecvReq
-	unexpected []*unexMsg
-	rdvSend    map[uint64]*SendReq
-	// rdvRecv is keyed by (sender, msgID): msgIDs are only unique per
-	// origin engine, so two senders' concurrent rendezvous to this node
-	// routinely carry the same msgID — and multirail's failover resends
-	// make stray DATA chunks a designed occurrence, so the composite key
-	// is load-bearing, not defensive.
-	rdvRecv map[rdvKey]*rdvRecvState
-	// await holds rendezvous sends whose DATA has been posted but whose
-	// receiver DATA-ack has not arrived yet — the sender half of the
-	// acked-replay protocol. The application buffer doubles as the replay
-	// buffer (the send is not complete, so the caller must not touch it),
-	// which keeps replay zero-copy. Guarded by qlock.
-	await map[uint64]*SendReq
-	// rdvInFlight counts each peer's rendezvous sends inside the unacked
-	// replay window (rdvSend ∪ await); rdvWait holds the overflow — sends
-	// whose sequence number is assigned but whose RTS stays off the wire
-	// until a DATA-ack frees a slot (Config.MaxPendingRdvPerPeer). FIFO,
-	// guarded by qlock.
-	rdvInFlight map[int]int
-	rdvWait     map[int][]*SendReq
-	// rdvDone remembers recently completed rendezvous receptions so a
-	// replayed RTS or DATA chunk for one of them is re-acked instead of
-	// re-executed — the receive-side idempotence of the replay protocol.
-	// Bounded: a ring of doneRingCap keys backs the set, oldest evicted
-	// first. Guarded by qlock.
-	rdvDone  map[rdvKey]struct{}
-	doneRing []rdvKey
-	donePos  int
-	doneFull bool
+	unexpected []*arrival
+	// peers is indexed by rank and never resized, so &e.peers[r] is
+	// stable and the per-message path indexes instead of hashing.
+	peers []peer
 	// session identifies this engine incarnation; every RTS carries it so
 	// a receiver can tell a restarted sender's fresh stream from a replay
-	// of the old one (peerSession tracks the last session seen per peer).
-	// peerSession is guarded by qlock.
-	session     uint64
-	peerSession map[int]uint64
-
-	// Stream ordering: the wire interleaves small packets past bulk
-	// transfers, so matchable packets (eager data and RTS) carry a
-	// per-destination sequence number and are processed strictly in that
-	// order at the receiver — out-of-order arrivals wait in stash. This
-	// is the matching-order guarantee MX provides above its fragmenting
-	// wire. All guarded by qlock.
-	orderOut map[int]uint64                // next seq to assign, per dst
-	orderIn  map[int]uint64                // last seq processed, per src
-	stash    map[int]map[uint64]*stashedEv // out-of-order arrivals, per src
+	// of the old one (peer.session is the last one seen per rank).
+	session uint64
 
 	// Event processing uses per-activity locks rather than one big engine
 	// mutex (§2.1: "instead of locking the whole communication processing
@@ -252,7 +239,7 @@ type Engine struct {
 	// trainBuf is the reusable slice dequeueReady builds submission
 	// trains in; every user holds submitLock, so one buffer serves the
 	// engine and steady-state submission stays allocation-free.
-	trainBuf []*pack
+	trainBuf []*SendReq
 	// mtuOf is the per-destination MTU lookup handed to the strategy,
 	// built once: allocating the closure per dequeue would put one heap
 	// object on every polling pass.
@@ -293,19 +280,11 @@ type Engine struct {
 	maintBuf  []*SendReq
 	maintDone []*SendReq
 
-	// Peer-death state (Config.PeerDeadline, MarkPeerDead). deadPeers is
-	// indexed by rank and sized from the default rail's world size;
-	// deadCount mirrors how many are set, so the posting hot path learns
-	// "everyone alive" from one atomic load. lastHeard (same indexing)
-	// stamps the arrival time of the last frame from each peer and is
-	// allocated only when PeerDeadline is set — without it the receive
-	// path never reads the clock.
-	deadPeers []atomic.Bool
+	// deadCount mirrors how many peers carry the dead flag, so the
+	// posting hot path learns "everyone alive" from one atomic load.
 	deadCount atomic.Int32
-	lastHeard []atomic.Int64
 
-	sendSeq atomic.Uint64
-	msgID   atomic.Uint64
+	msgID atomic.Uint64
 
 	nSends     atomic.Uint64
 	nRecvs     atomic.Uint64
@@ -322,6 +301,7 @@ type Engine struct {
 	nRetunes   atomic.Uint64
 	nPeerDead  atomic.Uint64
 	nReqFailed atomic.Uint64
+	nDropped   atomic.Uint64
 
 	// tel holds the registered metric handles when Config.Metrics was
 	// set; nil otherwise. Hot paths guard on this one pointer.
@@ -330,16 +310,19 @@ type Engine struct {
 
 // New creates an engine for node on the given rails. rails[0] is the
 // default inter-node rail; a rail whose driver reports Name()=="shm" is
-// used for intra-node (self) traffic. The engine registers itself as a
-// progress source on srv.
+// used for intra-node (self) traffic. The world size — how many peers
+// the engine tracks — is the largest Nodes() any rail's endpoint
+// reports. The engine registers itself as a progress source on srv.
 func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, cfg Config) *Engine {
 	if len(rails) == 0 {
 		panic("core: engine needs at least one rail")
 	}
+	world := 0
 	for _, r := range rails {
 		if r.Self() != node {
 			panic(fmt.Sprintf("core: rail %s endpoint %d does not match node %d", r.Name(), r.Self(), node))
 		}
+		world = max(world, r.Endpoint().Nodes())
 	}
 	if cfg.WaitSpin <= 0 {
 		cfg.WaitSpin = AutoWaitSpin(false)
@@ -347,51 +330,37 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 	if cfg.MultirailMin <= 0 {
 		cfg.MultirailMin = 128 << 10
 	}
-	if cfg.MaxPendingRdvPerPeer <= 0 {
-		cfg.MaxPendingRdvPerPeer = defaultMaxPendingRdv
+	if cfg.maxPendingRdvPerPeer <= 0 {
+		cfg.maxPendingRdvPerPeer = defaultMaxPendingRdv
 	}
 	e := &Engine{
-		node:        node,
-		cfg:         cfg,
-		sch:         sch,
-		srv:         srv,
-		rails:       rails,
-		rdvSend:     make(map[uint64]*SendReq),
-		rdvInFlight: make(map[int]int),
-		rdvWait:     make(map[int][]*SendReq),
-		rdvRecv:     make(map[rdvKey]*rdvRecvState),
-		await:       make(map[uint64]*SendReq),
-		rdvDone:     make(map[rdvKey]struct{}),
-		doneRing:    make([]rdvKey, doneRingCap),
-		session:     newSessionID(),
-		peerSession: make(map[int]uint64),
-		health:      make([]railHealth, len(rails)),
-		orderOut:    make(map[int]uint64),
-		orderIn:     make(map[int]uint64),
-		stash:       make(map[int]map[uint64]*stashedEv),
-		pollBuf:     make([]*wire.Packet, pollBatchSize),
+		node:    node,
+		cfg:     cfg,
+		sch:     sch,
+		srv:     srv,
+		rails:   rails,
+		peers:   make([]peer, world),
+		session: newSessionID(),
+		health:  make([]railHealth, len(rails)),
+		pollBuf: make([]*wire.Packet, pollBatchSize),
 	}
+	now := time.Now().UnixNano()
 	for i := range e.health {
 		e.health[i].probeGap.Store(int64(probeGapInit))
-		e.health[i].lastAt = time.Now().UnixNano()
+		e.health[i].lastAt = now
 	}
-	if n := rails[0].Endpoint().Nodes(); n > 0 {
-		e.deadPeers = make([]atomic.Bool, n)
-		if cfg.PeerDeadline > 0 {
-			e.lastHeard = make([]atomic.Int64, n)
-			// A peer never heard from counts as silent since construction,
-			// not since the epoch — a world that dies during rendezvous
-			// setup still gets a full deadline before the verdict.
-			now := time.Now().UnixNano()
-			for i := range e.lastHeard {
-				e.lastHeard[i].Store(now)
-			}
+	if cfg.PeerDeadline > 0 {
+		// A peer never heard from counts as silent since construction,
+		// not since the epoch — a world that dies during rendezvous
+		// setup still gets a full deadline before the verdict.
+		for i := range e.peers {
+			e.peers[i].lastHeard.Store(now)
 		}
 	}
 	e.strat = newStrategy(cfg.Strategy)
 	e.mtuOf = func(dst int) int { return e.railFor(dst).MTU() }
 	if cfg.Metrics != nil {
-		e.tel = newEngineTelemetry(cfg.Metrics, e, cfg.MetricsPeers)
+		e.tel = newEngineTelemetry(cfg.Metrics, e)
 		e.registerRails(cfg.Metrics)
 	}
 	if srv != nil {
@@ -509,5 +478,6 @@ func (e *Engine) Stats() Stats {
 		StripeRetunes:  e.nRetunes.Load(),
 		PeerDead:       e.nPeerDead.Load(),
 		ReqsFailed:     e.nReqFailed.Load(),
+		FramesDropped:  e.nDropped.Load(),
 	}
 }

@@ -102,7 +102,7 @@ func newCluster(t testing.TB, n int, opts ...clusterOpt) *testCluster {
 			OffloadEager:         params.offload,
 			AdaptiveOffload:      params.adaptive,
 			Strategy:             params.strategy,
-			MaxPendingRdvPerPeer: params.maxRdv,
+			maxPendingRdvPerPeer: params.maxRdv,
 		})
 		if srv != nil {
 			srv.Start()
@@ -981,20 +981,20 @@ func TestAggrCodecProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(8) + 1
-		var train []*pack
+		var train []*SendReq
 		for i := 0; i < n; i++ {
-			train = append(train, &pack{req: &SendReq{
+			train = append(train, &SendReq{
 				tag:  rng.Intn(100) - 50,
 				seq:  rng.Uint64(),
 				data: payload(rng.Intn(512), byte(i)),
-			}})
+			})
 		}
 		subs := decodeAggr(encodeAggr(train))
 		if len(subs) != n {
 			t.Fatalf("trial %d: decoded %d subs, want %d", trial, len(subs), n)
 		}
 		for i, s := range subs {
-			want := train[i].req
+			want := train[i]
 			if s.tag != want.tag || s.seq != want.seq || !bytes.Equal(s.data, want.data) {
 				t.Fatalf("trial %d sub %d mismatch", trial, i)
 			}
@@ -1007,7 +1007,7 @@ func TestDecodeAggrCorruption(t *testing.T) {
 		t.Error("short buffer decoded")
 	}
 	// Valid header claiming more data than present.
-	train := []*pack{{req: &SendReq{tag: 1, data: []byte("abcd")}}}
+	train := []*SendReq{{tag: 1, data: []byte("abcd")}}
 	enc := encodeAggr(train)
 	if decodeAggr(enc[:len(enc)-2]) != nil {
 		t.Error("truncated train decoded")
@@ -1033,15 +1033,15 @@ func TestStrategyNames(t *testing.T) {
 func TestFifoDequeueOrder(t *testing.T) {
 	s := newStrategy("fifo")
 	for i := 0; i < 5; i++ {
-		s.Enqueue(&pack{req: &SendReq{dst: 1, seq: uint64(i)}})
+		s.Enqueue(&SendReq{dst: 1, seq: uint64(i)})
 	}
 	for i := 0; i < 5; i++ {
 		tr := s.Dequeue(func(int) int { return 1 << 20 }, nil)
-		if len(tr) != 1 || tr[0].req.seq != uint64(i) {
+		if len(tr) != 1 || tr[0].seq != uint64(i) {
 			t.Fatalf("dequeue %d: got %+v", i, tr)
 		}
 	}
-	if s.Pending() || s.Dequeue(func(int) int { return 1 }, nil) != nil {
+	if s.Head() != nil || s.Dequeue(func(int) int { return 1 }, nil) != nil {
 		t.Fatal("drained queue still pending")
 	}
 }
@@ -1050,31 +1050,31 @@ func TestAggrDequeueRespectsMTUAndDst(t *testing.T) {
 	s := newStrategy("aggreg")
 	// Three packs to dst 1 of 100B each, then one to dst 2.
 	for i := 0; i < 3; i++ {
-		s.Enqueue(&pack{req: &SendReq{dst: 1, seq: uint64(i), data: make([]byte, 100)}})
+		s.Enqueue(&SendReq{dst: 1, seq: uint64(i), data: make([]byte, 100)})
 	}
-	s.Enqueue(&pack{req: &SendReq{dst: 2, seq: 99, data: make([]byte, 100)}})
+	s.Enqueue(&SendReq{dst: 2, seq: 99, data: make([]byte, 100)})
 	// Every entry costs 24B header + 100B payload; MTU fits exactly three.
 	tr := s.Dequeue(func(int) int { return 3 * (24 + 100) }, nil)
 	if len(tr) != 3 {
 		t.Fatalf("train len = %d, want 3 same-dst packs", len(tr))
 	}
 	tr2 := s.Dequeue(func(int) int { return 1 << 20 }, nil)
-	if len(tr2) != 1 || tr2[0].req.dst != 2 {
+	if len(tr2) != 1 || tr2[0].dst != 2 {
 		t.Fatalf("second train %+v, want the dst-2 pack", tr2)
 	}
 }
 
 func TestAggrStopsAtDifferentDst(t *testing.T) {
 	s := newStrategy("aggreg")
-	s.Enqueue(&pack{req: &SendReq{dst: 1, data: make([]byte, 10)}})
-	s.Enqueue(&pack{req: &SendReq{dst: 2, data: make([]byte, 10)}})
-	s.Enqueue(&pack{req: &SendReq{dst: 1, data: make([]byte, 10)}})
+	s.Enqueue(&SendReq{dst: 1, data: make([]byte, 10)})
+	s.Enqueue(&SendReq{dst: 2, data: make([]byte, 10)})
+	s.Enqueue(&SendReq{dst: 1, data: make([]byte, 10)})
 	tr := s.Dequeue(func(int) int { return 1 << 20 }, nil)
-	if len(tr) != 1 || tr[0].req.dst != 1 {
+	if len(tr) != 1 || tr[0].dst != 1 {
 		t.Fatalf("first train %+v", tr)
 	}
 	tr = s.Dequeue(func(int) int { return 1 << 20 }, nil)
-	if len(tr) != 1 || tr[0].req.dst != 2 {
+	if len(tr) != 1 || tr[0].dst != 2 {
 		t.Fatalf("second train %+v", tr)
 	}
 }

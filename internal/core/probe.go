@@ -31,17 +31,15 @@ func (e *Engine) Iprobe(src, tag int) (ProbeInfo, bool) {
 		defer e.biglock.Unlock()
 		// Probing is a library call, so the baseline also makes one
 		// bounded progress step here.
-		e.progressOne(-1)
+		e.progress(-1, true)
 	}
 	e.qlock.Lock()
 	defer e.qlock.Unlock()
 	for _, u := range e.unexpected {
 		if (src == AnySource || u.src == src) && (tag == AnyTag || u.tag == tag) {
-			info := ProbeInfo{Src: u.src, Tag: u.tag, Rendezvous: u.isRTS}
+			info := ProbeInfo{Src: u.src, Tag: u.tag, Len: len(u.payload), Rendezvous: u.isRTS}
 			if u.isRTS {
 				info.Len = u.msgLen
-			} else {
-				info.Len = len(u.data)
 			}
 			return info, true
 		}
@@ -56,7 +54,7 @@ func (e *Engine) Iprobe(src, tag int) (ProbeInfo, bool) {
 func (e *Engine) pollStep(th *sched.Thread, yieldAt time.Time) time.Time {
 	if e.cfg.Mode == Sequential || e.srv == nil {
 		e.biglock.Lock()
-		e.progressOne(th.Core())
+		e.progress(th.Core(), true)
 		e.biglock.Unlock()
 	} else {
 		e.pollUncounted(th.Core())

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"pioman/internal/nic"
-	"pioman/internal/topo"
 	"pioman/internal/trace"
 	"pioman/internal/wire"
 )
@@ -41,12 +41,12 @@ const (
 	// maintPassMask gates the maintenance clock read to 1 pass in 16, so
 	// a spin-polling core is not serialized on time.Now.
 	maintPassMask = 15
-	// doneRingCap bounds the completed-rendezvous memory used for
+	// doneRingCap bounds each peer's completed-rendezvous memory used for
 	// re-acking duplicates. 512 entries outlive any plausible replay
 	// window (replayRTOMax × a handful of backoffs) at full message rate.
 	doneRingCap = 512
 	// defaultMaxPendingRdv is the per-peer unacked rendezvous window when
-	// Config.MaxPendingRdvPerPeer is zero: enough to keep a pipeline of
+	// Config.maxPendingRdvPerPeer is zero: enough to keep a pipeline of
 	// large transfers striped across every rail, small enough that the
 	// replay timer's scan and the retained replay buffers stay bounded
 	// when an application bursts thousands of Isends at one peer.
@@ -91,37 +91,38 @@ func (e *Engine) maybeMaint(n uint64) {
 	e.railMaint(now)
 }
 
-// replayDue re-posts every rendezvous send whose resend deadline passed:
-// rdvSend entries (RTS posted, no CTS yet) get a replay-RTS; await
-// entries (DATA posted, no ack yet) get their transfer re-striped from
-// the retained application buffer. Deadlines and backoff are advanced
-// under qlock; the sends happen outside it. While a request is being
-// replayed its `replaying` flag parks any concurrently arriving ack
-// (handleDataAck defers the completion to us), so the request cannot be
-// completed — and recycled by the application — under the resend.
+// replayDue re-posts every rendezvous send whose resend deadline passed,
+// walking each peer's unacked window: a send still in its RTS phase (no
+// CTS yet) gets a replay-RTS; one in its DATA phase (no ack yet) gets
+// its transfer re-striped from the retained application buffer.
+// Deadlines and backoff are advanced under qlock; the sends happen
+// outside it. While a request is being replayed its `replaying` flag
+// parks any concurrently arriving ack (handleDataAck defers the
+// completion to us), so the request cannot be completed — and recycled
+// by the application — under the resend.
 func (e *Engine) replayDue(nowNanos int64) {
 	now := time.Unix(0, nowNanos)
 	deadline := int64(e.cfg.PeerDeadline)
 	var suspects []int
+	// buf[:nrts] collects the RTS-phase requests, the rest the DATA-phase
+	// ones: the phase is read here, under qlock, because a CTS may flip
+	// it while the resend below runs unlocked.
 	buf := e.maintBuf[:0]
 	nrts := 0
 	e.qlock.Lock()
-	for _, s := range e.rdvSend {
-		if now.After(s.nextResend) {
-			s.bumpBackoff(now)
-			s.replaying = true
-			buf = append(buf, s)
-			if deadline > 0 && e.silentPast(s.dst, s.postedAt, nowNanos, deadline) {
-				suspects = appendRank(suspects, s.dst)
+	for i := range e.peers {
+		for _, s := range e.peers[i].window {
+			if !now.After(s.nextResend) {
+				continue
 			}
-		}
-	}
-	nrts = len(buf)
-	for _, s := range e.await {
-		if now.After(s.nextResend) {
 			s.bumpBackoff(now)
 			s.replaying = true
 			buf = append(buf, s)
+			if s.phase == phaseRTS {
+				last := len(buf) - 1
+				buf[nrts], buf[last] = buf[last], buf[nrts]
+				nrts++
+			}
 			if deadline > 0 && e.silentPast(s.dst, s.postedAt, nowNanos, deadline) {
 				suspects = appendRank(suspects, s.dst)
 			}
@@ -192,174 +193,69 @@ func appendRank(list []int, rank int) []int {
 	return append(list, rank)
 }
 
-// handleDataAck completes a rendezvous send: the receiver has the whole
-// payload. Completion runs last and the request is never touched after
-// it — except when the replay timer holds the request mid-resend, in
-// which case the completion is parked on the request and replayDue runs
-// it once the resend is off the wire.
-func (e *Engine) handleDataAck(core topo.CoreID, p *wire.Packet) {
-	e.qlock.Lock()
-	s := e.await[p.MsgID]
-	if s == nil {
-		// Duplicate ack (the receiver re-acks replayed chunks of a
-		// completed transfer); the first one already completed the send.
-		e.qlock.Unlock()
-		return
-	}
-	delete(e.await, p.MsgID)
-	deferred := s.replaying
-	if deferred {
-		s.ackDeferred = true
-	}
-	// The ack freed a slot in this peer's unacked window: admit the
-	// oldest parked send. Its replay timer restarts now — the deadline
-	// stamped at Isend may be long past, and the RTS is only now going
-	// on the wire.
-	var next *SendReq
-	e.rdvInFlight[s.dst]--
-	if w := e.rdvWait[s.dst]; len(w) > 0 {
-		next = w[0]
-		w[0] = nil
-		if len(w) == 1 {
-			delete(e.rdvWait, s.dst)
-		} else {
-			e.rdvWait[s.dst] = w[1:]
-		}
-		e.rdvInFlight[s.dst]++
-		next.backoff = replayRTOInit
-		next.nextResend = time.Now().Add(replayRTOInit)
-		e.rdvSend[next.msgID] = next
-	}
-	e.qlock.Unlock()
-	if next != nil {
-		e.railFor(next.dst).SendRTS(railHeader(e.node, next.dst, next.tag, next.seq, next.msgID), next.Len(), e.session)
-		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindRTS, -1, next.tag, next.Len(), "msgid=%d unparked", next.msgID)
-		}
-		e.kick()
-	}
-	e.pendingRdv.Add(-1)
-	e.nAcks.Add(1)
-	if e.tracing() {
-		e.cfg.Trace.Recordf(trace.KindComplete, int(core), s.tag, s.Len(), "rdv send acked msgid=%d", s.msgID)
-	}
-	if !deferred {
-		s.req.Complete()
-	}
-}
-
-// handleReplayRTS processes a resent rendezvous request. Replays arrive
-// outside the sender-stream ordering (the original RTS consumed — or
-// still holds — the sequence number), so the handler walks the receive
-// state to find which stage the handshake reached and re-emits exactly
-// the response the sender is missing:
+// answerReplay tries to answer a resent rendezvous request from existing
+// state. Replays arrive outside the sender-stream ordering (the original
+// RTS consumed — or still holds — the sequence number), so it looks up
+// which stage the handshake reached and re-emits exactly the response
+// the sender is missing:
 //
 //	transfer completed (done-ring)      → re-ack
-//	reception in flight (rdvRecv)       → re-CTS (the CTS was lost)
+//	reception in flight (recving)       → re-CTS (the CTS was lost)
 //	RTS buffered unexpected             → drop (Irecv will answer it)
 //	original RTS stashed out-of-order   → drop (the gap will deliver it)
-//	sequence not yet reached            → process as the original RTS
 //	sequence long past, no state        → re-ack (aged out of the ring)
-func (e *Engine) handleReplayRTS(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
-	e.noteSession(p.Src, nic.DecodeRTSSession(p.Payload), p.Seq)
-	key := rdvKey{src: p.Src, msgID: p.MsgID}
-	h := railHeader(e.node, p.Src, p.Tag, p.Seq, p.MsgID)
+//	sequence not yet reached            → not answered: it reports false
+//	                                      and the caller processes the
+//	                                      replay as the original RTS
+func (e *Engine) answerReplay(rail *nic.Driver, p *wire.Packet) bool {
+	src := &e.peers[p.Src]
 	e.qlock.Lock()
-	if _, done := e.rdvDone[key]; done {
-		e.qlock.Unlock()
-		rail.SendDataAck(h)
-		return
-	}
-	if e.rdvRecv[key] != nil {
-		e.qlock.Unlock()
-		rail.SendCTS(h)
-		return
-	}
-	for _, u := range e.unexpected {
-		if u.isRTS && u.src == p.Src && u.msgID == p.MsgID {
-			e.qlock.Unlock()
-			return
-		}
-	}
-	next := e.orderIn[p.Src] + 1
-	if p.Seq >= next {
-		if e.stash[p.Src][p.Seq] != nil {
-			e.qlock.Unlock()
-			return
-		}
-		e.qlock.Unlock()
-		// The original RTS never arrived: feed the replay through the
-		// ordered matchable path as if it were the original.
-		ev := getStash()
-		ev.isRTS = true
-		ev.src, ev.tag, ev.seq, ev.msgID = p.Src, p.Tag, p.Seq, p.MsgID
-		ev.msgLen, ev.rail = nic.DecodeLen(p.Payload), rail
-		e.handleMatchable(core, ev)
-		return
-	}
+	done := src.done.has(p.MsgID)
+	live := src.recving[p.MsgID] != nil
+	queued := src.stash[p.Seq] != nil || slices.ContainsFunc(e.unexpected, func(u *arrival) bool {
+		return u.isRTS && u.src == p.Src && u.msgID == p.MsgID
+	})
+	past := p.Seq <= src.lastSeq
 	e.qlock.Unlock()
-	// The sequence was processed and no trace of the rendezvous remains:
-	// it completed long enough ago to age out of the done-ring. Re-ack so
-	// the sender stops replaying.
-	rail.SendDataAck(h)
-}
-
-// rdvDoneAdd remembers a completed rendezvous reception in the bounded
-// done-ring, evicting the oldest entry once full; caller holds qlock.
-func (e *Engine) rdvDoneAdd(key rdvKey) {
-	if e.doneFull {
-		delete(e.rdvDone, e.doneRing[e.donePos])
+	h := railHeader(e.node, p.Src, p.Tag, p.Seq, p.MsgID)
+	switch {
+	case done:
+		rail.SendDataAck(h)
+	case live:
+		rail.SendCTS(h)
+	case queued:
+	case past:
+		// No trace of the rendezvous remains: it completed long enough ago
+		// to age out of the done-ring. Re-ack so the sender stops replaying.
+		rail.SendDataAck(h)
+	default:
+		return false
 	}
-	e.doneRing[e.donePos] = key
-	e.rdvDone[key] = struct{}{}
-	e.donePos++
-	if e.donePos == len(e.doneRing) {
-		e.donePos = 0
-		e.doneFull = true
-	}
+	return true
 }
 
 // noteSession records the sender's engine-incarnation id. A changed id
-// means the peer restarted mid-conversation: the dead incarnation's
-// per-source stream state is discarded and the sequence counter adopts
-// the new stream at seq (the replay carrying it), so the fresh engine's
-// rendezvous proceed instead of colliding with ghosts. Receives that
-// were matched against the dead incarnation's handshakes re-enter the
-// posted list — the restarted sender will replay, and the replay matches
-// them anew.
-func (e *Engine) noteSession(src int, sess uint64, seq uint64) {
+// means the peer restarted mid-conversation: everything addressed to or
+// expected from the dead incarnation is failed through the same teardown
+// a death verdict runs, and the receive stream adopts the new one at seq
+// (the RTS carrying the id), so the fresh engine's traffic proceeds
+// instead of colliding with ghosts. Frames from a rank currently declared
+// dead teach nothing — they may belong to either incarnation.
+func (e *Engine) noteSession(src int, sess, seq uint64) {
 	if sess == 0 || src == e.node {
 		return
 	}
-	var orphans []*stashedEv
+	p := &e.peers[src]
+	restarted := false
 	e.qlock.Lock()
-	old := e.peerSession[src]
-	if old == sess {
-		e.qlock.Unlock()
-		return
-	}
-	e.peerSession[src] = sess
-	if old != 0 {
-		for k, st := range e.rdvRecv {
-			if k.src == src {
-				delete(e.rdvRecv, k)
-				e.posted = append(e.posted, st.req)
-			}
+	if !p.dead.Load() {
+		restarted = p.session != 0 && p.session != sess
+		if p.session == 0 {
+			p.session = sess
 		}
-		for k := range e.rdvDone {
-			if k.src == src {
-				// Ring entries go stale; eviction tolerates missing keys.
-				delete(e.rdvDone, k)
-			}
-		}
-		for _, ev := range e.stash[src] {
-			orphans = append(orphans, ev)
-		}
-		delete(e.stash, src)
-		e.orderIn[src] = seq - 1
 	}
 	e.qlock.Unlock()
-	for _, ev := range orphans {
-		e.finishEv(ev)
+	if restarted {
+		e.failPeer(src, sess, seq-1)
 	}
 }

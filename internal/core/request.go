@@ -44,19 +44,18 @@ func recycleWait(req *piom.Request) {
 // holds the whole payload.
 type SendReq struct {
 	req   piom.Request
-	eng   *Engine
 	dst   int
 	tag   int
 	seq   uint64
 	msgID uint64 // rendezvous only
 	data  []byte
 	rdv   bool
-	// submitted flags that an eager pack left the strategy queue; guarded
+	// submitted flags that an eager send left the strategy queue; guarded
 	// by the engine's qlock.
 	submitted bool
-	// ctsSeen is set when the rendezvous acknowledgement arrived; guarded
-	// by qlock.
-	ctsSeen bool
+	// phase is where a rendezvous send in its peer's unacked window
+	// stands (RTS posted, or CTS seen and DATA posted); guarded by qlock.
+	phase rdvPhase
 	// Acked-replay timer state, guarded by qlock: the resend deadline
 	// and its capped exponential backoff. replaying marks a request the
 	// maintenance tick is re-sending right now; an ack that lands
@@ -81,6 +80,13 @@ type SendReq struct {
 	// and only on the rendezvous path — the eager hot path never reads
 	// the clock for it.
 	rtsAt time.Time
+}
+
+// arm (re)starts the replay timer at its initial deadline; the caller
+// holds qlock or still owns the request exclusively.
+func (r *SendReq) arm() {
+	r.backoff = replayRTOInit
+	r.nextResend = time.Now().Add(replayRTOInit)
 }
 
 // bumpBackoff advances the resend deadline with capped exponential
@@ -131,7 +137,6 @@ func (r *SendReq) Release() {
 // RecvReq is an asynchronous receive request.
 type RecvReq struct {
 	req piom.Request
-	eng *Engine
 	src int // AnySource or a node id
 	tag int
 	buf []byte
@@ -191,6 +196,7 @@ func (r *RecvReq) Release() {
 //
 // The caller must not modify data until the request completes.
 func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
+	e.checkRank("Isend", dst)
 	if e.cfg.Mode == Sequential {
 		// Library-wide mutex of the baseline: entering the library
 		// contends with any other thread's call, including long
@@ -201,70 +207,23 @@ func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 	if e.postFailsFast(dst) {
 		return e.failSend(dst, tag, data)
 	}
-	rail := e.railFor(dst)
 	r := sendReqPool.Get().(*SendReq)
-	r.eng, r.dst, r.tag, r.data = e, dst, tag, data
-	r.rdv = len(data) > rail.EagerMax()
-	e.sendSeq.Add(1)
+	r.dst, r.tag, r.data = dst, tag, data
+	r.rdv = len(data) > e.railFor(dst).EagerMax()
 	e.nSends.Add(1)
-	e.tel.notePeerSent(dst)
-
+	p := &e.peers[dst]
+	if e.tel != nil {
+		p.sent.Inc()
+	}
 	if r.rdv {
-		r.msgID = e.msgID.Add(1)
-		if e.tel != nil {
-			r.rtsAt = time.Now()
-		}
-		if e.cfg.PeerDeadline > 0 {
-			r.postedAt = time.Now()
-		}
-		// Arm the acked-replay timer: the request stays owned by the
-		// engine (rdvSend, then await) until the receiver's DATA-ack,
-		// and the resend deadline re-posts whatever got lost meanwhile.
-		r.backoff = replayRTOInit
-		r.nextResend = time.Now().Add(replayRTOInit)
-		e.pendingRdv.Add(1)
-		e.qlock.Lock()
-		r.seq = e.orderOut[dst] + 1
-		e.orderOut[dst] = r.seq
-		// The unacked replay window to this peer is bounded: past the cap
-		// the send keeps its place in the stream but parks, RTS withheld,
-		// until a DATA-ack admits it. Isend still never blocks, and the
-		// replay timer never scans parked requests — they have nothing on
-		// the wire to replay.
-		if e.rdvInFlight[dst] >= e.cfg.MaxPendingRdvPerPeer {
-			e.rdvWait[dst] = append(e.rdvWait[dst], r)
-			e.qlock.Unlock()
-			e.nRdvParked.Add(1)
-			if e.tracing() {
-				e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d seq=%d parked", dst, r.seq)
-			}
-			e.nRdv.Add(1)
-			return r
-		}
-		e.rdvInFlight[dst]++
-		e.rdvSend[r.msgID] = r
-		e.qlock.Unlock()
-		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d seq=%d", dst, r.seq)
-		}
-		e.nRdv.Add(1)
-		// The RTS is cheap; posting it immediately starts the handshake
-		// with no loss of asynchrony (the expensive part is reacting to
-		// the CTS, which background progression handles). It carries the
-		// engine's session id so a receiver can tell a restarted
-		// sender's fresh stream from a replay of the old one.
-		rail.SendRTS(railHeader(e.node, dst, tag, r.seq, r.msgID), len(data), e.session)
-		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindRTS, -1, tag, len(data), "msgid=%d", r.msgID)
-		}
-		e.kick()
+		e.startRdv(r)
 		return r
 	}
 
 	e.qlock.Lock()
-	r.seq = e.orderOut[dst] + 1
-	e.orderOut[dst] = r.seq
-	e.strat.Enqueue(getPack(r))
+	p.nextSeq++
+	r.seq = p.nextSeq
+	e.strat.Enqueue(r)
 	e.qlock.Unlock()
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d seq=%d", dst, r.seq)
@@ -294,7 +253,7 @@ func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 		e.submitInline(r)
 		return r
 	}
-	// Sequential baseline: the pack stays in the waiting list until the
+	// Sequential baseline: the send stays in the waiting list until the
 	// library is re-entered. The original NewMadeleine's scheduler "is
 	// only activated when a NIC becomes idle" — nothing progresses while
 	// the application computes, which is exactly why Fig. 5 measures
@@ -307,6 +266,9 @@ func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 // completes immediately, paying the pool-to-application copy here (§2.2's
 // second copy).
 func (e *Engine) Irecv(src, tag int, buf []byte) *RecvReq {
+	if src != AnySource {
+		e.checkRank("Irecv", src)
+	}
 	if e.cfg.Mode == Sequential {
 		e.biglock.Lock()
 		defer e.biglock.Unlock()
@@ -315,7 +277,7 @@ func (e *Engine) Irecv(src, tag int, buf []byte) *RecvReq {
 		return e.failRecv(src, tag, buf)
 	}
 	r := recvReqPool.Get().(*RecvReq)
-	r.eng, r.src, r.tag, r.buf = e, src, tag, buf
+	r.src, r.tag, r.buf = src, tag, buf
 	e.nRecvs.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(buf), "irecv src=%d", src)
@@ -370,7 +332,7 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 		yieldAt := time.Now().Add(sequentialYieldQuantum)
 		for !req.Completed() {
 			e.biglock.Lock()
-			e.progressOne(core)
+			e.progress(core, true)
 			e.biglock.Unlock()
 			if time.Now().After(yieldAt) {
 				th.Yield()

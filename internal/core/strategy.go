@@ -3,57 +3,30 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"pioman/internal/sync2"
 )
 
-// pack is one eager send waiting in the optimizer's queue (the "waiting
-// packs" layer of Fig. 3). Packs are engine-internal — allocated in
-// Isend, consumed in submitTrain — so they recycle through a freelist:
-// one fewer allocation per eager send on the steady-state path.
-type pack struct {
-	req *SendReq
-}
-
-// packPool recycles packs; see getPack/putPack.
-var packPool = sync.Pool{New: func() any { return new(pack) }}
-
-// getPack draws a pack for r from the freelist.
-func getPack(r *SendReq) *pack {
-	p := packPool.Get().(*pack)
-	p.req = r
-	return p
-}
-
-// putPack hands a consumed pack back. The caller must have dropped the
-// pack from every queue and train first.
-func putPack(p *pack) {
-	p.req = nil
-	packPool.Put(p)
-}
-
-// strategy is the optimizer of Fig. 3: it owns the queue of waiting packs
-// and decides what to put on the wire next. Implementations are called
-// under the engine's qlock and must therefore be allocation-light and
-// non-blocking.
+// strategy is the optimizer of Fig. 3: it owns the queue of waiting
+// eager sends (the figure's "waiting packs" — the requests themselves
+// queue; there is no wrapper to allocate per message) and decides what
+// to put on the wire next. Implementations are called under the engine's
+// qlock and must therefore be allocation-light and non-blocking.
 type strategy interface {
 	Name() string
-	// Enqueue adds a ready eager pack.
-	Enqueue(p *pack)
-	// Head returns the next pack to leave the queue without removing it,
+	// Enqueue adds a ready eager send.
+	Enqueue(r *SendReq)
+	// Head returns the next send to leave the queue without removing it,
 	// or nil when empty. The engine peeks it to check whether the
 	// destination rail can accept a submission before dequeuing.
-	Head() *pack
-	// Dequeue appends the next train to submit — one or more packs for
+	Head() *SendReq
+	// Dequeue appends the next train to submit — one or more sends for
 	// the same destination — to into (reset to length zero first) and
 	// returns it, or nil when the queue is empty. The caller owns the
 	// returned slice until the next Dequeue, so a reused train buffer
 	// makes steady-state submission allocation-free. mtuOf reports the
 	// payload budget of the rail serving a destination.
-	Dequeue(mtuOf func(dst int) int, into []*pack) []*pack
-	// Pending reports whether packs are queued.
-	Pending() bool
+	Dequeue(mtuOf func(dst int) int, into []*SendReq) []*SendReq
 }
 
 // newStrategy resolves a strategy name ("" defaults to fifo). Every name
@@ -73,46 +46,50 @@ func newStrategy(name string) strategy {
 	}
 }
 
-// fifoStrategy submits packs one at a time in post order. The head
+// fifoStrategy submits sends one at a time in post order. The head
 // index (rather than re-slicing q[1:]) keeps the backing array's
 // capacity across enqueue/dequeue cycles, so a steady request stream
 // recycles one array instead of reallocating per send.
 type fifoStrategy struct {
-	q    []*pack
+	q    []*SendReq
 	head int
 }
 
 // Name identifies the strategy.
 func (s *fifoStrategy) Name() string { return "fifo" }
 
-func (s *fifoStrategy) Enqueue(p *pack) {
+func (s *fifoStrategy) Enqueue(r *SendReq) {
 	s.q, s.head = sync2.CompactQueue(s.q, s.head)
-	s.q = append(s.q, p)
+	s.q = append(s.q, r)
 }
 
-func (s *fifoStrategy) Head() *pack {
+func (s *fifoStrategy) Head() *SendReq {
 	if s.head == len(s.q) {
 		return nil
 	}
 	return s.q[s.head]
 }
 
-func (s *fifoStrategy) Dequeue(mtuOf func(int) int, into []*pack) []*pack {
+func (s *fifoStrategy) Dequeue(mtuOf func(int) int, into []*SendReq) []*SendReq {
 	if s.head == len(s.q) {
 		return nil
 	}
-	p := s.q[s.head]
-	s.q[s.head] = nil // the train owns it now; drop the queue's alias
-	s.head++
+	train := append(into[:0], s.q[s.head])
+	s.advance(s.head + 1)
+	return train
+}
+
+// advance moves the head to next, dropping the queue's aliases of the
+// sends a train now owns and rewinding to the array's start once empty.
+func (s *fifoStrategy) advance(next int) {
+	clear(s.q[s.head:next])
+	s.head = next
 	if s.head == len(s.q) {
 		s.q, s.head = s.q[:0], 0
 	}
-	return append(into[:0], p)
 }
 
-func (s *fifoStrategy) Pending() bool { return s.head < len(s.q) }
-
-// multirailStrategy is the bonded-rails optimizer: eager packs queue in
+// multirailStrategy is the bonded-rails optimizer: eager sends queue in
 // plain post order (small messages do not benefit from splitting — the
 // per-rail handshakes would dominate), while its distinguishing policy
 // lives on the engine's rendezvous data path, keyed off Name(): payloads
@@ -129,58 +106,37 @@ type multirailStrategy struct {
 // this value.
 func (s *multirailStrategy) Name() string { return "multirail" }
 
-// aggrStrategy coalesces consecutive same-destination packs into one wire
+// aggrStrategy coalesces consecutive same-destination sends into one wire
 // packet up to the rail MTU — the data-aggregation optimization of [2].
-// Taking only a contiguous same-destination run preserves global post
+// It queues exactly like fifo and differs only in how much a Dequeue
+// takes: a contiguous same-destination run, which preserves global post
 // order, so per-(src,tag) FIFO matching is unaffected.
 type aggrStrategy struct {
-	q    []*pack
-	head int
+	fifoStrategy
 }
 
 func (s *aggrStrategy) Name() string { return "aggreg" }
 
-func (s *aggrStrategy) Enqueue(p *pack) {
-	s.q, s.head = sync2.CompactQueue(s.q, s.head)
-	s.q = append(s.q, p)
-}
-
-func (s *aggrStrategy) Head() *pack {
-	if s.head == len(s.q) {
-		return nil
-	}
-	return s.q[s.head]
-}
-
-func (s *aggrStrategy) Dequeue(mtuOf func(int) int, into []*pack) []*pack {
+func (s *aggrStrategy) Dequeue(mtuOf func(int) int, into []*SendReq) []*SendReq {
 	if s.head == len(s.q) {
 		return nil
 	}
 	hd := s.q[s.head]
-	dst := hd.req.dst
-	budget := mtuOf(dst) - aggrEntryOverhead - len(hd.req.data)
+	budget := mtuOf(hd.dst) - aggrEntryOverhead - len(hd.data)
 	train := append(into[:0], hd)
-	s.q[s.head] = nil
 	i := s.head + 1
-	for i < len(s.q) {
-		p := s.q[i]
-		need := aggrEntryOverhead + len(p.req.data)
-		if p.req.dst != dst || need > budget {
+	for ; i < len(s.q); i++ {
+		r := s.q[i]
+		need := aggrEntryOverhead + len(r.data)
+		if r.dst != hd.dst || need > budget {
 			break
 		}
-		train = append(train, p)
-		s.q[i] = nil
+		train = append(train, r)
 		budget -= need
-		i++
 	}
-	s.head = i
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
-	}
+	s.advance(i)
 	return train
 }
-
-func (s *aggrStrategy) Pending() bool { return s.head < len(s.q) }
 
 // Aggregated train wire format: repeated entries of
 // [tag int64][seq uint64][len uint64][payload].
@@ -194,19 +150,19 @@ type aggrSub struct {
 }
 
 // encodeAggr serializes a train into one payload.
-func encodeAggr(train []*pack) []byte {
+func encodeAggr(train []*SendReq) []byte {
 	total := 0
-	for _, p := range train {
-		total += aggrEntryOverhead + len(p.req.data)
+	for _, r := range train {
+		total += aggrEntryOverhead + len(r.data)
 	}
 	out := make([]byte, 0, total)
 	var hdr [aggrEntryOverhead]byte
-	for _, p := range train {
-		binary.LittleEndian.PutUint64(hdr[0:], uint64(int64(p.req.tag)))
-		binary.LittleEndian.PutUint64(hdr[8:], p.req.seq)
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(p.req.data)))
+	for _, r := range train {
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(int64(r.tag)))
+		binary.LittleEndian.PutUint64(hdr[8:], r.seq)
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(r.data)))
 		out = append(out, hdr[:]...)
-		out = append(out, p.req.data...)
+		out = append(out, r.data...)
 	}
 	return out
 }

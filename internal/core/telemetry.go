@@ -15,7 +15,8 @@ import (
 // What gets a clock and what doesn't is the load-bearing decision here
 // (the acceptance bar is a 64B shm message rate within 3% of unmetered):
 //
-//   - per-peer counters are bare atomic adds — always cheap;
+//   - per-peer counters (peer.sent, peer.recvd) are bare atomic adds —
+//     always cheap;
 //   - progress-loop dwell calls time.Now only on sampled passes
 //     (1 in dwellSampleMask+1), so a spin-polling core is not serialized
 //     on the clock;
@@ -37,12 +38,6 @@ type engineTelemetry struct {
 	// ctsToData is the time from CTS handled to the DATA transfer fully
 	// posted on the sender — the submission half of a rendezvous.
 	ctsToData *telemetry.Histogram
-	// peerSent counts messages posted toward each peer rank; peerRecv
-	// counts protocol frames handled from each. Indexed by rank, sized by
-	// Config.MetricsPeers; out-of-range ranks (a world grown past the
-	// registered size) are silently uncounted rather than a bounds panic.
-	peerSent []telemetry.Counter
-	peerRecv []telemetry.Counter
 }
 
 // dwellSampleMask samples progress-pass dwell 1 in 64: frequent enough
@@ -52,8 +47,8 @@ const dwellSampleMask = 63
 
 // newEngineTelemetry registers the engine's counters and histograms with
 // reg under "node<rank>.engine.*" and per-peer names under
-// "node<rank>.peer.<rank>.*".
-func newEngineTelemetry(reg *telemetry.Registry, e *Engine, peers int) *engineTelemetry {
+// "node<rank>.peer.<rank>.*", one family per rank of the world.
+func newEngineTelemetry(reg *telemetry.Registry, e *Engine) *engineTelemetry {
 	p := fmt.Sprintf("node%d.engine", e.node)
 	reg.RegisterCounter(p+".sends_posted", "send requests posted", e.nSends.Load)
 	reg.RegisterCounter(p+".recvs_posted", "receive requests posted", e.nRecvs.Load)
@@ -69,20 +64,17 @@ func newEngineTelemetry(reg *telemetry.Registry, e *Engine, peers int) *engineTe
 	reg.RegisterCounter(p+".stripe_retunes", "online EWMA stripe-weight adjustments applied", e.nRetunes.Load)
 	reg.RegisterCounter(p+".peer_dead", "peer ranks declared dead (deadline detection or cluster verdict)", e.nPeerDead.Load)
 	reg.RegisterCounter(p+".reqs_failed", "requests completed with ErrPeerDead", e.nReqFailed.Load)
+	reg.RegisterCounter(p+".frames_dropped", "inbound frames dropped (source outside the world, or matchable frame from a dead rank)", e.nDropped.Load)
 	t := &engineTelemetry{
 		dwell:     reg.Histogram(p+".progress_dwell_ns", "sampled progress-pass duration (ns, 1-in-64 passes)"),
 		park:      reg.Histogram(p+".park_ns", "time parked in the blocking-receive fallback (ns)"),
 		rtsToCts:  reg.Histogram(p+".rdv_rts_to_cts_ns", "rendezvous RTS-posted to CTS-handled latency (ns)"),
 		ctsToData: reg.Histogram(p+".rdv_cts_to_data_ns", "rendezvous CTS-handled to DATA-posted latency (ns)"),
 	}
-	if peers > 0 {
-		t.peerSent = make([]telemetry.Counter, peers)
-		t.peerRecv = make([]telemetry.Counter, peers)
-		for k := 0; k < peers; k++ {
-			pp := fmt.Sprintf("node%d.peer.%d", e.node, k)
-			reg.RegisterCounter(pp+".sent_msgs", "messages posted toward this peer", t.peerSent[k].Load)
-			reg.RegisterCounter(pp+".recv_frames", "protocol frames handled from this peer", t.peerRecv[k].Load)
-		}
+	for k := range e.peers {
+		pp := fmt.Sprintf("node%d.peer.%d", e.node, k)
+		reg.RegisterCounter(pp+".sent_msgs", "messages posted toward this peer", e.peers[k].sent.Load)
+		reg.RegisterCounter(pp+".recv_frames", "protocol frames handled from this peer", e.peers[k].recvd.Load)
 	}
 	return t
 }
@@ -110,20 +102,6 @@ func (e *Engine) registerRails(reg *telemetry.Registry) {
 		reg.RegisterGauge(prefix+".rtt_ns", "EWMA health-probe round-trip time (ns, 0 until measured)", func() uint64 {
 			return uint64(h.rttNanos.Load())
 		})
-	}
-}
-
-// notePeerSent counts one message posted toward dst.
-func (t *engineTelemetry) notePeerSent(dst int) {
-	if t != nil && dst >= 0 && dst < len(t.peerSent) {
-		t.peerSent[dst].Inc()
-	}
-}
-
-// notePeerRecv counts one protocol frame handled from src.
-func (t *engineTelemetry) notePeerRecv(src int) {
-	if t != nil && src >= 0 && src < len(t.peerRecv) {
-		t.peerRecv[src].Inc()
 	}
 }
 

@@ -28,6 +28,9 @@ func GatedDirsFromRoot() []string {
 		// (registry, liveness, rank-death verdicts) — operator-facing
 		// surface, documented like the transports it coordinates.
 		"internal/cluster",
+		// internal/core is the engine itself; gated so a rewrite of it
+		// cannot shed the reason-giving comments its API carries.
+		"internal/core",
 		"internal/fabric",
 		"internal/fabric/bufpool",
 		"internal/fabric/conformance",

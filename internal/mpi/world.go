@@ -298,7 +298,6 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		PeerDeadline:      cfg.PeerDeadline,
 		Trace:             rec,
 		Metrics:           cfg.Metrics,
-		MetricsPeers:      cfg.Nodes,
 	})
 	if cfg.Metrics != nil {
 		registerNodeMetrics(cfg.Metrics, rank, srv)
