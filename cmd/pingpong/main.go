@@ -1,4 +1,8 @@
-// Command pingpong runs the classic latency/bandwidth sweep.
+// Command pingpong runs the classic latency/bandwidth sweep: a
+// two-process example and integration driver for the full engine stack.
+// It prints what it measures and asserts only correctness (every echo is
+// compared byte for byte); the repo's benchmark is nmperf
+// (bash benchmark/run.sh, BENCHMARK.json), not this command.
 //
 // By default it sweeps a simulated fabric, for both the sequential
 // baseline and the PIOMan-enabled engine:
@@ -51,26 +55,17 @@
 // real fabrics standing in — and runs the sweep three times: data forced
 // over the TCP rail alone, over the shm rail alone (these two measure
 // each rail's actual bandwidth and reseed the striping weights), then
-// striped across both by the multirail strategy. At the rendezvous sizes
-// the bonded sweep must beat the best single rail, or the process exits 3:
+// striped across both by the multirail strategy. Rank 0 prints each
+// phase's bandwidth and how many DATA packets each rail carried while
+// striping:
 //
 //	pingpong -listen 127.0.0.1:9777 -shm /tmp/pp-rings    # rank 0
 //	pingpong -connect 127.0.0.1:9777 -shm /tmp/pp-rings   # rank 1
 //
-// With -json it runs the in-process four-backend benchmark —
-// raw-endpoint eager round trips over the wire simulator, loopback TCP,
-// shared-memory rings and reliable UDP datagrams, then the back-to-back
-// 64-byte message-rate storm per backend, then WAN-conditioned UDP
-// round trips with seeded loss and latency injected beneath the
-// reliability sublayer — and writes BENCH_pingpong.json rows (RTT
-// p50/p99 and allocs/op per size; msgs/sec and batch occupancy for the
-// storm, including a per-frame-drain shm control row), the file CI
-// tracks per build:
+// With -nrank it runs as one rank of an N-process cluster launched
+// through cmd/nmrun (docs/CLUSTER.md):
 //
-//	pingpong -json BENCH_pingpong.json
-//
-// In bonded mode, -json instead merges the bonded rows (backends "tcp",
-// "shm" and "multirail" at the rendezvous sizes) into that file on rank 0.
+//	nmrun -n 4 -- pingpong -nrank
 //
 // With -metrics the process serves its live telemetry registry over HTTP
 // while the sweep runs — Prometheus text at /metrics, the full snapshot
@@ -82,7 +77,7 @@
 // metered one (metric names are keyed by node rank, so one world owns
 // the registry at a time); real and bonded runs meter their single
 // world. -linger keeps the endpoint up for that long after the sweep
-// finishes, so scripted scrapes (CI's bench smoke) never race the exit.
+// finishes, so scripted scrapes (CI's telemetry smoke) never race the exit.
 package main
 
 import (
@@ -115,8 +110,7 @@ func main() {
 	shmDir := flag.String("shm", "", "run over real shared memory, ring files in this fresh directory (replaces the simulated -rails set; alone it needs -rank; with -listen/-connect it bonds shm with TCP)")
 	udpAddr := flag.String("udp", "", "run over real UDP datagrams with the reliability sublayer (fabric/udpfab): rank 0 binds this address, rank 1 reaches rank 0 at it; needs -rank (replaces the simulated -rails set)")
 	rank := flag.Int("rank", 0, "with -shm or -udp: this process's rank (0 sweeps, 1 echoes)")
-	jsonPath := flag.String("json", "", "alone: write the four-backend (sim, tcp loopback, shm, udp) RTT/allocation rows plus the UDP WAN rows to this file and exit; in bonded mode: merge the bonded tcp/shm/multirail rows into this file (rank 0)")
-	nrank := flag.Bool("nrank", false, "run as one rank of an N-process cluster launched through cmd/nmrun (reads the PIOMAN_* environment contract): pairwise neighbor pingpong over real TCP, survivor-set totals via allreduce; with -json (rank 0) merges a pingpong_nrank row into the file")
+	nrank := flag.Bool("nrank", false, "run as one rank of an N-process cluster launched through cmd/nmrun (reads the PIOMAN_* environment contract): pairwise neighbor pingpong over real TCP, survivor-set totals via allreduce")
 	nrankDur := flag.Duration("nrank-duration", 3*time.Second, "with -nrank: how long the initiator of each pair keeps the exchange running (halved by -quick)")
 	metricsAddr := flag.String("metrics", "", "serve live telemetry over HTTP on this address while the sweep runs: Prometheus text at /metrics, JSON at /metrics.json (port 0 picks one, printed on startup)")
 	linger := flag.Duration("linger", 0, "with -metrics: keep the endpoint up this long after the sweep, so scripted scrapes never race the exit")
@@ -139,15 +133,6 @@ func main() {
 	})
 	if *nrank && (real || railsSet || rankSet) {
 		fail("-nrank takes its transport and rank from the nmrun environment contract; it cannot be combined with -listen/-connect/-shm/-udp/-rank/-rails")
-	}
-	if *jsonPath != "" && !bonded && !*nrank {
-		if real || rankSet || railsSet {
-			fail("-json runs its own in-process benchmark; outside bonded mode (-listen/-connect together with -shm) it cannot be combined with -listen/-connect/-shm/-udp/-rank/-rails")
-		}
-		if *metricsAddr != "" {
-			fail("-json benchmarks raw endpoints with its own metered/unmetered rows; it has no engine world for -metrics to expose")
-		}
-		os.Exit(runBenchJSON(*jsonPath, *quick))
 	}
 	if *linger != 0 && *metricsAddr == "" {
 		fail("-linger keeps the -metrics endpoint alive; it does nothing without -metrics")
@@ -201,10 +186,10 @@ func main() {
 	}
 
 	if *nrank {
-		finish(runNrank(*nrankDur, *quick, *jsonPath, metrics))
+		finish(runNrank(*nrankDur, *quick, metrics))
 	}
 	if bonded {
-		finish(runBonded(*listen, *connect, *shmDir, *quick, *jsonPath, metrics))
+		finish(runBonded(*listen, *connect, *shmDir, *quick, metrics))
 	}
 	if real {
 		finish(runReal(*listen, *connect, *shmDir, *udpAddr, *rank, *quick, metrics))

@@ -3,14 +3,13 @@ package main
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"pioman/internal/testenv"
 )
 
 // TestTwoProcessPingpong runs the acceptance exchange of the fabric
@@ -277,124 +276,95 @@ func TestTwoProcessPingpongShm(t *testing.T) {
 // TestTwoProcessPingpongBonded is the multirail acceptance exchange: two
 // OS processes bond the TCP and shared-memory transports into one world,
 // sweep each rail solo to calibrate the striping weights, then stripe
-// rendezvous payloads across both — and, on hosts with enough CPUs to
-// drive two rails at once, the bonded bandwidth must beat the best
-// single rail (on 1–2 CPU boxes the binary reports the comparison but
-// does not assert: time-sliced rails cannot be parallel). A perf
-// comparison on a shared host is allowed one retry (the runner
-// distinguishes the assertion, exit 3, from correctness failures); it
-// runs off the race jobs and outside -short, where timing means nothing.
+// rendezvous payloads across both. What it asserts is causal, not a
+// bandwidth race: every echo came back intact (the binary exits non-zero
+// otherwise) and both rails carried DATA packets during the multirail
+// phase — the same fact internal/mpi's TestBondedHeterogeneousRails pins
+// in-process. With no timing in the verdict it runs under -short and
+// -race like the other two-process tests.
 func TestTwoProcessPingpongBonded(t *testing.T) {
 	if os.Getenv("PINGPONG_HELPER") != "" {
 		t.Skip("helper invocation")
-	}
-	if testenv.RaceEnabled {
-		t.Skip("bandwidth comparison is meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("two-process bandwidth sweep skipped in -short runs")
 	}
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	runPair := func(attempt int) (assertFailed bool) {
-		dir := filepath.Join(t.TempDir(), "rings")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		jsonPath := filepath.Join(t.TempDir(), "bench.json")
-
-		ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
-		defer cancel()
-		rank0 := exec.CommandContext(ctx, exe, "-test.run", "TestHelperBondedRank0", "-test.v")
-		rank0.Env = append(os.Environ(), "PINGPONG_HELPER=bonded0", "PINGPONG_SHM="+dir, "PINGPONG_JSON="+jsonPath)
-		out0, err := rank0.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rank0.Stderr = os.Stderr
-		if err := rank0.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer rank0.Process.Kill()
-
-		sc := bufio.NewScanner(out0)
-		addr := ""
-		var log0 []string
-		for sc.Scan() {
-			line := sc.Text()
-			log0 = append(log0, line)
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				addr = strings.TrimSpace(line[i+len("listening on "):])
-				if j := strings.Index(addr, " "); j >= 0 {
-					addr = addr[:j]
-				}
-				break
-			}
-		}
-		if addr == "" {
-			t.Fatalf("rank 0 never announced its listen address:\n%s", strings.Join(log0, "\n"))
-		}
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for sc.Scan() {
-				log0 = append(log0, sc.Text())
-			}
-		}()
-
-		rank1 := exec.CommandContext(ctx, exe, "-test.run", "TestHelperBondedRank1", "-test.v")
-		rank1.Env = append(os.Environ(), "PINGPONG_HELPER=bonded1", "PINGPONG_SHM="+dir, "PINGPONG_CONNECT="+addr)
-		out1, err := rank1.CombinedOutput()
-		if err != nil {
-			t.Fatalf("rank 1 process failed (ctx: %v): %v\n%s", ctx.Err(), err, out1)
-		}
-		// Drain stdout fully before Wait: Wait closes the pipe and would
-		// discard buffered lines — including the verdict markers below.
-		<-drained
-		err = rank0.Wait()
-		all := strings.Join(log0, "\n")
-		if err != nil {
-			if strings.Contains(all, "bonded-rail assertion failed") ||
-				strings.Contains(all, "DOES NOT BEAT") {
-				t.Logf("attempt %d: bonded bandwidth did not beat the best single rail:\n%s", attempt, all)
-				return true
-			}
-			t.Fatalf("rank 0 process failed: %v\n%s", err, all)
-		}
-		if !strings.Contains(all, "rank 0 ok") {
-			t.Fatalf("rank 0 did not report success:\n%s", all)
-		}
-		// The sweep must have crossed both protocols and striped for real.
-		wants := []string{"eager", "rendezvous", "multirail"}
-		if !strings.Contains(all, "comparison is informational") {
-			// Enough CPUs to drive both rails at once: the win is asserted.
-			wants = append(wants, " beats ")
-		}
-		for _, want := range wants {
-			if !strings.Contains(all, want) {
-				t.Fatalf("bonded sweep output missing %q:\n%s", want, all)
-			}
-		}
-		rows, err := os.ReadFile(jsonPath)
-		if err != nil {
-			t.Fatalf("bonded run left no BENCH rows: %v", err)
-		}
-		for _, backend := range []string{"\"multirail\"", "\"tcp\"", "\"shm\""} {
-			if !strings.Contains(string(rows), backend) {
-				t.Fatalf("BENCH rows missing backend %s:\n%s", backend, rows)
-			}
-		}
-		return false
+	dir := filepath.Join(t.TempDir(), "rings")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
 
-	if runPair(1) {
-		// One retry: a shared CI host can lose a single bandwidth race.
-		if runPair(2) {
-			t.Fatal("bonded bandwidth did not beat the best single rail in two attempts")
+	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
+	defer cancel()
+	rank0 := exec.CommandContext(ctx, exe, "-test.run", "TestHelperBondedRank0", "-test.v")
+	rank0.Env = append(os.Environ(), "PINGPONG_HELPER=bonded0", "PINGPONG_SHM="+dir)
+	out0, err := rank0.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank0.Stderr = os.Stderr
+	if err := rank0.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rank0.Process.Kill()
+
+	sc := bufio.NewScanner(out0)
+	addr := ""
+	var log0 []string
+	for sc.Scan() {
+		line := sc.Text()
+		log0 = append(log0, line)
+		if i := strings.Index(line, "listening on "); i >= 0 {
+			addr = strings.TrimSpace(line[i+len("listening on "):])
+			if j := strings.Index(addr, " "); j >= 0 {
+				addr = addr[:j]
+			}
+			break
 		}
+	}
+	if addr == "" {
+		t.Fatalf("rank 0 never announced its listen address:\n%s", strings.Join(log0, "\n"))
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for sc.Scan() {
+			log0 = append(log0, sc.Text())
+		}
+	}()
+
+	rank1 := exec.CommandContext(ctx, exe, "-test.run", "TestHelperBondedRank1", "-test.v")
+	rank1.Env = append(os.Environ(), "PINGPONG_HELPER=bonded1", "PINGPONG_SHM="+dir, "PINGPONG_CONNECT="+addr)
+	out1, err := rank1.CombinedOutput()
+	if err != nil {
+		t.Fatalf("rank 1 process failed (ctx: %v): %v\n%s", ctx.Err(), err, out1)
+	}
+	// Drain stdout fully before Wait: Wait closes the pipe and would
+	// discard buffered lines — including the packet counts below.
+	<-drained
+	err = rank0.Wait()
+	all := strings.Join(log0, "\n")
+	if err != nil {
+		t.Fatalf("rank 0 process failed: %v\n%s", err, all)
+	}
+	// The sweep must have crossed both protocols and striped for real.
+	for _, want := range []string{"rank 0 ok", "eager", "rendezvous", "multirail"} {
+		if !strings.Contains(all, want) {
+			t.Fatalf("bonded sweep output missing %q:\n%s", want, all)
+		}
+	}
+	const marker = "multirail DATA packets sent"
+	i := strings.Index(all, marker)
+	if i < 0 {
+		t.Fatalf("rank 0 did not report per-rail DATA packets:\n%s", all)
+	}
+	var tcp, shm uint64
+	if _, err := fmt.Sscanf(all[i+len(marker):], " tcp %d shm %d", &tcp, &shm); err != nil {
+		t.Fatalf("unparsable per-rail DATA packet line (%v):\n%s", err, all)
+	}
+	if tcp == 0 || shm == 0 {
+		t.Fatalf("multirail phase did not stripe across both rails: tcp sent %d DATA packets, shm %d\n%s", tcp, shm, all)
 	}
 }
 
@@ -404,8 +374,7 @@ func TestHelperBondedRank0(t *testing.T) {
 	if os.Getenv("PINGPONG_HELPER") != "bonded0" {
 		t.Skip("helper entry point")
 	}
-	code := runBonded("127.0.0.1:0", "", os.Getenv("PINGPONG_SHM"), true, os.Getenv("PINGPONG_JSON"), nil)
-	if code != 0 {
+	if code := runBonded("127.0.0.1:0", "", os.Getenv("PINGPONG_SHM"), true, nil); code != 0 {
 		t.Fatalf("rank 0 exited %d", code)
 	}
 }
@@ -415,7 +384,7 @@ func TestHelperBondedRank1(t *testing.T) {
 	if os.Getenv("PINGPONG_HELPER") != "bonded1" {
 		t.Skip("helper entry point")
 	}
-	if code := runBonded("", os.Getenv("PINGPONG_CONNECT"), os.Getenv("PINGPONG_SHM"), true, "", nil); code != 0 {
+	if code := runBonded("", os.Getenv("PINGPONG_CONNECT"), os.Getenv("PINGPONG_SHM"), true, nil); code != 0 {
 		t.Fatalf("rank 1 exited %d", code)
 	}
 }

@@ -11,7 +11,6 @@ package main
 // still exit 0.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -39,7 +38,7 @@ const (
 // runNrank executes this process's rank of the N-rank pingpong and
 // returns the exit code. Cluster identity comes from the nmrun
 // environment contract (mpi.JoinCluster).
-func runNrank(dur time.Duration, quick bool, jsonPath string, metrics *telemetry.Registry) int {
+func runNrank(dur time.Duration, quick bool, metrics *telemetry.Registry) int {
 	if quick {
 		dur = dur / 2
 	}
@@ -99,14 +98,6 @@ func runNrank(dur time.Duration, quick bool, jsonPath string, metrics *telemetry
 		if rank == 0 {
 			fmt.Printf("pingpong: cluster total %d msgs, %.0f msgs/s across %d ranks\n",
 				totalMsgs, totalRate, size)
-			if jsonPath != "" {
-				if err := writeNrankRow(jsonPath, size, int(totalMsgs), totalRate); err != nil {
-					fmt.Fprintf(os.Stderr, "pingpong: %v\n", err)
-					code = 1
-					return
-				}
-				fmt.Printf("pingpong: merged nrank row into %s\n", jsonPath)
-			}
 		}
 	})
 	fmt.Printf("pingpong: rank %d ok\n", rank)
@@ -163,35 +154,3 @@ func nrankExchange(p *mpi.Proc, rank, partner int, dur time.Duration) (int64, ti
 
 // nrankPeerDead reports whether err is the bounded-failure completion.
 func nrankPeerDead(err error) bool { return errors.Is(err, core.ErrPeerDead) }
-
-// writeNrankRow merges the cluster row into the BENCH file, replacing
-// any previous pingpong_nrank row at the same world size so reruns stay
-// idempotent (the raw-endpoint rows are untouched).
-func writeNrankRow(path string, peers, iters int, rate float64) error {
-	var rows []benchRow
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &rows); err != nil {
-			return fmt.Errorf("parse existing %s: %w", path, err)
-		}
-	}
-	kept := rows[:0]
-	for _, r := range rows {
-		if !(r.Bench == "pingpong_nrank" && r.Peers == peers) {
-			kept = append(kept, r)
-		}
-	}
-	rows = append(kept, benchRow{
-		Bench:      "pingpong_nrank",
-		Backend:    "tcp",
-		SizeBytes:  nrankSize,
-		Iters:      iters,
-		MsgsPerSec: rate,
-		Peers:      peers,
-	})
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
-}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pioman/internal/nic"
+	"pioman/internal/ptime"
 	"pioman/internal/sched"
 )
 
@@ -13,7 +14,25 @@ func withAdaptive() clusterOpt {
 	return func(p *clusterParams) { p.adaptive = true }
 }
 
+// virtualCPU switches the test to virtual-time CPU charging, under which
+// "who paid the submission" is exact: ptime.Charged() is the model cost
+// billed to the calling goroutine, whatever the host scheduler did to it
+// meanwhile. A stopwatch around Isend cannot tell a deferred submission
+// from a descheduled caller.
+func virtualCPU(t *testing.T) {
+	ptime.SetVirtual(true)
+	t.Cleanup(func() { ptime.SetVirtual(false) })
+}
+
+// chargedBy returns the virtual CPU time fn bills to the calling goroutine.
+func chargedBy(fn func()) time.Duration {
+	before := ptime.Charged()
+	fn()
+	return ptime.Charged() - before
+}
+
 func TestAdaptiveOffloadDefersWhenCoresIdle(t *testing.T) {
+	virtualCPU(t)
 	slow := fastRail()
 	slow.Cost.CopyBytesPerUS = 10 // 16K -> 1.6ms of copy
 	c := newCluster(t, 2, withAdaptive(), withCores(4),
@@ -28,11 +47,10 @@ func TestAdaptiveOffloadDefersWhenCoresIdle(t *testing.T) {
 	})
 	c.run(0, func(th *sched.Thread) {
 		// Three idle cores: the adaptive policy must defer, so Isend
-		// returns immediately.
-		start := time.Now()
-		s := c.Nodes[0].Eng.Isend(1, 1, data)
-		if el := time.Since(start); el > 500*time.Microsecond {
-			t.Errorf("adaptive Isend with idle cores took %v, want deferral", el)
+		// only registers the send and pays none of the 1.6ms copy.
+		var s *SendReq
+		if paid := chargedBy(func() { s = c.Nodes[0].Eng.Isend(1, 1, data) }); paid != 0 {
+			t.Errorf("adaptive Isend with idle cores paid %v of submission cost, want deferral", paid)
 		}
 		c.Nodes[0].Eng.WaitSend(s, th)
 	})

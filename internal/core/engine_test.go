@@ -381,27 +381,25 @@ func TestOffloadedIsendReturnsFast(t *testing.T) {
 }
 
 func TestSequentialDefersSubmissionToWait(t *testing.T) {
+	virtualCPU(t)
 	slow := fastRail()
 	slow.Cost.CopyBytesPerUS = 10 // 16K -> 1.6ms
 	c := newCluster(t, 2, withMode(Sequential),
 		withRails(func(int) []nic.Params { return []nic.Params{slow} }))
 	data := payload(16<<10, 2)
 	c.run(0, func(th *sched.Thread) {
-		start := time.Now()
-		s := c.Nodes[0].Eng.Isend(1, 1, data)
-		el := time.Since(start)
 		// Original NewMadeleine: isend only enqueues the pack.
-		if el > 500*time.Microsecond {
-			t.Errorf("sequential Isend took %v, want enqueue-only", el)
+		var s *SendReq
+		if paid := chargedBy(func() { s = c.Nodes[0].Eng.Isend(1, 1, data) }); paid != 0 {
+			t.Errorf("sequential Isend paid %v of submission cost, want enqueue-only", paid)
 		}
 		if s.Completed() {
 			t.Error("send completed before any library re-entry")
 		}
 		// The submission cost lands inside the wait.
-		start = time.Now()
-		c.Nodes[0].Eng.WaitSend(s, th)
-		if el := time.Since(start); el < 1500*time.Microsecond {
-			t.Errorf("sequential WaitSend took %v, want >= ~1.6ms (inline copy)", el)
+		want := slow.Cost.CopyCost(len(data))
+		if paid := chargedBy(func() { c.Nodes[0].Eng.WaitSend(s, th) }); paid < want {
+			t.Errorf("sequential WaitSend paid %v, want >= %v (inline copy)", paid, want)
 		}
 	})
 }

@@ -13,17 +13,16 @@ import (
 // the online stripe-weight retune. A rail that fails a span submission
 // is not abandoned for the life of the run (the pre-self-healing
 // behavior): it moves to probation, where the maintenance tick probes it
-// with a cheap ping frame at a backoff-spaced cadence; when a pong comes
-// back with quiet loss counters the rail rejoins the stripe set live.
+// with a cheap ping frame at a backoff-spaced cadence; when the echo of a
+// probe sent after the demotion comes back with quiet loss counters the
+// rail rejoins the stripe set live.
 // Probation state machine per rail (docs/FABRIC.md):
 //
 //	active --span submission failed--> probation
-//	probation --ping answered, counters quiet--> active
+//	probation --post-demotion ping answered, counters quiet--> active
 //	probation --probe unanswered--> probation (gap doubles, 50ms → 1s)
 
 const (
-	railActive    = 0
-	railProbation = 1
 	// probeGapInit/probeGapMax bound the probe cadence of a probation
 	// rail: eager enough to readmit within ~100ms of recovery, backed
 	// off enough that a rail dead for minutes costs one frame a second.
@@ -48,8 +47,14 @@ const (
 // (demotion from stripeData, re-admission from handlePong) and the
 // maintenance tick are atomics; the EWMA bookkeeping is touched only
 // under maintLock.
+//
+// demotedAt is the whole lifecycle state in one word — zero while the
+// rail is active, the demotion's unix-nanos stamp while it is on
+// probation — so a rail is never visibly on probation without the stamp
+// that dates the evidence handlePong may accept, and a readmission
+// (CAS stamp → 0) can only end the demotion it judged.
 type railHealth struct {
-	state     atomic.Int32  // railActive or railProbation
+	demotedAt atomic.Int64  // 0 = active; else unix nanos of the demotion
 	errsBase  atomic.Uint64 // SendErrs+LostFrames at the last probe
 	errsSeen  atomic.Uint64 // SendErrs+LostFrames at the last maint scan
 	probeGap  atomic.Int64  // current probe spacing, nanos
@@ -64,6 +69,9 @@ type railHealth struct {
 	lastLost  uint64
 	lastAt    int64
 }
+
+// active reports whether the rail is in the stripe set (not on probation).
+func (h *railHealth) active() bool { return h.demotedAt.Load() == 0 }
 
 // railIndex maps a rail driver back to its engine slot (rail counts are
 // single digits; the scan is cheaper than a map).
@@ -86,12 +94,13 @@ func (e *Engine) demoteRail(r *nic.Driver, dst int) {
 		return
 	}
 	h := &e.health[i]
-	if !h.state.CompareAndSwap(railActive, railProbation) {
+	now := time.Now().UnixNano()
+	if !h.demotedAt.CompareAndSwap(0, now) {
 		return
 	}
 	h.probeDst.Store(int32(dst))
 	h.probeGap.Store(int64(probeGapInit))
-	h.nextProbe.Store(time.Now().UnixNano())
+	h.nextProbe.Store(now)
 	h.errsBase.Store(r.Stats().SendErrs + r.LostFrames())
 	e.probationCount.Add(1)
 	if e.tracing() {
@@ -112,7 +121,7 @@ func (e *Engine) demoteRail(r *nic.Driver, dst int) {
 func (e *Engine) railMaint(now int64) {
 	for i, r := range e.rails {
 		h := &e.health[i]
-		if h.state.Load() != railActive {
+		if !h.active() {
 			continue
 		}
 		cur := r.Stats().SendErrs + r.LostFrames()
@@ -130,7 +139,7 @@ func (e *Engine) railMaint(now int64) {
 	if e.probationCount.Load() > 0 {
 		for i := range e.rails {
 			h := &e.health[i]
-			if h.state.Load() != railProbation || now < h.nextProbe.Load() {
+			if h.active() || now < h.nextProbe.Load() {
 				continue
 			}
 			r := e.rails[i]
@@ -143,8 +152,11 @@ func (e *Engine) railMaint(now int64) {
 			}
 			// Rebaseline before each probe: a readmission requires the
 			// loss counters quiet across the ping round trip itself. The
-			// Seq carries the send stamp so the pong also yields an RTT
-			// sample for the retune.
+			// Seq carries the send stamp: it dates the echo against the
+			// demotion (handlePong) and yields an RTT sample for the
+			// retune. demoteRail sets nextProbe to its demotion stamp, so
+			// a probe gated on it postdates the demotion; one that raced
+			// that store carries an older stamp and is merely ignored.
 			h.errsBase.Store(r.Stats().SendErrs + r.LostFrames())
 			r.SendPing(nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
 			gap := h.probeGap.Load()
@@ -177,7 +189,7 @@ func (e *Engine) rttProbes(now int64) {
 	}
 	for i, r := range e.rails {
 		h := &e.health[i]
-		if h.state.Load() != railActive || r.StripeWeight() <= 0 {
+		if !h.active() || r.StripeWeight() <= 0 {
 			continue
 		}
 		if now < h.nextRTT.Load() {
@@ -195,11 +207,15 @@ func (e *Engine) handlePing(rail *nic.Driver, p *wire.Packet) {
 	rail.SendPong(nic.Header{Src: e.node, Dst: p.Src, Tag: -1, Seq: p.Seq})
 }
 
-// handlePong judges a probation rail's probe reply: the pong proves the
-// rail carries frames both ways again, and quiet loss counters since the
-// ping prove nothing else died meanwhile — together that readmits the
-// rail to the stripe set, live. A pong with moved counters leaves the
-// rail on probation; the next probe rebaselines and tries again.
+// handlePong judges a probation rail's probe reply: the echo of a ping
+// sent after the demotion proves the rail carries frames both ways
+// again, and quiet loss counters since the ping prove nothing else died
+// meanwhile — together that readmits the rail to the stripe set, live.
+// The evidence must be causal: the echo of a ping sent before the
+// demotion (an RTT probe queued behind striped DATA, say) crossed the
+// rail while it still worked and says nothing about it now. A stale pong
+// or one with moved counters leaves the rail on probation; the next
+// probe rebaselines and tries again.
 func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 	i := e.railIndex(rail)
 	if i < 0 {
@@ -219,14 +235,15 @@ func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 			}
 		}
 	}
-	if h.state.Load() != railProbation {
+	demoted := h.demotedAt.Load()
+	if demoted == 0 || int64(p.Seq) <= demoted {
 		return
 	}
 	cur := rail.Stats().SendErrs + rail.LostFrames()
 	if cur != h.errsBase.Load() {
 		return
 	}
-	if !h.state.CompareAndSwap(railProbation, railActive) {
+	if !h.demotedAt.CompareAndSwap(demoted, 0) {
 		return
 	}
 	// Losses accrued while on probation (replay attempts, unanswered
@@ -258,7 +275,7 @@ func (e *Engine) retuneWeights(now int64) {
 	minRTT := int64(0)
 	for i, r := range e.rails {
 		h := &e.health[i]
-		if h.state.Load() != railActive || r.StripeWeight() <= 0 {
+		if !h.active() || r.StripeWeight() <= 0 {
 			continue
 		}
 		if rtt := h.rttNanos.Load(); rtt > 0 && (minRTT == 0 || rtt < minRTT) {
@@ -267,7 +284,7 @@ func (e *Engine) retuneWeights(now int64) {
 	}
 	for i, r := range e.rails {
 		h := &e.health[i]
-		if h.state.Load() != railActive {
+		if !h.active() {
 			// A probation rail carries no stripe traffic; freeze its weight
 			// so it rejoins with the share it held when it failed instead
 			// of one decayed by idle windows.

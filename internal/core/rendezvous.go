@@ -406,7 +406,7 @@ func (e *Engine) dataRails(dst, size int) []*nic.Driver {
 	var out []*nic.Driver
 	onProbation := e.probationCount.Load() > 0
 	for i, r := range e.rails {
-		if onProbation && e.health[i].state.Load() != railActive {
+		if onProbation && !e.health[i].active() {
 			continue
 		}
 		if r.StripeWeight() > 0 {

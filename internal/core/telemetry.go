@@ -97,7 +97,10 @@ func (e *Engine) registerRails(reg *telemetry.Registry) {
 		// of probation): 0 = active, 1 = probation.
 		h := &e.health[i]
 		reg.RegisterGauge(prefix+".health_state", "rail lifecycle state (0 active, 1 probation)", func() uint64 {
-			return uint64(h.state.Load())
+			if h.active() {
+				return 0
+			}
+			return 1
 		})
 		reg.RegisterGauge(prefix+".rtt_ns", "EWMA health-probe round-trip time (ns, 0 until measured)", func() uint64 {
 			return uint64(h.rttNanos.Load())

@@ -170,6 +170,17 @@ func (c *Chaos) Trace(rank int) []string {
 	return out
 }
 
+// InKillWindow reports whether rank's endpoint is currently discarding
+// every frame it accepts: killed (KillAfter reached) and not yet revived
+// (KillDuration not elapsed). While it holds, no frame the rank sends —
+// a health probe included — can reach a peer.
+func (c *Chaos) InKillWindow(rank int) bool {
+	c.mu.Lock()
+	ep := c.eps[rank]
+	c.mu.Unlock()
+	return ep != nil && ep.inKillWindow()
+}
+
 // chaosEndpoint decorates Send with the fault model; everything else is
 // the inner endpoint's.
 type chaosEndpoint struct {
@@ -197,19 +208,18 @@ func (ce *chaosEndpoint) dead() bool {
 	if !ce.killable || ce.accepted.Add(1) <= uint64(ce.cfg.KillAfter) {
 		return false
 	}
+	if ce.killedAt.Load() == 0 {
+		ce.killedAt.CompareAndSwap(0, time.Now().UnixNano())
+	}
+	return ce.inKillWindow()
+}
+
+// inKillWindow reports whether the endpoint has been killed and not yet
+// revived; it reads the kill lifecycle without advancing it.
+func (ce *chaosEndpoint) inKillWindow() bool {
 	kt := ce.killedAt.Load()
-	if kt == 0 {
-		now := time.Now().UnixNano()
-		if !ce.killedAt.CompareAndSwap(0, now) {
-			kt = ce.killedAt.Load()
-		} else {
-			kt = now
-		}
-	}
-	if d := ce.cfg.KillDuration; d > 0 && time.Now().UnixNano() >= kt+int64(d) {
-		return false // revived
-	}
-	return true
+	d := ce.cfg.KillDuration
+	return kt != 0 && (d <= 0 || time.Now().UnixNano() < kt+int64(d))
 }
 
 // Send implements fabric.Endpoint: the fault model decides the frame's

@@ -91,7 +91,9 @@ func RunSelfHealing(t *testing.T, open OpenFabric) {
 // striped rendezvous with online stripe weights enabled. The world must
 // (1) keep completing transfers through the dead window via acked
 // replay, (2) demote the killed rail to probation when its loss
-// surfaces, (3) readmit it after a successful health probe, and
+// surfaces, (3) readmit it after a successful health probe — and not
+// before: a readmission seen while the endpoint still discards every
+// frame was granted on evidence that predates the failure — and
 // (4) demonstrably put traffic back on it — all asserted from telemetry
 // snapshot deltas, the way an operator would see it.
 func RunSelfHealSoak(t *testing.T, open OpenFabric) {
@@ -161,6 +163,9 @@ func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 				}
 				p.Recv(1, 6, ack[:])
 				if readmitAt < 0 && p.Node.Eng.Stats().RailReadmits > 0 {
+					if chaotic.InKillWindow(0) {
+						t.Errorf("soak round %d: railB readmitted while its endpoint is still inside the kill window", round)
+					}
 					readmitAt = round
 					snap := reg.Snapshot()
 					readmitSent = snap.Value("node0.rail.railB.data_sent")

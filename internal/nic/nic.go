@@ -71,9 +71,9 @@ type Params struct {
 	// carries twice the bytes. Zero keeps the rail out of striping —
 	// the right value for rails that only serve a subset of peers, such
 	// as the simulated intra-node SHM channel. Presets seed it from the
-	// link model (simulated rails) or from the committed BENCH_pingpong
-	// loopback baselines (real transports); runtime measurements can
-	// override it per driver via Driver.SetStripeWeight.
+	// link model (simulated rails) or from a raw-endpoint loopback echo
+	// measured when the preset was written (real transports); runtime
+	// measurements can override it per driver via Driver.SetStripeWeight.
 	StripeWeight float64
 }
 
@@ -116,9 +116,11 @@ func SHMParams() Params {
 // (fabric/tcpfab): no modeled CPU costs and no PIO path — the socket stack
 // charges genuine time instead. The 32 KiB rendezvous threshold matches
 // the MX preset so protocol selection behaves identically on both. The
-// stripe weight is seeded from the committed BENCH_pingpong.json loopback
-// TCP baseline (64 KiB echo p50 ≈ 26.6 µs → ≈ 4900 B/µs of round-trip
-// bandwidth); bonded launchers re-measure and override it per host.
+// stripe weight is a seed, not a tracked number: a raw tcpfab loopback
+// echo of 64 KiB measured p50 ≈ 26.6 µs on the development host when the
+// preset was written (≈ 4900 B/µs of round-trip bandwidth; go test -bench
+// RTT ./internal/fabric re-measures it). Bonded launchers re-measure and
+// override it per host.
 func RealParams() Params {
 	return Params{
 		Name:         "real",
@@ -140,8 +142,9 @@ func RealParams() Params {
 // behaves identically across the real transports. Unlike the simulated
 // SHM preset this rail carries a stripe weight: shmfab reaches every rank
 // sharing the ring directory, so a bonded world may stripe rendezvous
-// payloads across it. Seeded from the committed BENCH_pingpong.json
-// shared-memory baseline (64 KiB echo p50 ≈ 18.8 µs → ≈ 7000 B/µs).
+// payloads across it. Seeded the same way as RealParams: a raw shmfab
+// echo of 64 KiB measured p50 ≈ 18.8 µs on the development host
+// (≈ 7000 B/µs).
 func ShmParams() Params {
 	return Params{
 		Name:         "shm",

@@ -364,7 +364,12 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		sa, sb := a.Stats(), b.Stats()
+		// Receiver first: a packet is counted sent before it is handed to
+		// the wire, so a receive count can never exceed a send count read
+		// after it. (Read the other way round, whatever is sent and drained
+		// between the two snapshots breaks the inequality.)
+		sb := b.Stats()
+		sa := a.Stats()
 		if sb.Recvs > sa.EagerSent {
 			t.Errorf("receiver saw %d packets, sender sent %d", sb.Recvs, sa.EagerSent)
 			break

@@ -15,17 +15,16 @@ func TestSpinForZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestSpinForDuration pins SpinFor's contract: it never returns early.
+// The lower bound is exact on the monotonic clock; how late it returns is
+// the host scheduler's business (a descheduled spinner overshoots by a
+// time slice), so there is no ceiling to assert.
 func TestSpinForDuration(t *testing.T) {
 	for _, d := range []time.Duration{20 * time.Microsecond, 200 * time.Microsecond, 2 * time.Millisecond} {
 		start := time.Now()
 		SpinFor(d)
-		el := time.Since(start)
-		if el < d {
+		if el := time.Since(start); el < d {
 			t.Errorf("SpinFor(%v) returned after %v, want >= %v", d, el, d)
-		}
-		// Allow generous slack for scheduling noise but catch gross errors.
-		if el > d*10+time.Millisecond {
-			t.Errorf("SpinFor(%v) took %v, way over budget", d, el)
 		}
 	}
 }
