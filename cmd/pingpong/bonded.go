@@ -110,13 +110,8 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 		NoIdlePolling:  true,
 		Strategy:       "multirail",
 		MultirailMin:   bondedStripeMin,
-		// The rendezvous sizes complete within a couple hundred µs; a
-		// wait that spins through the whole exchange measures the rails,
-		// not the blocking watcher's wakeup cadence.
-		WaitSpin:     2 * time.Millisecond,
-		WatcherCheck: 500 * time.Microsecond,
-		Machine:      topo.Machine{Sockets: 1, CoresPerSocket: 2},
-		Metrics:      metrics,
+		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
+		Metrics:        metrics,
 	}, []mpi.Rail{
 		{Params: tcpRail, Ep: tep},
 		{Params: nic.ShmParams(), Ep: sep},

@@ -376,7 +376,7 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 // caller runs with NoIdlePolling (real transports on machines where
 // busy-polling starves the kernel or the peer process of the CPU that
 // makes the awaited progress), waits yield early — 50µs — and lean on
-// the blocking path instead. mpi.Config.WaitSpin overrides it.
+// the blocking path instead. Config.WaitSpin overrides it.
 func AutoWaitSpin(noIdlePolling bool) time.Duration {
 	if noIdlePolling || runtime.NumCPU() < 4 {
 		return 50 * time.Microsecond

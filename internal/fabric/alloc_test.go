@@ -160,6 +160,7 @@ func TestEagerRoundTripAllocs(t *testing.T) {
 	}
 	var seq uint64
 	var fail string
+	poll0, poll1 := testenv.PollOne(ep0), testenv.PollOne(ep1)
 	roundTrip := func() {
 		seq++
 		out := fabric.GetPacket()
@@ -171,7 +172,7 @@ func TestEagerRoundTripAllocs(t *testing.T) {
 		fabric.ReleasePacket(out) // shmfab captures sends
 		var in *wire.Packet
 		for in == nil {
-			in = ep1.Poll()
+			in = poll1()
 		}
 		if !bytes.Equal(in.Payload, payload) {
 			fail = "ping payload corrupted"
@@ -188,7 +189,7 @@ func TestEagerRoundTripAllocs(t *testing.T) {
 		fabric.ReleasePacket(in)
 		var pong *wire.Packet
 		for pong == nil {
-			pong = ep0.Poll()
+			pong = poll0()
 		}
 		if !bytes.Equal(pong.Payload, payload) {
 			fail = "pong payload corrupted"

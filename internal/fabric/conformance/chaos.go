@@ -85,10 +85,10 @@ type ChaosConfig struct {
 
 // Chaos wraps a fabric so its endpoints inject seeded, replayable
 // disorder — drops, duplicates, bit corruption, reordering, latency —
-// into every frame they accept. It is the promotion of the original
-// drop-everything Lossy harness into a composable fault model: Lossy
-// is now just the Drop=1 special case. Reception is untouched, so a
-// wrapped rail stays pollable.
+// into every frame they accept. ChaosConfig{Drop: 1} is the
+// drop-everything harness of the rail-failure case. Reception is
+// untouched — PollBatch and BlockingRecv are the inner endpoint's own —
+// so a wrapped rail drains exactly the way the engine drains a bare one.
 type Chaos struct {
 	inner fabric.Fabric
 	cfg   ChaosConfig
@@ -100,18 +100,6 @@ type Chaos struct {
 // NewChaos wraps inner with the given fault model.
 func NewChaos(inner fabric.Fabric, cfg ChaosConfig) *Chaos {
 	return &Chaos{inner: inner, cfg: cfg, eps: make(map[int]*chaosEndpoint)}
-}
-
-// Lossy is the drop-everything special case of Chaos, kept under its
-// original name: every frame its endpoints accept is dropped and
-// counted in LostFrames — the loss-injection harness of the
-// rail-failure case.
-type Lossy = Chaos
-
-// NewLossy wraps inner so every accepted frame is dropped and counted;
-// see Lossy.
-func NewLossy(inner fabric.Fabric) *Lossy {
-	return NewChaos(inner, ChaosConfig{Drop: 1})
 }
 
 // Nodes implements fabric.Fabric.
@@ -323,11 +311,15 @@ func (ce *chaosEndpoint) MaxPayload() int {
 	return fabric.MaxPayloadBytes
 }
 
-// PollBatch implements fabric.Endpoint by delegating to BatchFromPoll:
-// the wrapper must not inherit the inner endpoint's native batch, or a
-// future Poll decoration would be bypassed (see fabric.BatchFromPoll).
-func (ce *chaosEndpoint) PollBatch(into []*wire.Packet) int {
-	return fabric.BatchFromPoll(ce, into)
+// Backlog implements fabric.Backlogger by forwarding: the fault model
+// must not hide a wrapped simulator's link horizon, or the optimizer's
+// feed-on-idle gate would stay open under chaos. Inner endpoints without
+// the capability report an idle path, as they did to the driver directly.
+func (ce *chaosEndpoint) Backlog(dst int) time.Duration {
+	if b, ok := ce.Endpoint.(fabric.Backlogger); ok {
+		return b.Backlog(dst)
+	}
+	return 0
 }
 
 // LostFrames implements fabric.LossCounter: frames dropped by the fault

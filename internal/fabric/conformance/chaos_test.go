@@ -72,10 +72,11 @@ func TestChaosSeededDeterminism(t *testing.T) {
 	}
 }
 
-// TestLossyIsTotalDropChaos pins the compatibility contract of the old
-// harness: NewLossy accepts every frame, delivers none, counts all.
-func TestLossyIsTotalDropChaos(t *testing.T) {
-	f := NewLossy(simfab.New(wire.NewFabric(2, wire.MYRI10G())))
+// TestChaosTotalDrop pins the drop-everything harness of the
+// rail-failure cases: Chaos with Drop=1 accepts every frame, delivers
+// none, counts all.
+func TestChaosTotalDrop(t *testing.T) {
+	f := NewChaos(simfab.New(wire.NewFabric(2, wire.MYRI10G())), ChaosConfig{Drop: 1})
 	defer f.Close()
 	src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
 	const n = 50

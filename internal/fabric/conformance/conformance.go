@@ -198,36 +198,12 @@ func RunEndpoint(t *testing.T, open OpenFabric) {
 		}
 	})
 
-	t.Run("PendingAndPoll", func(t *testing.T) {
-		f := open(t, 2)
-		defer f.Close()
-		src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
-		if dst.Pending() {
-			t.Fatal("fresh endpoint reports pending traffic")
-		}
-		if p := dst.Poll(); p != nil {
-			t.Fatalf("fresh endpoint polled %+v", p)
-		}
-		src.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Payload: []byte("x")})
-		deadline := time.Now().Add(recvDeadline)
-		for !dst.Pending() {
-			if time.Now().After(deadline) {
-				t.Fatal("Pending never became true after a send")
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-		if p := recvOne(t, dst); string(p.Payload) != "x" {
-			t.Fatalf("poll returned %+v", p)
-		}
-	})
-
 	t.Run("PollBatchDrains", func(t *testing.T) {
-		// PollBatch must behave exactly like a loop of Poll: the same
-		// packets, split across calls at whatever capacity the caller
-		// offers (here 3, deliberately smaller than the traffic), with a
-		// zero-capacity buffer a harmless no-op. Completeness is what
-		// this case pins; ordering under concurrent senders is
-		// RunBatchOrdering's.
+		// PollBatch hands every packet out exactly once, split across
+		// calls at whatever capacity the caller offers (here 3,
+		// deliberately smaller than the traffic), with a zero-capacity
+		// buffer a harmless no-op. Completeness is what this case pins;
+		// ordering under concurrent senders is RunBatchOrdering's.
 		f := open(t, 2)
 		defer f.Close()
 		src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
@@ -279,37 +255,39 @@ func RunEndpoint(t *testing.T, open OpenFabric) {
 		}
 	})
 
-	t.Run("BlockingRecvWakes", func(t *testing.T) {
-		f := open(t, 2)
-		defer f.Close()
-		src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
-		got := make(chan *wire.Packet, 1)
-		go func() { got <- dst.BlockingRecv(recvDeadline) }()
-		time.Sleep(10 * time.Millisecond)
-		src.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Payload: []byte("wake")})
-		select {
-		case p := <-got:
-			if p == nil || string(p.Payload) != "wake" {
-				t.Fatalf("blocked receiver woke with %+v", p)
+	// Goroutines parked in BlockingRecv wake on arrival — every one of
+	// them. With two waiters and two back-to-back sends a backend may
+	// collapse the arrivals into one wake-up edge, but both waiters must
+	// still come back with a packet long before their timeout, rather
+	// than one sleeping it out beside a non-empty queue.
+	for i, name := range []string{"BlockingRecvWakes", "BlockingRecvWakesEveryWaiter"} {
+		waiters := i + 1
+		t.Run(name, func(t *testing.T) {
+			f := open(t, 2)
+			defer f.Close()
+			src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
+			got := make(chan *wire.Packet, waiters)
+			for i := 0; i < waiters; i++ {
+				go func() { got <- dst.BlockingRecv(recvDeadline) }()
 			}
-		case <-time.After(recvDeadline):
-			t.Fatal("blocked receiver never woke on a send")
-		}
-	})
-
-	t.Run("NextSeqUnique", func(t *testing.T) {
-		f := open(t, 2)
-		defer f.Close()
-		ep := mustEp(t, f, 0)
-		seen := make(map[uint64]bool)
-		for i := 0; i < 1000; i++ {
-			s := ep.NextSeq()
-			if seen[s] {
-				t.Fatalf("NextSeq repeated %d", s)
+			time.Sleep(10 * time.Millisecond)
+			for i := 1; i <= waiters; i++ {
+				src.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(i), Payload: []byte("wake")})
 			}
-			seen[s] = true
-		}
-	})
+			seen := make(map[uint64]bool, waiters)
+			for i := 0; i < waiters; i++ {
+				select {
+				case p := <-got:
+					if p == nil || string(p.Payload) != "wake" || seen[p.Seq] {
+						t.Fatalf("blocked receiver %d woke with %+v", i, p)
+					}
+					seen[p.Seq] = true
+				case <-time.After(recvDeadline / 2):
+					t.Fatalf("%d of %d blocked receivers woke with a packet queued for each", i, waiters)
+				}
+			}
+		})
+	}
 
 	t.Run("CloseSemantics", func(t *testing.T) {
 		f := open(t, 2)
@@ -485,21 +463,74 @@ func RunWorld(t *testing.T, open OpenWorld) {
 	})
 }
 
-// RunBatchOrdering runs the batched-receive ordering case against the
-// backend: two concurrent senders flood one receiver with 64-byte
-// frames — the storm regime batching exists for — while the receiver
-// drains exclusively through PollBatch, and every frame must arrive
-// exactly once across batch boundaries. strictFIFO additionally asserts
-// each sender's stream arrives in exact send order; pass it for
-// backends whose Poll delivers per-sender FIFO (tcpfab's one stream per
-// peer, shmfab's SPSC rings), where the PollBatch contract obliges the
-// batched path to preserve it. The simulator runs with strictFIFO
+// RunBatchOrdering runs the batched-receive cases against the backend.
+// PollBatchContract pins PollBatch on its own terms with one sender: a
+// fresh endpoint drains nothing, a run fills only the prefix it reports,
+// and PollBatch calls interleave freely with BlockingRecv, every packet
+// handed out exactly once. BatchOrdering is the storm regime batching
+// exists for: two concurrent senders flood one receiver with 64-byte
+// frames while the receiver drains exclusively through PollBatch, and
+// every frame must arrive exactly once across batch boundaries.
+// strictFIFO additionally asserts, in both cases, that each sender's
+// stream arrives in exact send order; pass it for backends that promise
+// per-sender FIFO (tcpfab's one stream per peer, shmfab's SPSC rings),
+// where successive runs must preserve it. The simulator runs with strictFIFO
 // false: its fragmenting wire legally reorders even same-size small
 // packets (a frame sent the instant the link goes idle skips the
 // fragment slot its predecessor paid), which is exactly the portable
 // contract's "receivers reorder by sequence number" — exactly-once is
 // still pinned.
 func RunBatchOrdering(t *testing.T, open OpenFabric, strictFIFO bool) {
+	t.Run("PollBatchContract", func(t *testing.T) {
+		f := open(t, 2)
+		defer f.Close()
+		src, dst := mustEp(t, f, 0), mustEp(t, f, 1)
+		sentinel := &wire.Packet{Seq: 999}
+		batch := []*wire.Packet{nil, nil, nil, sentinel}
+		if k := dst.PollBatch(batch[:3]); k != 0 {
+			t.Fatalf("fresh endpoint drained %d packets", k)
+		}
+		const n = 8
+		for i := 1; i <= n; i++ {
+			src.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(i), Payload: []byte{byte(i)}})
+		}
+		var order []uint64
+		deadline := time.Now().Add(recvDeadline)
+		for len(order) < n && time.Now().Before(deadline) {
+			// One blocking receive, then one batched drain: the two
+			// reception paths share the queue and may alternate freely.
+			if p := dst.BlockingRecv(5 * time.Millisecond); p != nil {
+				order = append(order, p.Seq)
+			}
+			k := dst.PollBatch(batch[:3])
+			for i, p := range batch[:3] {
+				if (p != nil) != (i < k) {
+					t.Fatalf("PollBatch returned %d but filled %v", k, batch[:3])
+				}
+				if p != nil {
+					order = append(order, p.Seq)
+					batch[i] = nil
+				}
+			}
+		}
+		if batch[3] != sentinel {
+			t.Fatal("PollBatch wrote past the buffer it was given")
+		}
+		seen := make(map[uint64]bool, n)
+		for i, seq := range order {
+			if seq < 1 || seq > n || seen[seq] {
+				t.Fatalf("seq %d delivered twice (or never sent): %v", seq, order)
+			}
+			seen[seq] = true
+			if strictFIFO && seq != uint64(i+1) {
+				t.Fatalf("interleaved drains broke per-sender FIFO: %v", order)
+			}
+		}
+		if k := dst.PollBatch(batch[:3]); len(order) != n || k != 0 {
+			t.Fatalf("drained %d of %d frames within the suite deadline, then %d more", len(order), n, k)
+		}
+	})
+
 	t.Run("BatchOrdering", func(t *testing.T) {
 		f := open(t, 3)
 		defer f.Close()
@@ -633,7 +664,7 @@ func runFailover(t *testing.T, open OpenFabric, drop float64, seed int64, msgByt
 
 // RunRailFailover runs the rail-failure cases against the backend. The
 // total-loss case is the original harness: the secondary rail drops
-// every frame it accepts (Chaos with Drop=1, the old Lossy), so the
+// every frame it accepts (Chaos with Drop=1), so the
 // engine must re-stripe everything onto the survivor. The partial-loss
 // case is harsher in a different way: at Drop=0.5 roughly half the
 // secondary's chunks do land, so the receiver ends up holding spans
@@ -742,22 +773,15 @@ func mustEp(t *testing.T, f fabric.Fabric, rank int) fabric.Endpoint {
 	return ep
 }
 
-// recvOne waits for one packet, polling and blocking alternately so both
-// reception paths see traffic.
+// recvOne waits for one packet through recvErr, failing the test on the
+// suite deadline.
 func recvOne(t *testing.T, ep fabric.Endpoint) *wire.Packet {
 	t.Helper()
-	deadline := time.Now().Add(recvDeadline)
-	for {
-		if p := ep.Poll(); p != nil {
-			return p
-		}
-		if p := ep.BlockingRecv(5 * time.Millisecond); p != nil {
-			return p
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no packet arrived within the suite deadline")
-		}
+	p, err := recvErr(ep)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // patterned returns n bytes of position-derived filler.

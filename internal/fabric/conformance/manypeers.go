@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
+	"pioman/internal/testenv"
 	"pioman/internal/wire"
 )
 
@@ -155,12 +156,14 @@ func runHub(hub fabric.Endpoint, peers int, strict bool) error {
 	return nil
 }
 
-// recvErr is recvOne for worker goroutines: error return instead of
+// recvErr waits for one packet, polling and blocking alternately so both
+// reception paths see traffic. It returns an error instead of calling
 // t.Fatal, which must not be called off the test goroutine.
 func recvErr(ep fabric.Endpoint) (*wire.Packet, error) {
 	deadline := time.Now().Add(recvDeadline)
+	pollOne := testenv.PollOne(ep)
 	for {
-		if p := ep.Poll(); p != nil {
+		if p := pollOne(); p != nil {
 			return p, nil
 		}
 		if p := ep.BlockingRecv(5 * time.Millisecond); p != nil {

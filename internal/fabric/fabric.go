@@ -3,11 +3,13 @@
 // this layer gives the reproduction the same pluggability: internal/nic
 // submits to a fabric.Endpoint without knowing whether the bytes cross the
 // in-process wire simulator (fabric/simfab, the cost-model testbed) or a
-// real operating-system transport (fabric/tcpfab, TCP sockets between OS
-// processes).
+// real operating-system transport: TCP sockets (fabric/tcpfab), mmap'd
+// shared-memory rings (fabric/shmfab) or UDP datagrams under a
+// reliability sublayer (fabric/udpfab).
 //
-// The contract both backends must satisfy is pinned down by the shared
-// conformance suite in fabric/conformance, which every backend's tests run.
+// The contract all four backends must satisfy is pinned down by the
+// shared conformance suite in fabric/conformance, which every backend's
+// tests run.
 package fabric
 
 import (
@@ -22,7 +24,12 @@ import (
 var ErrClosed = errors.New("fabric: endpoint closed")
 
 // Endpoint is one node's attachment to a fabric: the submission and
-// reception port a nic.Driver drives.
+// reception port a nic.Driver drives. Its methods are exactly what the
+// driver calls — per NIC the event server gets a submission, a poll and
+// a blocking call (paper §3.2) and nothing else; everything a backend
+// offers beyond that is an optional capability (LossCounter,
+// PayloadLimiter, MetricSource, SendCapturer, Backlogger) the driver
+// resolves once at construction.
 //
 // Delivery semantics required of every implementation:
 //
@@ -45,65 +52,39 @@ type Endpoint interface {
 	// Send injects p toward p.Dst. It returns promptly; delivery is
 	// asynchronous. A zero p.WireLen is defaulted to len(p.Payload).
 	Send(p *wire.Packet) error
-	// Poll returns the next packet visible at this endpoint, or nil.
-	Poll() *wire.Packet
-	// PollBatch drains up to len(into) visible packets into the prefix of
-	// into in one call and returns how many it wrote — the amortized
-	// receive path: one call (one inbox lock round trip, one ring scan)
-	// per *batch* instead of per frame. Semantics match a loop of Poll
-	// exactly: the returned run is the same packets in the same order
-	// Poll would have produced, so wherever a backend delivers per-sender
-	// FIFO through Poll, PollBatch preserves it, and interleaving a Poll
-	// between PollBatch calls is legal. Zero means nothing visible (or an
-	// empty into). Ownership of each returned packet passes to the caller
-	// under the same inbound-buffer rule as Poll (see docs/FABRIC.md);
-	// entries of into past the returned count are untouched. Backends
-	// without a native batch drain delegate to BatchFromPoll.
+	// PollBatch is the non-blocking receive: it moves up to len(into)
+	// packets that have fully arrived into the prefix of into and
+	// returns how many it wrote, in one call (one inbox lock round trip,
+	// one ring scan) per batch rather than per frame. Zero means nothing
+	// is visible right now — on a real transport that does not rule out
+	// bytes still in a kernel buffer or a ring slot mid-publication —
+	// or that into is empty. Each packet is returned exactly once across
+	// all PollBatch and BlockingRecv calls, whatever capacities the
+	// caller offers and however the two are interleaved; where a backend
+	// delivers per-sender FIFO, successive runs preserve it. Ownership
+	// of each returned packet passes to the caller under the
+	// inbound-buffer rule (docs/FABRIC.md); entries of into past the
+	// returned count are untouched.
 	PollBatch(into []*wire.Packet) int
 	// BlockingRecv waits up to timeout for a packet, sleeping rather than
-	// spinning. Nil means timeout or endpoint closed (after draining).
+	// spinning; every goroutine blocked here wakes when packets arrive
+	// for it to take. Nil means timeout or endpoint closed (after
+	// draining).
 	BlockingRecv(timeout time.Duration) *wire.Packet
-	// Pending reports whether any packet is known to be queued for this
-	// endpoint. The simulator also counts packets still in flight on the
-	// modeled wire; a real transport only sees what it has already read
-	// off its sockets, so a false return does not rule out bytes in a
-	// kernel buffer. Pollers must therefore treat false as "nothing
-	// visible right now", not "nothing outstanding", and rely on
-	// Poll/BlockingRecv — whose wakeups real transports do drive from
-	// socket arrival — to observe late packets.
-	Pending() bool
-	// Backlog reports how far into the future the transmit path toward
-	// dst is occupied — zero when idle. Real transports with their own
-	// flow control report zero; the simulator reports the modeled link
-	// horizon, which is what gates the optimizer's feed-on-idle policy.
-	Backlog(dst int) time.Duration
-	// NextSeq allocates a sequence number unique on this endpoint's
-	// outgoing streams.
-	NextSeq() uint64
 	// Close shuts the endpoint down: blocked receivers wake, subsequent
 	// Sends fail with ErrClosed. Close is idempotent.
 	Close() error
 }
 
-// BatchFromPoll is the default PollBatch adapter: it drains ep one Poll
-// at a time until into is full or nothing more is visible. Backends with
-// no batched inbox implement PollBatch as a one-line delegation to it
-// and still satisfy the contract — the amortization is simply absent,
-// not faked. The in-tree backends all batch natively; a wrapper that
-// decorates Poll (a tracing shim, say) should delegate its PollBatch
-// here so the decoration applies to every drained packet, rather than
-// inheriting the inner endpoint's batch and bypassing Poll entirely.
-func BatchFromPoll(ep Endpoint, into []*wire.Packet) int {
-	n := 0
-	for n < len(into) {
-		p := ep.Poll()
-		if p == nil {
-			break
-		}
-		into[n] = p
-		n++
-	}
-	return n
+// Backlogger is an optional Endpoint capability: a transport whose
+// transmit path has a modeled occupancy reports it here, and the nic
+// driver gates the optimizer's feed-on-idle policy on it. Only the
+// simulator implements it (the modeled link horizon); real transports
+// run their own flow control, so their submission gate is always open.
+type Backlogger interface {
+	// Backlog reports how far into the future the transmit path toward
+	// dst is occupied — zero when idle.
+	Backlog(dst int) time.Duration
 }
 
 // LossCounter is an optional Endpoint capability: transports that can

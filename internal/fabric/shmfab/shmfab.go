@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
-	"pioman/internal/sync2"
 	"pioman/internal/wire"
 )
 
@@ -103,13 +102,15 @@ type Endpoint struct {
 	out []*outRing // producer side, indexed by destination rank; nil at self
 	in  []*inRing  // consumer side, indexed by source rank; nil at self
 
-	seq  atomic.Uint64
 	lost atomic.Uint64 // frames accepted by Send, then abandoned at Close
 
 	state         atomic.Int32 // 0 open, 1 closed
 	drainDeadline atomic.Int64 // unix nanos; set by Close before pumps drain
-	inbox         inbox
-	wwg           sync.WaitGroup // pump goroutines
+	// inbox queues self-sends and whatever a ring scan decoded beyond
+	// the caller's batch. Only its queue half is used: receivers wait on
+	// the rings (BlockingRecv's scan + backoff), not on its notify edge.
+	inbox *fabric.Inbox
+	wwg   sync.WaitGroup // pump goroutines
 
 	// recvMu serializes the consumer role: ring cursors and frame
 	// reassembly are single-consumer state, and Close unmaps under this
@@ -145,66 +146,6 @@ type inRing struct {
 	r    *ring
 	dec  []byte // bytes drained from slots, not yet a complete frame
 	dead bool   // decoder hit a corrupt frame; ring abandoned
-}
-
-// inbox is the arrival queue shared by ring deliveries and self-sends.
-// The head index (rather than re-slicing pkts[1:]) keeps the backing
-// array's full capacity across push/pop cycles, so steady-state traffic
-// recycles one array instead of reallocating per packet.
-type inbox struct {
-	mu   sync.Mutex
-	pkts []*wire.Packet
-	head int
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-}
-
-// pushRun appends a whole decoded run under one lock acquisition — the
-// producer half of the batched receive path: a scan pass that decoded k
-// frames from one ring visit costs the inbox one lock round trip, not k.
-func (ib *inbox) pushRun(run []*wire.Packet) {
-	if len(run) == 0 {
-		return
-	}
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.PushRun(ib.pkts, ib.head, run)
-	ib.mu.Unlock()
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil // the consumer owns it now; drop the queue's alias
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-// popRun pops up to len(into) queued packets in FIFO order under one
-// lock acquisition — the consumer half of the batched receive path.
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
 }
 
 // ringPath names the ring file carrying src's traffic toward dst.
@@ -270,6 +211,7 @@ func New(cfg Config) (*Endpoint, error) {
 		cfg:   cfg,
 		out:   make([]*outRing, cfg.Nodes),
 		in:    make([]*inRing, cfg.Nodes),
+		inbox: fabric.NewInbox(),
 	}
 	deadline := time.Now().Add(cfg.AttachTimeout)
 	for peer := 0; peer < cfg.Nodes; peer++ {
@@ -305,14 +247,6 @@ func (e *Endpoint) Self() int { return e.self }
 
 // Nodes implements fabric.Endpoint.
 func (e *Endpoint) Nodes() int { return e.nodes }
-
-// NextSeq implements fabric.Endpoint. Sequence numbers only need to be
-// unique per origin endpoint: receivers order per-sender streams.
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: ring occupancy is the transport's
-// own flow control, the submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
 
 // SendCaptures implements fabric.SendCapturer: Send serializes cross-rank
 // packets and copies self-deliveries before returning, so the caller may
@@ -359,7 +293,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 		// the packet must stop aliasing it before entering the inbox.
 		// The copy lives in pooled storage like any decoded arrival, so
 		// the consumer's ReleasePacket recycles it the same way.
-		e.inbox.push(fabric.CapturePacket(p))
+		e.inbox.Push(fabric.CapturePacket(p))
 		return nil
 	}
 	o := e.out[p.Dst]
@@ -473,26 +407,9 @@ func (e *Endpoint) pumpBatch(o *outRing, batch []byte) bool {
 	return true
 }
 
-// Poll implements fabric.Endpoint: it drains whatever slots the senders
-// have published, reassembles complete frames into the inbox, and returns
-// the oldest packet, or nil when nothing has fully arrived.
-func (e *Endpoint) Poll() *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
-		return p
-	}
-	e.recvMu.Lock()
-	if !e.closed() { // after Close the rings are unmapped; inbox only
-		e.scanRings()
-		e.inbox.pushRun(e.decRun)
-		e.clearDecRun()
-	}
-	e.recvMu.Unlock()
-	return e.inbox.pop()
-}
-
-// PollBatch implements fabric.Endpoint natively: one inbox visit hands
-// out a FIFO run of already-decoded packets, and only an empty inbox
-// pays a ring scan — which consumes every published slot across all
+// PollBatch implements fabric.Endpoint: one inbox visit hands out a
+// FIFO run of already-decoded packets, and only an empty inbox pays a
+// ring scan — which consumes every published slot across all
 // rings in a single pass, reassembling however many frames they held, so
 // a 64-byte message storm costs one scan and one lock round trip per
 // batch instead of per frame. The scan's run feeds the caller's buffer
@@ -502,7 +419,7 @@ func (e *Endpoint) Poll() *wire.Packet {
 // the inbox overflow keep that order, and the next drain empties the
 // inbox before scanning again.
 func (e *Endpoint) PollBatch(into []*wire.Packet) int {
-	if n := e.inbox.popRun(into); n > 0 {
+	if n := e.inbox.PopRun(into); n > 0 {
 		return n
 	}
 	n := 0
@@ -510,7 +427,7 @@ func (e *Endpoint) PollBatch(into []*wire.Packet) int {
 	if !e.closed() { // after Close the rings are unmapped; inbox only
 		e.scanRings()
 		n = copy(into, e.decRun)
-		e.inbox.pushRun(e.decRun[n:])
+		e.inbox.PushRun(e.decRun[n:])
 		e.clearDecRun()
 	}
 	e.recvMu.Unlock()
@@ -637,31 +554,6 @@ func (e *Endpoint) clearDecRun() {
 	e.decRun = e.decRun[:0]
 }
 
-// Pending implements fabric.Endpoint. A packet counts once its slots are
-// published in a ring or it sits decoded in the inbox; bytes a sender has
-// serialized but not yet pushed through a full ring are invisible — the
-// weaker Pending semantics the fabric.Endpoint contract documents for
-// real transports.
-func (e *Endpoint) Pending() bool {
-	if !e.inbox.empty() {
-		return true
-	}
-	if e.closed() {
-		return false
-	}
-	e.recvMu.Lock()
-	defer e.recvMu.Unlock()
-	if e.closed() {
-		return false
-	}
-	for _, ir := range e.in {
-		if ir != nil && !ir.dead && (len(ir.dec) > 0 || ir.r.readable()) {
-			return true
-		}
-	}
-	return false
-}
-
 // BlockingRecv implements fabric.Endpoint: it waits up to timeout for a
 // packet with adaptive backoff — briefly yield-spinning (skipped under
 // NoBusyPoll), then sleeping at escalating intervals — so an idle waiter
@@ -669,14 +561,12 @@ func (e *Endpoint) Pending() bool {
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 	deadline := time.Now().Add(timeout)
 	b := backoff{noBusy: e.cfg.NoBusyPoll}
+	var one [1]*wire.Packet
 	for {
-		if p := e.Poll(); p != nil {
-			return p
+		if e.PollBatch(one[:]) == 1 {
+			return one[0]
 		}
-		if e.closed() {
-			return nil
-		}
-		if time.Now().After(deadline) {
+		if e.closed() || time.Now().After(deadline) {
 			return nil
 		}
 		b.pause()

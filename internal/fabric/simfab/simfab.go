@@ -28,9 +28,6 @@ func New(w *wire.Fabric) *Fabric {
 	return &Fabric{w: w}
 }
 
-// Wire returns the underlying simulator.
-func (f *Fabric) Wire() *wire.Fabric { return f.w }
-
 // Nodes implements fabric.Fabric.
 func (f *Fabric) Nodes() int { return f.w.Nodes() }
 
@@ -40,16 +37,6 @@ func (f *Fabric) Endpoint(rank int) (fabric.Endpoint, error) {
 		return nil, fmt.Errorf("simfab: rank %d outside fabric of %d nodes", rank, f.w.Nodes())
 	}
 	return &Endpoint{w: f.w, self: rank}, nil
-}
-
-// MustEndpoint returns rank's endpoint, panicking on a bad rank (used by
-// construction paths that validate ranks themselves).
-func (f *Fabric) MustEndpoint(rank int) *Endpoint {
-	ep, err := f.Endpoint(rank)
-	if err != nil {
-		panic(err)
-	}
-	return ep.(*Endpoint)
 }
 
 // Close implements fabric.Fabric: it closes the simulator, waking every
@@ -66,9 +53,14 @@ type Endpoint struct {
 	closed atomic.Bool
 }
 
-// NewEndpoint attaches directly to w as node self.
+// NewEndpoint attaches directly to w as node self, panicking on a rank
+// outside the fabric (construction paths validate ranks themselves).
 func NewEndpoint(w *wire.Fabric, self int) *Endpoint {
-	return New(w).MustEndpoint(self)
+	ep, err := New(w).Endpoint(self)
+	if err != nil {
+		panic(err)
+	}
+	return ep.(*Endpoint)
 }
 
 // Self implements fabric.Endpoint.
@@ -79,7 +71,7 @@ func (e *Endpoint) Nodes() int { return e.w.Nodes() }
 
 // Send implements fabric.Endpoint. The simulator retains p itself: the
 // modeled wire queues the very packet object and delivers it to the
-// destination's Poll, so this backend deliberately does not implement
+// destination's PollBatch, so this backend deliberately does not implement
 // fabric.SendCapturer — the sender must not touch or recycle p after
 // Send, and the *receiver* is the packet's final owner (the engine
 // returns handled packets to the fabric packet pool, which is how
@@ -92,11 +84,9 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	return nil
 }
 
-// Poll implements fabric.Endpoint.
-func (e *Endpoint) Poll() *wire.Packet { return e.w.Poll(e.self) }
-
-// PollBatch implements fabric.Endpoint natively: the simulator's inbox
-// hands out a run of arrived packets under one lock acquisition.
+// PollBatch implements fabric.Endpoint: the simulator's inbox hands out
+// a run of arrived packets under one lock acquisition. Packets still in
+// flight on the modeled wire are not visible yet.
 func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.w.PollBatch(e.self, into) }
 
 // BlockingRecv implements fabric.Endpoint.
@@ -104,20 +94,11 @@ func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 	return e.w.BlockingRecv(e.self, timeout)
 }
 
-// Pending implements fabric.Endpoint.
-func (e *Endpoint) Pending() bool {
-	_, ok := e.w.PendingAt(e.self)
-	return ok
-}
-
-// Backlog implements fabric.Endpoint: the modeled serialization horizon of
-// the outgoing link toward dst.
+// Backlog implements fabric.Backlogger: the modeled serialization
+// horizon of the outgoing link toward dst.
 func (e *Endpoint) Backlog(dst int) time.Duration {
 	return e.w.LinkBacklog(e.self, dst)
 }
-
-// NextSeq implements fabric.Endpoint.
-func (e *Endpoint) NextSeq() uint64 { return e.w.NextSeq() }
 
 // Close implements fabric.Endpoint. The simulated links are shared state,
 // so closing any endpoint closes the whole simulated fabric — exactly the

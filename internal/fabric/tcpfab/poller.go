@@ -407,7 +407,7 @@ func (pl *poller) read(c *conn, run []*wire.Packet) []*wire.Packet {
 	run = run[:0]
 	deliver := func() {
 		if len(run) > 0 {
-			e.inbox.pushRun(run)
+			e.inbox.PushRun(run)
 			for i := range run {
 				run[i] = nil
 			}

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
-	"pioman/internal/sync2"
 	"pioman/internal/telemetry"
 	"pioman/internal/wire"
 )
@@ -136,11 +135,10 @@ type Endpoint struct {
 	pool        *pollerPool
 	idleTimeout time.Duration
 
-	seq   atomic.Uint64
 	lost  atomic.Uint64 // frames accepted by Send, then lost with a stream
 	state atomic.Int32  // 0 open, 1 closed
 	done  chan struct{} // closed on Close; wakes every blocked receiver
-	inbox inbox
+	inbox *fabric.Inbox
 	wg    sync.WaitGroup
 
 	// Poller/connection accounting, surfaced via RegisterMetrics.
@@ -177,78 +175,6 @@ func appendFrames(dst *stash, src stash) {
 	dst.n += src.n
 }
 
-// inbox is the arrival queue: FIFO, one notify edge for blocking
-// receivers. The head index (rather than re-slicing pkts[1:]) keeps the
-// backing array's full capacity across push/pop cycles, so a steady
-// stream of packets recycles one array instead of reallocating — part
-// of the allocation-free receive path.
-type inbox struct {
-	mu     sync.Mutex
-	pkts   []*wire.Packet
-	head   int
-	notify chan struct{}
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pushRun appends a whole decoded run under one lock acquisition and
-// fires a single notify edge for it — the producer half of the batched
-// receive path: a poller that decoded k frames from one socket visit
-// costs the inbox one lock round trip and wakes blocked receivers once,
-// not k times.
-func (ib *inbox) pushRun(run []*wire.Packet) {
-	if len(run) == 0 {
-		return
-	}
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.PushRun(ib.pkts, ib.head, run)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-// popRun pops up to len(into) queued packets in FIFO order under one
-// lock acquisition — the consumer half of the batched receive path.
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil // the consumer owns it now; drop the queue's alias
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
-}
-
 // New opens an endpoint per cfg. If cfg.Listen is set the returned
 // endpoint is already accepting; its actual address (useful with port 0)
 // is Addr().
@@ -280,7 +206,7 @@ func New(cfg Config) (*Endpoint, error) {
 		stash:       make(map[int]stash),
 		idleTimeout: cfg.IdleTimeout,
 		done:        make(chan struct{}),
-		inbox:       inbox{notify: make(chan struct{}, 1)},
+		inbox:       fabric.NewInbox(),
 	}
 	e.pool = newPollerPool(e, np)
 	for r, a := range cfg.Peers {
@@ -320,62 +246,22 @@ func (e *Endpoint) Self() int { return e.self }
 // Nodes implements fabric.Endpoint.
 func (e *Endpoint) Nodes() int { return e.nodes }
 
-// NextSeq implements fabric.Endpoint. Sequence numbers only need to be
-// unique per origin endpoint: receivers order per-sender streams.
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: TCP runs its own flow control, the
-// submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
-
 // SendCaptures implements fabric.SendCapturer: Send serializes cross-rank
 // packets (enqueue) and copies self-deliveries before returning, so the
 // caller may recycle the packet struct immediately.
 func (e *Endpoint) SendCaptures() bool { return true }
 
-// Pending implements fabric.Endpoint. Only packets already decoded into
-// the inbox count: bytes still in a socket buffer or mid-decode in a
-// poller are invisible here — the weaker Pending semantics the
-// fabric.Endpoint contract documents for real transports. The pollers
-// push such packets and fire the notify edge on their own, so a
-// BlockingRecv waiter wakes regardless of what Pending reported.
-func (e *Endpoint) Pending() bool { return !e.inbox.empty() }
+// PollBatch implements fabric.Endpoint: the inbox hands out a FIFO run
+// of decoded packets under one lock acquisition. Only packets a poller
+// has already decoded count: bytes still in a socket buffer are
+// invisible until their poller pushes them (and wakes BlockingRecv).
+// Per-sender order is preserved — each peer's frames enter the inbox in
+// stream order and the run pops in queue order.
+func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
 
-// Poll implements fabric.Endpoint.
-func (e *Endpoint) Poll() *wire.Packet { return e.inbox.pop() }
-
-// PollBatch implements fabric.Endpoint natively: the inbox hands out a
-// FIFO run of decoded packets under one lock acquisition. Per-sender
-// order is preserved — each peer's frames enter the inbox in stream
-// order and the run pops in queue order.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.popRun(into) }
-
-// BlockingRecv implements fabric.Endpoint. The deadline timer is drawn
-// from a pool and armed once for the whole wait, so a blocking receive
-// allocates nothing — spurious notify wakeups just re-poll while the
-// timer keeps running toward the deadline.
+// BlockingRecv implements fabric.Endpoint.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
-		return p
-	}
-	t := sync2.GetTimer(timeout)
-	fired := false
-	defer func() { sync2.PutTimer(t, fired) }()
-	for {
-		if p := e.inbox.pop(); p != nil {
-			return p
-		}
-		if e.closed() {
-			return nil
-		}
-		select {
-		case <-e.inbox.notify:
-		case <-e.done:
-		case <-t.C:
-			fired = true
-			return e.inbox.pop()
-		}
-	}
+	return e.inbox.Recv(timeout, e.done)
 }
 
 // Dial eagerly establishes the connection toward rank, which Send would
@@ -418,7 +304,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 		// cross-rank sends capture by serializing in enqueue. The copy
 		// lives in pooled storage like any decoded arrival, so the
 		// consumer's ReleasePacket recycles it the same way.
-		e.inbox.push(fabric.CapturePacket(p))
+		e.inbox.Push(fabric.CapturePacket(p))
 		return nil
 	}
 	for {

@@ -7,6 +7,7 @@ import (
 
 	"pioman/internal/fabric"
 	"pioman/internal/telemetry"
+	"pioman/internal/testenv"
 	"pioman/internal/wire"
 )
 
@@ -176,12 +177,13 @@ func TestRejectedDatagramsCounted(t *testing.T) {
 			t.Fatalf("bad datagram %d: rejected_datagrams = %d, want %d", i, got, i+1)
 		}
 	}
-	if p := e.Poll(); p != nil {
+	pollOne := testenv.PollOne(e)
+	if p := pollOne(); p != nil {
 		t.Fatalf("a rejected datagram was delivered: %+v", p)
 	}
 	// The endpoint is still healthy: the valid datagram delivers.
 	e.handleDatagram(valid, from)
-	if p := e.Poll(); p == nil || len(p.Payload) != 32 || p.Src != 1 {
+	if p := pollOne(); p == nil || len(p.Payload) != 32 || p.Src != 1 {
 		t.Fatalf("valid datagram after rejections: %+v", p)
 	}
 	if got := reg.Snapshot().Value("node0.rail.udp.rejected_datagrams"); got != uint64(len(bad)) {

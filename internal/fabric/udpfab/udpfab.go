@@ -40,7 +40,6 @@ import (
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/bufpool"
-	"pioman/internal/sync2"
 	"pioman/internal/telemetry"
 	"pioman/internal/wire"
 )
@@ -209,11 +208,10 @@ type Endpoint struct {
 	peers     []*peerState // indexed by rank, created on first contact
 	peerAddrs map[int]string
 
-	seq   atomic.Uint64
 	lost  atomic.Uint64
 	state atomic.Int32  // 0 open, 1 closed
 	done  chan struct{} // closed on Close; wakes receivers, stops the timer
-	inbox inbox
+	inbox *fabric.Inbox
 	wg    sync.WaitGroup
 
 	chaos *chaosState
@@ -227,56 +225,6 @@ type Endpoint struct {
 	rejected     telemetry.Counter
 	windowStalls telemetry.Counter
 	badAcks      telemetry.Counter
-}
-
-// inbox is the arrival queue: FIFO, one notify edge for blocking
-// receivers — the same shape as tcpfab's (the head index keeps the
-// backing array's capacity across push/pop cycles).
-type inbox struct {
-	mu     sync.Mutex
-	pkts   []*wire.Packet
-	head   int
-	notify chan struct{}
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
 }
 
 // New opens an endpoint per cfg, binds its socket and starts its reader
@@ -311,7 +259,7 @@ func New(cfg Config) (*Endpoint, error) {
 		peers:     make([]*peerState, cfg.Nodes),
 		peerAddrs: make(map[int]string, len(cfg.Peers)),
 		done:      make(chan struct{}),
-		inbox:     inbox{notify: make(chan struct{}, 1)},
+		inbox:     fabric.NewInbox(),
 	}
 	if e.window <= 0 {
 		e.window = defaultWindow
@@ -367,15 +315,6 @@ func (e *Endpoint) Self() int { return e.self }
 // Nodes implements fabric.Endpoint.
 func (e *Endpoint) Nodes() int { return e.nodes }
 
-// NextSeq implements fabric.Endpoint. (These engine-level sequence
-// numbers are unrelated to the reliability sublayer's per-peer datagram
-// sequences.)
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: the sublayer runs its own window,
-// the submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
-
 // SendCaptures implements fabric.SendCapturer: Send serializes
 // cross-rank packets into their datagram and copies self-deliveries
 // before returning.
@@ -389,41 +328,14 @@ func (e *Endpoint) MaxPayload() int { return maxPayloadBytes }
 // abandoned unacknowledged by Close's bounded drain.
 func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 
-// Pending implements fabric.Endpoint: only datagrams already delivered
-// into the inbox count, the weaker real-transport semantics.
-func (e *Endpoint) Pending() bool { return !e.inbox.empty() }
+// PollBatch implements fabric.Endpoint: one inbox lock round trip hands
+// out a FIFO run of delivered packets. Only datagrams the reader has
+// already accepted and decoded count.
+func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
 
-// Poll implements fabric.Endpoint.
-func (e *Endpoint) Poll() *wire.Packet { return e.inbox.pop() }
-
-// PollBatch implements fabric.Endpoint natively: one inbox lock round
-// trip hands out a FIFO run of delivered packets.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.popRun(into) }
-
-// BlockingRecv implements fabric.Endpoint: a pooled timer armed once for
-// the whole wait, re-polling on notify edges.
+// BlockingRecv implements fabric.Endpoint.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
-		return p
-	}
-	t := sync2.GetTimer(timeout)
-	fired := false
-	defer func() { sync2.PutTimer(t, fired) }()
-	for {
-		if p := e.inbox.pop(); p != nil {
-			return p
-		}
-		if e.closed() {
-			return nil
-		}
-		select {
-		case <-e.inbox.notify:
-		case <-e.done:
-		case <-t.C:
-			fired = true
-			return e.inbox.pop()
-		}
-	}
+	return e.inbox.Recv(timeout, e.done)
 }
 
 // Send implements fabric.Endpoint: the packet is serialized into one
@@ -445,7 +357,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 		return fmt.Errorf("udpfab: %d-byte payload exceeds datagram frame limit %d", len(p.Payload), maxPayloadBytes)
 	}
 	if p.Dst == e.self {
-		e.inbox.push(fabric.CapturePacket(p))
+		e.inbox.Push(fabric.CapturePacket(p))
 		return nil
 	}
 	// Serialize outside the lock: the window bookkeeping is the only
@@ -691,7 +603,7 @@ func (e *Endpoint) handleDatagram(b []byte, from netip.AddrPort) {
 	}
 	e.mu.Unlock()
 	if deliver != nil {
-		e.inbox.push(deliver)
+		e.inbox.Push(deliver)
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 	"pioman/internal/wire"
 )
 
-// Config describes a simulated cluster.
+// Config describes a world: its size, each node's topology and engine
+// mode, and its rails — simulated by default, real transports where
+// Fabrics (or NewDistributed's endpoints) supply them.
 type Config struct {
 	// Nodes is the number of cluster nodes (default 2, the testbed).
 	Nodes int
@@ -69,16 +71,6 @@ type Config struct {
 	// without cores to burn: busy-polling against a socket only starves
 	// the kernel of the CPU it needs to deliver the packet.
 	NoIdlePolling bool
-	// WaitSpin bounds how long a Wait polls inline before genuinely
-	// blocking on the completion flag. Zero auto-tunes from the host
-	// shape via core.AutoWaitSpin: a tight spin on machines with ≥4
-	// CPUs, an early yield on small hosts and whenever NoIdlePolling is
-	// set (spinning there only starves whoever must make the progress).
-	WaitSpin time.Duration
-	// WatcherCheck is the blocking watcher's cadence — the timeout of
-	// each blocking receive and how often the watcher re-evaluates
-	// idleness. Zero auto-tunes via piom.AutoBlockingCheck.
-	WatcherCheck time.Duration
 	// TimerPeriod drives the scheduler timer trigger (0 disables).
 	TimerPeriod time.Duration
 	// PeerDeadline mirrors core.Config.PeerDeadline: how long the engine
@@ -276,12 +268,7 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		srv = piom.NewServer(sch, piom.Config{
 			EnableIdleHook: !cfg.NoIdlePolling,
 			EnableBlocking: cfg.EnableBlocking,
-			BlockingCheck:  cfg.WatcherCheck,
 		})
-	}
-	waitSpin := cfg.WaitSpin
-	if waitSpin <= 0 {
-		waitSpin = core.AutoWaitSpin(cfg.NoIdlePolling)
 	}
 	var rec *trace.Recorder
 	if cfg.TraceCapacity > 0 {
@@ -294,7 +281,7 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		Strategy:          cfg.Strategy,
 		MultirailMin:      cfg.MultirailMin,
 		AutoStripeWeights: cfg.AutoStripeWeights,
-		WaitSpin:          waitSpin,
+		WaitSpin:          core.AutoWaitSpin(cfg.NoIdlePolling),
 		PeerDeadline:      cfg.PeerDeadline,
 		Trace:             rec,
 		Metrics:           cfg.Metrics,

@@ -205,8 +205,8 @@ type Stats struct {
 	// returned at least one frame); PolledFrames counts the frames those
 	// drains returned. Their ratio is the receive path's batch occupancy:
 	// how many frames each paid-for inbox visit amortized. A ratio above
-	// 1 means batching engages; at exactly 1 the batched path is
-	// behaving like per-frame Poll. Empty drains are deliberately not
+	// 1 means batching engages; at exactly 1 every drain returned a
+	// single frame. Empty drains are deliberately not
 	// counted — idle polling would otherwise flatten the occupancy
 	// signal to near zero.
 	PollBatches  uint64
@@ -230,6 +230,9 @@ type Driver struct {
 	// outbound packet structs through the fabric packet pool instead of
 	// leaving one heap allocation per submission to the GC.
 	captures bool
+	// backlog is the endpoint's fabric.Backlogger capability, nil when
+	// the transport models no transmit horizon (every real one).
+	backlog fabric.Backlogger
 	// maxFrame is the endpoint's hard single-frame payload ceiling
 	// (fabric.PayloadLimiter), 0 when the transport declares none. The
 	// engine consults it before posting a rendezvous payload as one
@@ -293,6 +296,7 @@ func New(p Params, ep fabric.Endpoint) *Driver {
 	if c, ok := ep.(fabric.SendCapturer); ok && c.SendCaptures() {
 		d.captures = true
 	}
+	d.backlog, _ = ep.(fabric.Backlogger)
 	return d
 }
 
@@ -334,9 +338,6 @@ func (d *Driver) Name() string { return d.p.Name }
 
 // Self returns this endpoint's node id.
 func (d *Driver) Self() int { return d.self }
-
-// Params returns the rail parameters.
-func (d *Driver) Params() Params { return d.p }
 
 // EagerMax returns the rendezvous threshold.
 func (d *Driver) EagerMax() int { return d.p.EagerMax }
@@ -521,26 +522,12 @@ func (d *Driver) SendCtrl(h Header, payload []byte) {
 	d.send(p)
 }
 
-// Poll returns one arrived packet or nil. If the rail's reception path
-// costs a copy (SHM), the caller's core pays it here.
-func (d *Driver) Poll() *wire.Packet {
-	d.polls.Add(1)
-	p := d.ep.Poll()
-	if p != nil {
-		d.recvs.Add(1)
-		if d.p.RecvCopies && len(p.Payload) > 0 {
-			d.p.Cost.ChargeCopy(len(p.Payload))
-		}
-	}
-	return p
-}
-
 // PollBatch drains up to len(into) arrived packets in one endpoint
 // visit, returning how many it wrote — the amortized receive path the
-// engine's progress loop drives. Reception costs (the SHM copy charge)
-// are paid per frame exactly as Poll charges them; the batch-occupancy
-// counters (Stats.PollBatches, Stats.PolledFrames) record how much each
-// visit amortized.
+// engine's progress loop drives. If the rail's reception path costs a
+// copy (SHM), the caller's core pays it here, per frame; the
+// batch-occupancy counters (Stats.PollBatches, Stats.PolledFrames)
+// record how much each visit amortized.
 func (d *Driver) PollBatch(into []*wire.Packet) int {
 	d.polls.Add(1)
 	n := d.ep.PollBatch(into)
@@ -574,27 +561,20 @@ func (d *Driver) BlockingPoll(timeout time.Duration) *wire.Packet {
 	return p
 }
 
-// HasPending reports whether any packet is known to be queued for this
-// endpoint. On the simulator that includes packets still in flight; a
-// real transport only counts packets already read off its sockets (see
-// fabric.Endpoint.Pending), so false is a polling hint, not proof the
-// wire is drained.
-func (d *Driver) HasPending() bool {
-	return d.ep.Pending()
-}
-
 // CanSubmit reports whether the rail toward dst can accept another eager
 // submission: NewMadeleine's scheduler feeds a NIC "when it becomes idle",
 // so submission is gated on the link's backlog staying within roughly one
 // fragment of serialization. While the gate is closed, packs accumulate in
 // the waiting list — which is exactly when the aggregation strategy forms
-// trains.
+// trains. Only a transport with a modeled transmit horizon
+// (fabric.Backlogger — the simulator) ever closes the gate; real
+// transports run their own flow control.
 func (d *Driver) CanSubmit(dst int) bool {
-	return d.ep.Backlog(dst) <= d.p.Link.FragSlot()+d.p.Link.PacketGap
+	if d.backlog == nil {
+		return true
+	}
+	return d.backlog.Backlog(dst) <= d.p.Link.FragSlot()+d.p.Link.PacketGap
 }
-
-// NextSeq allocates a sequence number unique on this endpoint's streams.
-func (d *Driver) NextSeq() uint64 { return d.ep.NextSeq() }
 
 // Endpoint returns the transport the driver submits to.
 func (d *Driver) Endpoint() fabric.Endpoint { return d.ep }

@@ -8,6 +8,7 @@ import (
 
 	"pioman/internal/fabric"
 	"pioman/internal/telemetry"
+	"pioman/internal/testenv"
 	"pioman/internal/wire"
 )
 
@@ -31,8 +32,9 @@ func pair(t *testing.T, p Params) (*Driver, *Driver) {
 func pollUntil(t *testing.T, d *Driver, timeout time.Duration) *wire.Packet {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
+	pollOne := testenv.PollOne(d)
 	for time.Now().Before(deadline) {
-		if p := d.Poll(); p != nil {
+		if p := pollOne(); p != nil {
 			return p
 		}
 	}
@@ -152,12 +154,13 @@ func TestRecvCopiesCharged(t *testing.T) {
 	a, b := pair(t, p)
 	a.SendEager(Header{Src: 0, Dst: 1}, make([]byte, 20_000))
 	deadline := time.Now().Add(time.Second)
+	pollOne := testenv.PollOne(b)
 	for {
 		start := time.Now()
-		pk := b.Poll()
+		pk := pollOne()
 		if pk != nil {
 			if el := time.Since(start); el < 200*time.Microsecond {
-				t.Fatalf("receiving Poll took %v, want >= 200µs copy", el)
+				t.Fatalf("receiving PollBatch took %v, want >= 200µs copy", el)
 			}
 			return
 		}
@@ -179,21 +182,6 @@ func TestBlockingPoll(t *testing.T) {
 	}
 	if p := b.BlockingPoll(10 * time.Millisecond); p != nil {
 		t.Fatalf("phantom packet %+v", p)
-	}
-}
-
-func TestHasPending(t *testing.T) {
-	a, b := pair(t, fastParams())
-	if b.HasPending() {
-		t.Fatal("fresh driver has pending")
-	}
-	a.SendEager(Header{Src: 0, Dst: 1}, []byte("x"))
-	if !b.HasPending() {
-		t.Fatal("pending not visible")
-	}
-	pollUntil(t, b, time.Second)
-	if b.HasPending() {
-		t.Fatal("pending after drain")
 	}
 }
 

@@ -134,7 +134,7 @@ type Config struct {
 // a 50µs cadence halves the worst-case reaction to an event that lands
 // just after a timeout expired, without measurable idle cost (the
 // watcher sleeps inside the blocking receive either way).
-// Config.BlockingCheck (mpi.Config.WatcherCheck) overrides it.
+// Config.BlockingCheck overrides it.
 func AutoBlockingCheck(noIdlePolling bool) time.Duration {
 	if !noIdlePolling && runtime.NumCPU() >= 4 {
 		return 100 * time.Microsecond

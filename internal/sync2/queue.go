@@ -1,5 +1,15 @@
 package sync2
 
+// Notify raises the wake-up edge of a queue whose blocked consumers
+// select on ch (capacity 1), without blocking: one pending edge is
+// enough, whoever consumes it re-checks the queue.
+func Notify(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // CompactQueue reclaims the consumed prefix of a head-indexed FIFO —
 // the queue shape the transports' inboxes and the optimizer's waiting
 // lists share: push appends, pop nils q[head] and advances head, and

@@ -19,7 +19,7 @@ package wire
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"pioman/internal/sync2"
@@ -30,15 +30,15 @@ type PacketKind uint8
 
 // Packet kinds used by the engine's protocols.
 const (
-	PktEager PacketKind = iota // eager data (copied through registered buffers)
-	PktRTS                     // rendezvous request-to-send handshake
-	PktCTS                     // rendezvous clear-to-send acknowledgement
-	PktData                    // rendezvous zero-copy payload
-	PktCtrl                    // control (barrier, shutdown, tests)
-	PktAggr                    // aggregated eager packs (optimizer strategy)
-	PktDataAck                 // rendezvous data acknowledgement (self-healing replay)
-	PktPing                    // rail health probe (probation liveness check)
-	PktPong                    // rail health probe response
+	PktEager   PacketKind = iota // eager data (copied through registered buffers)
+	PktRTS                       // rendezvous request-to-send handshake
+	PktCTS                       // rendezvous clear-to-send acknowledgement
+	PktData                      // rendezvous zero-copy payload
+	PktCtrl                      // control (barrier, shutdown, tests)
+	PktAggr                      // aggregated eager packs (optimizer strategy)
+	PktDataAck                   // rendezvous data acknowledgement (self-healing replay)
+	PktPing                      // rail health probe (probation liveness check)
+	PktPong                      // rail health probe response
 )
 
 // String implements fmt.Stringer.
@@ -187,10 +187,7 @@ func (ib *inbox) push(p *Packet) {
 	}
 	ib.pkts[i] = p
 	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
+	sync2.Notify(ib.notify)
 }
 
 // pop returns the earliest packet whose arrival time has passed, or nil.
@@ -246,9 +243,7 @@ type Fabric struct {
 	params  LinkParams
 	links   []*link // index src*n+dst
 	inboxes []*inbox
-	mu      sync.Mutex
-	seq     uint64
-	closed  bool
+	closed  atomic.Bool
 }
 
 // NewFabric builds a fabric of n nodes with uniform link parameters.
@@ -273,14 +268,6 @@ func (f *Fabric) Nodes() int { return f.n }
 
 // Params returns the uniform link parameters.
 func (f *Fabric) Params() LinkParams { return f.params }
-
-// NextSeq allocates a fabric-wide unique sequence number.
-func (f *Fabric) NextSeq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seq++
-	return f.seq
-}
 
 // Send injects p into the fabric. The packet becomes visible to the
 // destination at max(now, linkFree) + latency + wireLen/bandwidth. Send
@@ -375,12 +362,16 @@ func (f *Fabric) BlockingRecv(dst int, timeout time.Duration) *Packet {
 	ib := f.inboxes[dst]
 	for {
 		if p := ib.pop(time.Now()); p != nil {
+			// Back-to-back pushes can collapse into one notify edge;
+			// pass it on so a second blocked receiver re-evaluates its
+			// sleep instead of waiting out its timeout.
+			if _, more := ib.earliest(); more {
+				sync2.Notify(ib.notify)
+			}
 			return p
 		}
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
+		if f.closed.Load() {
+			sync2.Notify(ib.notify) // and on to the next blocked receiver
 			return nil
 		}
 		now := time.Now()
@@ -411,13 +402,8 @@ func (f *Fabric) BlockingRecv(dst int, timeout time.Duration) *Packet {
 
 // Close marks the fabric closed and wakes blocking receivers.
 func (f *Fabric) Close() {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
+	f.closed.Store(true)
 	for _, ib := range f.inboxes {
-		select {
-		case ib.notify <- struct{}{}:
-		default:
-		}
+		sync2.Notify(ib.notify)
 	}
 }

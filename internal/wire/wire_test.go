@@ -246,29 +246,6 @@ func TestHeaderOnlyPacket(t *testing.T) {
 	}
 }
 
-func TestNextSeqUnique(t *testing.T) {
-	f := NewFabric(2, fastLink())
-	seen := make(map[uint64]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s := f.NextSeq()
-				mu.Lock()
-				if seen[s] {
-					t.Errorf("duplicate seq %d", s)
-				}
-				seen[s] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestConcurrentSendersNoLossNoDup(t *testing.T) {
 	const nodes = 4
 	const perPair = 100
