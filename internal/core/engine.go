@@ -192,6 +192,12 @@ type Engine struct {
 	srv   *piom.Server
 	rails []*nic.Driver
 	strat strategy
+	// goroutineFed is set when any rail's arrivals are read by a
+	// goroutine of its endpoint (nic.Driver.GoroutineFed): a Wait loop
+	// then follows every unworked pass with runtime.Gosched, because the
+	// goroutine that would deliver the awaited frame may need this very
+	// processor. Fixed at construction.
+	goroutineFed bool
 
 	// qlock protects the matching lists, the strategy queue and every
 	// peer's protocol state. Critical sections are short (list
@@ -357,6 +363,9 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 			e.peers[i].lastHeard.Store(now)
 		}
 	}
+	for _, r := range rails {
+		e.goroutineFed = e.goroutineFed || r.GoroutineFed()
+	}
 	e.strat = newStrategy(cfg.Strategy)
 	e.mtuOf = func(dst int) int { return e.railFor(dst).MTU() }
 	if cfg.Metrics != nil {
@@ -373,10 +382,17 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 // the "real-mode latency tuning" knob. On machines with cores to burn
 // (≥4 CPUs) a tight 300µs spin catches the common few-µs completion
 // without a scheduler round trip. On small hosts, or whenever the
-// caller runs with NoIdlePolling (real transports on machines where
-// busy-polling starves the kernel or the peer process of the CPU that
-// makes the awaited progress), waits yield early — 50µs — and lean on
-// the blocking path instead. Config.WaitSpin overrides it.
+// caller runs with NoIdlePolling, the budget is 50µs, then the thread
+// blocks and releases its core. What the short budget protects depends
+// on the rail. On one that polls for itself (shmfab) the spinner never
+// leaves its processor, so every µs past the common completion time is
+// taken from the peer rank or a computing sibling thread. On a
+// goroutine-fed rail (tcpfab, udpfab) the spin is cooperative — Wait
+// yields after every unworked pass, so the goroutine that reads the
+// socket runs inside the budget and the frame usually arrives well
+// before it ends; there the budget only bounds how long a wait for a
+// genuinely late message keeps a processor cycling through yields.
+// Config.WaitSpin overrides it.
 func AutoWaitSpin(noIdlePolling bool) time.Duration {
 	if noIdlePolling || runtime.NumCPU() < 4 {
 		return 50 * time.Microsecond

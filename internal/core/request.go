@@ -317,6 +317,13 @@ func (e *Engine) kick() {
 // asks Marcel to schedule it"). Blocking without releasing the core would
 // deadlock a fully-loaded node: every core would sit in a blocked thread
 // with nobody left to poll.
+//
+// On a goroutine-fed rail (fabric.GoroutineFed: tcpfab, udpfab) both
+// loops follow a pass that did no work with runtime.Gosched: the frame
+// being waited for is read off its socket by a goroutine of the
+// endpoint, and a waiter that never leaves its processor keeps that
+// goroutine queued until the spin budget runs out. Rails whose poll
+// moves the frames itself are exempt (docs/PERF.md, "Tuning knobs").
 func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 	if req.Completed() {
 		return
@@ -332,8 +339,11 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 		yieldAt := time.Now().Add(sequentialYieldQuantum)
 		for !req.Completed() {
 			e.biglock.Lock()
-			e.progress(core, true)
+			worked := e.progress(core, true)
 			e.biglock.Unlock()
+			if !worked && e.goroutineFed {
+				runtime.Gosched()
+			}
 			if time.Now().After(yieldAt) {
 				th.Yield()
 				core = th.Core()
@@ -347,13 +357,20 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 	}
 	deadline := time.Now().Add(e.cfg.WaitSpin)
 	for !req.Completed() {
-		e.pollUncounted(core)
+		worked := e.pollUncounted(core)
 		if req.Completed() {
 			break
 		}
 		if time.Now().After(deadline) {
 			th.Block(req.Flag())
 			break
+		}
+		if !worked && e.goroutineFed {
+			// The pass found nothing because the frame is still in a
+			// kernel buffer, and the goroutine that reads it may be
+			// queued behind this one: hand it the processor instead of
+			// polling an inbox nobody can fill.
+			runtime.Gosched()
 		}
 	}
 	if e.tracing() {
@@ -373,12 +390,12 @@ const sequentialYieldQuantum = 100 * time.Microsecond
 // real time. The Sequential baseline never comes through here — its
 // inline progress is the cost the engine pays by design, and it stays
 // fully counted.
-func (e *Engine) pollUncounted(core topo.CoreID) {
+func (e *Engine) pollUncounted(core topo.CoreID) (worked bool) {
 	if ptime.VirtualEnabled() {
-		ptime.Uncounted(func() { e.srv.Poll(core) })
-		return
+		ptime.Uncounted(func() { worked = e.srv.Poll(core) })
+		return worked
 	}
-	e.srv.Poll(core)
+	return e.srv.Poll(core)
 }
 
 // WaitSend waits for a send request on the calling thread.

@@ -322,6 +322,14 @@ func (ce *chaosEndpoint) Backlog(dst int) time.Duration {
 	return 0
 }
 
+// GoroutineFed implements fabric.GoroutineFed by forwarding: PollBatch
+// is the inner endpoint's own, so whatever feeds it still needs the
+// waiter's processor under chaos.
+func (ce *chaosEndpoint) GoroutineFed() bool {
+	g, ok := ce.Endpoint.(fabric.GoroutineFed)
+	return ok && g.GoroutineFed()
+}
+
 // LostFrames implements fabric.LossCounter: frames dropped by the fault
 // model plus deferred deliveries that failed late.
 func (ce *chaosEndpoint) LostFrames() uint64 { return ce.lost.Load() }

@@ -28,8 +28,8 @@ var ErrClosed = errors.New("fabric: endpoint closed")
 // driver calls — per NIC the event server gets a submission, a poll and
 // a blocking call (paper §3.2) and nothing else; everything a backend
 // offers beyond that is an optional capability (LossCounter,
-// PayloadLimiter, MetricSource, SendCapturer, Backlogger) the driver
-// resolves once at construction.
+// PayloadLimiter, MetricSource, SendCapturer, Backlogger, GoroutineFed)
+// the driver resolves once at construction.
 //
 // Delivery semantics required of every implementation:
 //
@@ -85,6 +85,23 @@ type Backlogger interface {
 	// Backlog reports how far into the future the transmit path toward
 	// dst is occupied — zero when idle.
 	Backlog(dst int) time.Duration
+}
+
+// GoroutineFed is an optional Endpoint capability: GoroutineFed reports
+// that PollBatch can only hand out what one of the endpoint's own
+// goroutines has already read — tcpfab's poller moves socket bytes into
+// the inbox, udpfab's reader does the same for datagrams — so a caller
+// that polls in a loop without ever leaving its processor can starve the
+// very goroutine that would deliver the frame it polls for. The engine
+// follows an unworked polling pass with runtime.Gosched on such rails
+// (docs/PERF.md, "Tuning knobs"). Transports whose PollBatch moves the
+// frames itself (shmfab scans its rings, simfab its modeled wire) must
+// not implement it: a poll there is the progress, and yielding between
+// polls only feeds whoever else is runnable.
+type GoroutineFed interface {
+	// GoroutineFed reports whether arrivals reach PollBatch only through
+	// a goroutine the endpoint runs.
+	GoroutineFed() bool
 }
 
 // LossCounter is an optional Endpoint capability: transports that can

@@ -1,7 +1,9 @@
 package tcpfab
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,14 +22,14 @@ import (
 const readBudgetBytes = 256 << 10
 
 // spinPasses is how many consecutive empty non-blocking poll passes a
-// poller tolerates before it falls back to a blocking epoll_wait. The
-// legacy syscall package has no netpoller integration: a goroutine
-// blocked in EpollWait pins its P until sysmon retakes it, which turns
-// every wakeup during a ping-pong exchange into a scheduler stall of
-// tens of microseconds. Spinning through the hot phase (with a Gosched
-// per empty pass so producers and receivers run interleaved) keeps the
-// poller reactive at syscall latency; once traffic truly pauses, the
-// poller parks in the kernel and costs nothing.
+// poller tolerates before it parks. Parking is cheap to hold — the
+// goroutine waits in the Go netpoller on the nested epoll fd and owns no
+// P (see park) — but waking from it is a netpoll round trip, slow while
+// every P is busy, which would land on every leg of a ping-pong
+// exchange. Spinning through the hot phase (with a Gosched per pass so
+// producers and receivers run interleaved) keeps the poller reactive at
+// syscall latency; once traffic truly pauses, the poller parks and costs
+// nothing.
 const spinPasses = 96
 
 // spinPollerMax disables spinning entirely once the process carries
@@ -35,8 +37,8 @@ const spinPasses = 96
 // for the handful of streams a real rank converses over; with hundreds
 // of in-process endpoints (the storm bench, many-peer tests) spinning
 // pollers would stuff the scheduler run queue with empty poll passes
-// and collapse throughput, so everyone falls back to blocking waits,
-// which scale to any count.
+// and collapse throughput, so everyone parks between events, which
+// scales to any count.
 const spinPollerMax = 8
 
 // livePollers counts running poller goroutines process-wide (see
@@ -96,6 +98,20 @@ type poller struct {
 	epfd  int
 	wakeR int
 	wakeW int
+	// epf wraps epfd for the Go netpoller (nested epoll): park waits for
+	// epfd to turn readable through epc instead of in a raw blocking
+	// epoll_wait, which would hold a P until sysmon retook it. epf owns
+	// the descriptor; teardownAll closes it.
+	epf *os.File
+	epc syscall.RawConn
+	// parkFn is the epc.Read callback, built once in start: declared
+	// inside loop it would heap-allocate its captures on every pass. It
+	// harvests events non-blockingly into events and leaves the result
+	// in parkN/parkErr.
+	parkFn  func(fd uintptr) bool
+	parkN   int
+	parkErr error
+	events  []syscall.EpollEvent
 
 	mu       sync.Mutex
 	running  bool
@@ -129,17 +145,38 @@ func (pl *poller) start() error {
 	if err != nil {
 		return fmt.Errorf("tcpfab: epoll_create1: %w", err)
 	}
+	// O_NONBLOCK means nothing to an epoll descriptor itself; it is what
+	// makes os.NewFile register the descriptor with the netpoller. NewFile
+	// swallows a refused registration (as it would a failed SetNonblock
+	// here), so probe it: only a netpolled file accepts a deadline. epf
+	// owns epfd from here on.
+	_ = syscall.SetNonblock(epfd, true)
+	epf := os.NewFile(uintptr(epfd), "tcpfab-epoll")
+	epc, err := epf.SyscallConn()
+	if err == nil {
+		err = epf.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		epf.Close()
+		return fmt.Errorf("tcpfab: netpoll the epoll fd: %w", err)
+	}
 	var fds [2]int
 	if err := syscall.Pipe2(fds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
+		epf.Close()
 		return fmt.Errorf("tcpfab: wake pipe: %w", err)
 	}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(fds[0])}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, fds[0], &ev); err != nil {
-		syscall.Close(epfd)
+		epf.Close()
 		syscall.Close(fds[0])
 		syscall.Close(fds[1])
 		return fmt.Errorf("tcpfab: arm wake pipe: %w", err)
+	}
+	pl.epf, pl.epc = epf, epc
+	pl.events = make([]syscall.EpollEvent, 128)
+	pl.parkFn = func(fd uintptr) bool {
+		pl.parkN, pl.parkErr = syscall.EpollWait(int(fd), pl.events, 0)
+		return pl.parkN != 0 || pl.parkErr != nil
 	}
 	pl.epfd, pl.wakeR, pl.wakeW = epfd, fds[0], fds[1]
 	pl.conns = make(map[int]*conn)
@@ -202,31 +239,46 @@ func (pl *poller) wakeLocked() {
 	syscall.Write(pl.wakeW, wakeByte)
 }
 
+// park is the quiet-phase wait: it returns once epfd has events (n of
+// them, harvested into pl.events), the wake pipe among them, or wait has
+// elapsed (n == 0; wait <= 0 means no limit). The goroutine sleeps in the
+// Go netpoller, which watches epfd like any socket, so it holds no P
+// while parked.
+func (pl *poller) park(wait time.Duration) (int, error) {
+	if wait > 0 {
+		pl.epf.SetReadDeadline(time.Now().Add(wait))
+	}
+	pl.parkN, pl.parkErr = 0, nil
+	err := pl.epc.Read(pl.parkFn)
+	if err == nil {
+		err = pl.parkErr
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = nil
+	}
+	return pl.parkN, err
+}
+
 // loop is the event loop: wait, absorb mailboxes, flush writers, drain
 // readers, reap idlers. While traffic is hot the wait is non-blocking
-// (see spinPasses); only after a quiet stretch does the poller park in
-// a blocking epoll_wait.
+// (see spinPasses); only after a quiet stretch does the poller park.
 func (pl *poller) loop() {
 	e := pl.e
 	defer e.wg.Done()
-	events := make([]syscall.EpollEvent, 128)
+	events := pl.events
 	var drain [64]byte
 	var run []*wire.Packet
 	idle := 0
+	// With an idle timeout every park is bounded, so the reaper at the
+	// bottom of the loop still gets its turns.
+	var parkFor time.Duration
+	if e.idleTimeout > 0 {
+		parkFor = min(max(e.idleTimeout/4, time.Millisecond), time.Second)
+	}
 	for {
 		spin := idle < spinPasses && livePollers.Load() <= spinPollerMax
-		msec := 0
+		park := false
 		if !spin && len(pl.resume) == 0 {
-			msec = -1
-			if e.idleTimeout > 0 {
-				msec = int(e.idleTimeout / (4 * time.Millisecond))
-				if msec < 1 {
-					msec = 1
-				} else if msec > 1000 {
-					msec = 1000
-				}
-			}
-			// Spin→block transition: producers that saw us spinning
+			// Spin→park transition: producers that saw us spinning
 			// skipped the wake byte, so recheck the mailboxes under the
 			// same lock before sleeping. Anything that lands after the
 			// flag flips writes the pipe and wakes us.
@@ -234,11 +286,19 @@ func (pl *poller) loop() {
 			pl.spinning = false
 			if len(pl.pending)+len(pl.kicked)+len(pl.kills) > 0 || pl.shutdown {
 				pl.spinning = true
-				msec = 0
+			} else {
+				park = true
 			}
 			pl.mu.Unlock()
 		}
-		n, err := syscall.EpollWait(pl.epfd, events, msec)
+		var n int
+		var err error
+		if park {
+			e.parks.Add(1)
+			n, err = pl.park(parkFor)
+		} else {
+			n, err = syscall.EpollWait(pl.epfd, events, 0)
+		}
 		if err != nil && err != syscall.EINTR {
 			// Only possible with a broken epfd; treat as shutdown.
 			pl.mu.Lock()
@@ -668,7 +728,7 @@ func (pl *poller) teardownAll(pending []*conn) {
 	for _, c := range all {
 		pl.fail(c)
 	}
-	syscall.Close(pl.epfd)
+	pl.epf.Close()
 	syscall.Close(pl.wakeR)
 	syscall.Close(pl.wakeW)
 	livePollers.Add(-1)

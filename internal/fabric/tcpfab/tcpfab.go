@@ -147,6 +147,7 @@ type Endpoint struct {
 	coalesced     atomic.Uint64 // frames flushed as part of a multi-frame (or single) run
 	flushSyscalls atomic.Uint64 // write(2) calls issued by the flush path
 	reaped        atomic.Uint64 // connections torn down by the idle reaper
+	parks         atomic.Uint64 // poller spin→park transitions
 }
 
 // stash holds serialized frames bound for a peer whose stream failed
@@ -258,6 +259,10 @@ func (e *Endpoint) SendCaptures() bool { return true }
 // Per-sender order is preserved — each peer's frames enter the inbox in
 // stream order and the run pops in queue order.
 func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
+
+// GoroutineFed implements fabric.GoroutineFed: PollBatch only pops what
+// a poller goroutine pushed, so a polling caller must let pollers run.
+func (e *Endpoint) GoroutineFed() bool { return true }
 
 // BlockingRecv implements fabric.Endpoint.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
@@ -609,6 +614,7 @@ func (e *Endpoint) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterCounter(prefix+".coalesced_frames", "frames flushed to the kernel via coalesced batch writes", e.coalesced.Load)
 	reg.RegisterCounter(prefix+".flush_syscalls", "write(2) calls issued by the send flush path", e.flushSyscalls.Load)
 	reg.RegisterCounter(prefix+".reaped_idle", "connections reaped by the idle timeout", e.reaped.Load)
+	reg.RegisterCounter(prefix+".poller_parks", "times a poller left its non-blocking spin phase and parked in the netpoller", e.parks.Load)
 }
 
 func (e *Endpoint) closed() bool { return e.state.Load() != 0 }

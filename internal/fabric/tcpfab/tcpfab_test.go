@@ -13,6 +13,7 @@ import (
 	"pioman/internal/fabric/tcpfab"
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
+	"pioman/internal/telemetry"
 	"pioman/internal/testenv"
 	"pioman/internal/topo"
 	"pioman/internal/wire"
@@ -466,6 +467,99 @@ func TestKillConnZeroLoss(t *testing.T) {
 	if n := ep1.LostFrames(); n != 0 {
 		t.Fatalf("LostFrames = %d after kill with successful redial, want 0", n)
 	}
+}
+
+// quietPair opens two connected endpoints with one frame already
+// exchanged, so each side's poller is running and owns the stream.
+func quietPair(t *testing.T, idle time.Duration) (ep0, ep1 *tcpfab.Endpoint) {
+	t.Helper()
+	ep0, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0", IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep0.Close() })
+	ep1, err = tcpfab.New(tcpfab.Config{
+		Self: 1, Nodes: 2, Listen: "127.0.0.1:0", IdleTimeout: idle,
+		Peers: map[int]string{0: ep0.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep1.Close() })
+	sendRecv(t, ep1, ep0, 1)
+	return ep0, ep1
+}
+
+// sendRecv moves one frame from ep1 to ep0 and checks it.
+func sendRecv(t *testing.T, ep1, ep0 *tcpfab.Endpoint, seq uint64) {
+	t.Helper()
+	if err := ep1.Send(&wire.Packet{Kind: wire.PktCtrl, Src: 1, Dst: 0, Seq: seq, Payload: []byte("park")}); err != nil {
+		t.Fatalf("send %d: %v", seq, err)
+	}
+	p := ep0.BlockingRecv(30 * time.Second)
+	if p == nil || p.Seq != seq || string(p.Payload) != "park" {
+		t.Fatalf("frame %d: got %+v", seq, p)
+	}
+}
+
+// eventually polls cond until it holds; what is a failure message.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestParkedPollerWakes covers the quiet phase of the event loop: a
+// poller past its spin passes sleeps in the Go netpoller on the nested
+// epoll descriptor, and both kinds of edge must reach it there — a
+// socket turning readable (a frame, a peer's hang-up) and the wake pipe
+// (KillConn's mailbox; the Send after a quiet gap flushes inline and
+// leaves the sender's poller asleep).
+func TestParkedPollerWakes(t *testing.T) {
+	ep0, ep1 := quietPair(t, 0)
+	parked := func() bool { return ep0.PollersParked() && ep1.PollersParked() }
+
+	eventually(t, "both pollers park", parked)
+	time.Sleep(2 * time.Millisecond) // let them reach the netpoller; no verdict rides on it
+	sendRecv(t, ep1, ep0, 2)
+
+	eventually(t, "both pollers park again", parked)
+	time.Sleep(2 * time.Millisecond)
+	if !ep1.KillConn(0) {
+		t.Fatal("no established stream to kill")
+	}
+	eventually(t, "the killed stream is torn down on both sides", func() bool {
+		return ep1.OpenConns() == 0 && ep0.OpenConns() == 0
+	})
+
+	// The machinery behind the woken pollers still works: redial, deliver.
+	sendRecv(t, ep1, ep0, 3)
+}
+
+// TestIdleReapFromParkedPoller: with an idle timeout a park carries a
+// deadline, so a poller with nothing to wake it still gets to reap.
+func TestIdleReapFromParkedPoller(t *testing.T) {
+	ep0, ep1 := quietPair(t, 40*time.Millisecond)
+	reg := telemetry.NewRegistry()
+	ep0.RegisterMetrics(reg, "ep0")
+	ep1.RegisterMetrics(reg, "ep1")
+
+	eventually(t, "both idle streams are reaped", func() bool {
+		return ep1.OpenConns() == 0 && ep0.OpenConns() == 0
+	})
+	snap := reg.Snapshot()
+	if n := snap.Value("ep0.reaped_idle") + snap.Value("ep1.reaped_idle"); n == 0 {
+		t.Error("streams closed, but not by the idle reaper")
+	}
+	for _, ep := range []string{"ep0", "ep1"} {
+		if snap.Value(ep+".poller_parks") == 0 {
+			t.Errorf("%s reaped without its poller ever parking: the deadline path did not run", ep)
+		}
+	}
+	sendRecv(t, ep1, ep0, 2) // the next Send redials
 }
 
 // TestSendNeverBlocksOnStalledReceiver pins the Endpoint contract that

@@ -333,6 +333,10 @@ func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 // already accepted and decoded count.
 func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
 
+// GoroutineFed implements fabric.GoroutineFed: PollBatch only pops what
+// readLoop pushed, so a polling caller must let the reader run.
+func (e *Endpoint) GoroutineFed() bool { return true }
+
 // BlockingRecv implements fabric.Endpoint.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 	return e.inbox.Recv(timeout, e.done)

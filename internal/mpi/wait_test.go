@@ -1,0 +1,80 @@
+package mpi_test
+
+import (
+	"runtime"
+	"testing"
+
+	"pioman/internal/core"
+	"pioman/internal/fabric"
+	"pioman/internal/fabric/tcpfab"
+	"pioman/internal/mpi"
+	"pioman/internal/nic"
+	"pioman/internal/topo"
+)
+
+// TestWaitYieldsToGoroutineFedRail pins the cooperative wait by counting
+// polls, not by timing them. At one P, a waiter that spins through the
+// event server without yielding holds the only processor tcpfab's poller
+// could read the socket on, so every leg of a ping-pong burns its whole
+// spin budget on empty passes — hundreds of polls per exchange — and is
+// delivered by the blocking watcher afterwards. A waiter that yields
+// after each unworked pass hands the poller the P and finds its frame
+// within a handful of polls.
+func TestWaitYieldsToGoroutineFedRail(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+	f, err := tcpfab.NewLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rail := nic.RealParams()
+	w := mpi.NewWorld(mpi.Config{
+		Nodes:          2,
+		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
+		Mode:           core.Multithreaded,
+		OffloadEager:   true,
+		EnableBlocking: true,
+		NoIdlePolling:  true,
+		MX:             rail,
+		Fabrics:        map[string]fabric.Fabric{rail.Name: f},
+	})
+	defer w.Close()
+
+	const (
+		iters       = 200
+		size        = 64
+		tagPP       = 9
+		pollsBudget = 100
+	)
+	polls := func() uint64 {
+		return w.Node(0).Srv.Stats().Polls + w.Node(1).Srv.Stats().Polls
+	}
+	var before, after uint64
+	w.RunAll(func(p *mpi.Proc) {
+		msg := make([]byte, size)
+		buf := make([]byte, size)
+		p.Barrier() // connections dialed, pollers running
+		if p.Rank() == 0 {
+			before = polls()
+		}
+		for i := 0; i < iters; i++ {
+			if p.Rank() == 0 {
+				p.Send(1, tagPP, msg)
+				p.Recv(1, tagPP, buf)
+			} else {
+				p.Recv(0, tagPP, buf)
+				p.Send(0, tagPP, msg)
+			}
+		}
+		if p.Rank() == 0 {
+			after = polls()
+		}
+		p.Barrier()
+	})
+	perOp := float64(after-before) / iters
+	t.Logf("%.1f event-server polls per 64 B ping-pong at GOMAXPROCS=1 (budget %d)", perOp, pollsBudget)
+	if perOp > pollsBudget {
+		t.Errorf("%.1f polls per ping-pong, budget %d: waiters spin on an inbox only a starved goroutine can fill", perOp, pollsBudget)
+	}
+}

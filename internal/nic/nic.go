@@ -233,6 +233,9 @@ type Driver struct {
 	// backlog is the endpoint's fabric.Backlogger capability, nil when
 	// the transport models no transmit horizon (every real one).
 	backlog fabric.Backlogger
+	// goroutineFed records the endpoint's fabric.GoroutineFed capability:
+	// arrivals reach PollBatch only through a goroutine of the endpoint.
+	goroutineFed bool
 	// maxFrame is the endpoint's hard single-frame payload ceiling
 	// (fabric.PayloadLimiter), 0 when the transport declares none. The
 	// engine consults it before posting a rendezvous payload as one
@@ -297,6 +300,9 @@ func New(p Params, ep fabric.Endpoint) *Driver {
 		d.captures = true
 	}
 	d.backlog, _ = ep.(fabric.Backlogger)
+	if g, ok := ep.(fabric.GoroutineFed); ok && g.GoroutineFed() {
+		d.goroutineFed = true
+	}
 	return d
 }
 
@@ -370,6 +376,12 @@ func (d *Driver) LostFrames() uint64 {
 	}
 	return 0
 }
+
+// GoroutineFed reports whether the rail's arrivals are read by a
+// goroutine of its endpoint rather than by the poll itself
+// (fabric.GoroutineFed): a thread spinning on such a rail has to yield
+// its processor between empty polls or it starves its own delivery.
+func (d *Driver) GoroutineFed() bool { return d.goroutineFed }
 
 // MTU returns the per-packet payload bound.
 func (d *Driver) MTU() int { return d.p.MTU }

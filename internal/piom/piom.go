@@ -130,11 +130,14 @@ type Config struct {
 // and polling mode. With active polling on and ≥4 CPUs the watcher is a
 // backstop, so the historical 100µs cadence holds. Without active
 // polling (noIdlePolling — mpi.Config.NoIdlePolling, i.e. the idle hook
-// disabled) or on smaller hosts the watcher IS the progress engine, and
-// a 50µs cadence halves the worst-case reaction to an event that lands
-// just after a timeout expired, without measurable idle cost (the
-// watcher sleeps inside the blocking receive either way).
-// Config.BlockingCheck overrides it.
+// disabled) or on smaller hosts the watcher is the only progress made
+// while no thread sits in a wait's spin phase — every thread computing
+// (the overlap case) or blocked past its spin budget — and a 50µs
+// cadence halves the worst-case reaction to an event that lands just
+// after a timeout expired, without measurable idle cost (the watcher
+// sleeps inside the blocking receive either way). A thread that is
+// spinning in Wait finds its own arrivals and does not depend on the
+// cadence. Config.BlockingCheck overrides it.
 func AutoBlockingCheck(noIdlePolling bool) time.Duration {
 	if !noIdlePolling && runtime.NumCPU() >= 4 {
 		return 100 * time.Microsecond
