@@ -37,9 +37,11 @@ type rdvRecvState struct {
 	req    *RecvReq
 	src    int
 	msgLen int
-	// covered holds the received byte ranges, disjoint and sorted. The
-	// common single-chunk case never grows it past one entry.
+	// covered holds the received byte ranges, disjoint and sorted. It
+	// starts in inline, and the common case — chunks arriving in order,
+	// each merging into one span — never grows it past that entry.
 	covered []chunkSpan
+	inline  [1]chunkSpan
 	// got is the total byte count covered.
 	got int
 }
@@ -59,6 +61,9 @@ func (st *rdvRecvState) addSpan(off, end int) int {
 	}
 	if end <= off {
 		return 0
+	}
+	if st.covered == nil {
+		st.covered = st.inline[:0]
 	}
 	// Find the insertion window: every span overlapping or adjacent to
 	// [off, end) collapses into one.
@@ -211,14 +216,16 @@ func (e *Engine) handleRTS(core topo.CoreID, ev *arrival) (kept bool) {
 }
 
 // expectData registers r as the in-flight reception the announced
-// rendezvous will fill; caller holds qlock.
+// rendezvous will fill, its state embedded in r (RecvReq.rdv); caller
+// holds qlock.
 func (e *Engine) expectData(r *RecvReq, ev *arrival) {
 	r.gotTag = ev.tag
 	p := &e.peers[ev.src]
 	if p.recving == nil {
 		p.recving = make(map[uint64]*rdvRecvState)
 	}
-	p.recving[ev.msgID] = &rdvRecvState{req: r, src: ev.src, msgLen: ev.msgLen}
+	r.rdv = rdvRecvState{req: r, src: ev.src, msgLen: ev.msgLen}
+	p.recving[ev.msgID] = &r.rdv
 }
 
 // sendCTS answers an accepted RTS on the rail it arrived on.
@@ -391,17 +398,20 @@ func (e *Engine) sendSpan(r *nic.Driver, h nic.Header, data []byte, sp chunkSpan
 // MultirailMin. Weight-gating is what keeps rails that only serve a
 // subset of peers — the simulated intra-node SHM channel — out of
 // cross-node striping, while a real shared-memory rail (nic.ShmParams),
-// whose rings span every rank of the world, participates.
+// whose rings span every rank of the world, participates. A single-rail
+// answer is a capacity-clamped view of e.rails, so the per-message path
+// allocates nothing and no caller can append into the engine's table.
 func (e *Engine) dataRails(dst, size int) []*nic.Driver {
 	if f := e.railFilter.Load(); f != nil {
-		for _, r := range e.rails {
+		for i, r := range e.rails {
 			if r.Name() == *f {
-				return []*nic.Driver{r}
+				return e.rails[i : i+1 : i+1]
 			}
 		}
 	}
 	if e.strat.Name() != "multirail" || size < e.cfg.MultirailMin || dst == e.node {
-		return []*nic.Driver{e.railFor(dst)}
+		i := e.railIndex(e.railFor(dst))
+		return e.rails[i : i+1 : i+1]
 	}
 	var out []*nic.Driver
 	onProbation := e.probationCount.Load() > 0
@@ -460,6 +470,10 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 	e.qlock.Lock()
 	st := src.recving[p.MsgID]
 	done := st == nil && src.done.has(p.MsgID)
+	var buf []byte
+	if st != nil {
+		buf = st.req.buf
+	}
 	e.qlock.Unlock()
 	if st == nil {
 		if done {
@@ -469,16 +483,15 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 		}
 		return
 	}
-	// Chunks of one msgID are handled under pollLock, so mutating the
-	// state outside qlock is safe. Duplicate and overlapping chunks
-	// (failover re-stripes, replay re-sends) contribute only their newly
-	// covered bytes via the interval set — the idempotence that makes
-	// replays safe to fire on suspicion.
-	copy(st.req.buf[min(p.Offset, len(st.req.buf)):], p.Payload)
-	st.addSpan(p.Offset, p.Offset+len(p.Payload))
-	if st.got < st.msgLen {
-		return
-	}
+	// The copy runs outside qlock; the state does not. st is embedded in
+	// its request (RecvReq.rdv), which a death sweep can fail — and the
+	// application release and reuse — while the copy runs, so the
+	// interval set is only touched after re-checking that the reception
+	// is still live. Duplicate and overlapping chunks (failover
+	// re-stripes, replay re-sends) contribute only their newly covered
+	// bytes — the idempotence that makes replays safe to fire on
+	// suspicion.
+	copy(buf[min(p.Offset, len(buf)):], p.Payload)
 	e.qlock.Lock()
 	if src.recving[p.MsgID] != st {
 		// The sender was declared dead (or restarted) while the chunk was
@@ -486,17 +499,20 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 		e.qlock.Unlock()
 		return
 	}
+	if st.addSpan(p.Offset, p.Offset+len(p.Payload)); st.got < st.msgLen {
+		e.qlock.Unlock()
+		return
+	}
 	delete(src.recving, p.MsgID)
 	src.done.add(p.MsgID)
+	r, n, from := st.req, st.msgLen, st.src
 	e.qlock.Unlock()
 	rail.SendDataAck(h)
-	r := st.req
-	n := st.msgLen
 	if n > len(r.buf) {
 		r.truncated = true
 		n = len(r.buf)
 	}
-	r.n, r.from = n, st.src
+	r.n, r.from = n, from
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindComplete, int(core), r.tag, n, "rdv recv msgid=%d", p.MsgID)
 	}

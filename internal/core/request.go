@@ -145,6 +145,15 @@ type RecvReq struct {
 	from      int
 	gotTag    int
 	truncated bool
+	// rdv is the rendezvous reception state while the request sits in
+	// its sender's peer.recving (expectData); embedding it saves an
+	// allocation per message. It also means the state lives only as
+	// long as the request: a death sweep can fail the reception while
+	// handleData copies a chunk, and the application may then Release
+	// and reuse this struct. So handleData reads buf under qlock, copies
+	// outside it, and calls addSpan or completes only under qlock after
+	// re-checking that recving still maps the msgID to &r.rdv.
+	rdv rdvRecvState
 }
 
 // Completed reports whether the receive has finished.

@@ -2,10 +2,13 @@ package fabric_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/shmfab"
+	"pioman/internal/fabric/tcpfab"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
 	"pioman/internal/testenv"
@@ -206,6 +209,82 @@ func TestEagerRoundTripAllocs(t *testing.T) {
 	}
 	if allocs > maxSteadyStateAllocs {
 		t.Errorf("4KiB eager round trip allocates %.1f/op, budget %d", allocs, maxSteadyStateAllocs)
+	}
+}
+
+// TestLargeFrameAllocs pins the transports' large-frame send path: a
+// rendezvous-sized frame sent, drained through PollBatch and released
+// must cost no allocation once the buffer pool is warm — the outbound
+// batch (tcpfab), the direct-path encoding and the slot reassembly
+// (shmfab) are all pool borrows. A stream that grew a fresh buffer per
+// frame pays several mallocs and a page-fault storm every time, on
+// exactly the bytes-bound traffic rendezvous exists for.
+func TestLargeFrameAllocs(t *testing.T) {
+	skipUnderRace(t)
+	fabrics := []struct {
+		name string
+		open func(t *testing.T) fabric.Fabric
+	}{
+		{"tcpfab", func(t *testing.T) fabric.Fabric {
+			f, err := tcpfab.NewLocal(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+		{"shmfab", func(t *testing.T) fabric.Fabric {
+			f, err := shmfab.NewLocal(2, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+	}
+	for _, fb := range fabrics {
+		for _, size := range []int{256 << 10, 1 << 20} {
+			t.Run(fmt.Sprintf("%s/%dKiB", fb.name, size>>10), func(t *testing.T) {
+				f := fb.open(t)
+				defer f.Close()
+				ep0, _ := f.Endpoint(0)
+				ep1, _ := f.Endpoint(1)
+				payload := make([]byte, size)
+				for i := range payload {
+					payload[i] = byte(i*11 + 5)
+				}
+				var seq uint64
+				var fail string
+				batch := make([]*wire.Packet, 1)
+				oneWay := func() {
+					seq++
+					out := fabric.GetPacket()
+					out.Kind, out.Src, out.Dst, out.Seq, out.Payload = wire.PktData, 0, 1, seq, payload
+					if err := ep0.Send(out); err != nil {
+						fail = "send: " + err.Error()
+						return
+					}
+					fabric.ReleasePacket(out) // both backends capture sends
+					for ep1.PollBatch(batch) == 0 {
+						runtime.Gosched() // tcpfab's poller delivers
+					}
+					if in := batch[0]; in.Seq != seq || !bytes.Equal(in.Payload, payload) {
+						fail = "frame corrupted"
+					}
+					fabric.ReleasePacket(batch[0])
+					batch[0] = nil
+				}
+				for i := 0; i < 10; i++ { // warm the pools and the streams
+					oneWay()
+				}
+				allocs := testing.AllocsPerRun(50, oneWay)
+				if fail != "" {
+					t.Fatal(fail)
+				}
+				t.Logf("%.2f allocs/op", allocs)
+				if allocs > maxSteadyStateAllocs {
+					t.Errorf("%d KiB frame send/drain/release allocates %.1f/op, budget %d", size>>10, allocs, maxSteadyStateAllocs)
+				}
+			})
+		}
 	}
 }
 

@@ -16,18 +16,36 @@ import (
 // Raw-endpoint round-trip latency — simulated wire, real localhost TCP,
 // real shared-memory rings, real loopback UDP — at the paper's three
 // regimes: latency-bound (64 B), eager (4 KiB) and rendezvous-class
-// (64 KiB) messages. This is the number BENCH_*.json tracks so the real
-// transports' progress is measurable PR over PR — and where the shm rail's
-// win over loopback TCP for co-located ranks shows up.
+// (64 KiB) messages, plus, on the stream and ring transports, the 256 KiB
+// size the benchmark's rendezvous workloads move. This is where the real
+// transports' progress is measurable PR over PR — and where the shm
+// rail's win over loopback TCP for co-located ranks shows up. Both sides
+// recycle what they send and receive, so -benchmem reports the
+// transport's own allocations.
 
 var benchSizes = []int{64, 4 << 10, 64 << 10}
+
+// benchSizesBulk adds the rendezvous payload size to the transports
+// whose single frame carries it.
+var benchSizesBulk = append(benchSizes[:len(benchSizes):len(benchSizes)], 256<<10)
 
 // benchSizesUDP caps at 32 KiB: udpfab's one-datagram frame ceiling
 // (~64 KiB minus headers) refuses the 64 KiB cell.
 var benchSizesUDP = []int{64, 4 << 10, 32 << 10}
 
-// echoPeer bounces every packet on ep back to its source.
+// sendCaptures reports whether ep's Send copies the packet before
+// returning (fabric.SendCapturer), so the sender may recycle it at once.
+func sendCaptures(ep fabric.Endpoint) bool {
+	c, ok := ep.(fabric.SendCapturer)
+	return ok && c.SendCaptures()
+}
+
+// echoPeer bounces every packet on ep back to its source. The inbound
+// packet itself goes back out: a capturing transport copied it by the
+// time Send returns, so it is released; otherwise the packet rides the
+// wire and the pinging side releases it.
 func echoPeer(ep fabric.Endpoint, quit <-chan struct{}) {
+	captures := sendCaptures(ep)
 	for {
 		select {
 		case <-quit:
@@ -38,10 +56,11 @@ func echoPeer(ep fabric.Endpoint, quit <-chan struct{}) {
 		if p == nil {
 			continue
 		}
-		ep.Send(&wire.Packet{
-			Kind: wire.PktEager, Src: ep.Self(), Dst: p.Src,
-			Seq: p.Seq, Payload: p.Payload,
-		})
+		p.Src, p.Dst = ep.Self(), p.Src
+		ep.Send(p)
+		if captures {
+			fabric.ReleasePacket(p)
+		}
 	}
 }
 
@@ -58,21 +77,28 @@ func benchRTT(b *testing.B, f fabric.Fabric, size int) {
 	quit := make(chan struct{})
 	go echoPeer(ep1, quit)
 	defer close(quit)
+	captures := sendCaptures(ep0)
 	payload := make([]byte, size)
 	b.SetBytes(int64(2 * size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ep0.Send(&wire.Packet{
-			Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(i), Payload: payload,
-		}); err != nil {
+		out := fabric.GetPacket()
+		out.Kind, out.Src, out.Dst, out.Seq, out.Payload = wire.PktEager, 0, 1, uint64(i), payload
+		if err := ep0.Send(out); err != nil {
 			b.Fatal(err)
+		}
+		if captures {
+			fabric.ReleasePacket(out)
 		}
 		// Block rather than spin-poll: on a single-CPU host a busy
 		// loop starves the echo goroutine until the 10ms preemption
 		// tick and the bench measures the Go scheduler instead.
-		for ep0.BlockingRecv(time.Second) == nil {
+		var in *wire.Packet
+		for in == nil {
+			in = ep0.BlockingRecv(time.Second)
 		}
+		fabric.ReleasePacket(in)
 	}
 	// The deferred fabric Close runs before the harness stops the clock;
 	// keep its bounded drain out of the measurement.
@@ -90,7 +116,7 @@ func BenchmarkRTTSimfab(b *testing.B) {
 }
 
 func BenchmarkRTTTcpfab(b *testing.B) {
-	for _, size := range benchSizes {
+	for _, size := range benchSizesBulk {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			f, err := tcpfab.NewLocal(2)
 			if err != nil {
@@ -103,7 +129,7 @@ func BenchmarkRTTTcpfab(b *testing.B) {
 }
 
 func BenchmarkRTTShmfab(b *testing.B) {
-	for _, size := range benchSizes {
+	for _, size := range benchSizesBulk {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			f, err := shmfab.NewLocal(2, b.TempDir())
 			if err != nil {

@@ -5,7 +5,10 @@
 // copies the payload into the application buffer, and the buffer comes
 // back through Put — so the steady-state eager path allocates nothing
 // per packet, which is what keeps the communication engine's overhead
-// from eating the overlap wins the paper measures.
+// from eating the overlap wins the paper measures. The send side borrows
+// too: the stream and ring transports serialize outbound frames into
+// pool buffers (fabric.AppendPacketPooled) and return each batch once it
+// is written.
 //
 // Buffers are held in power-of-two size classes from 512 B to 4 MiB,
 // one sync.Pool per class, so a burst of mixed-size traffic cannot pin

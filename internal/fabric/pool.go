@@ -65,6 +65,34 @@ func CapturePacket(p *wire.Packet) *wire.Packet {
 	return q
 }
 
+// AppendPacketPooled is AppendPacket for outbound buffers that are
+// bufpool borrows — the serialized send queues of the stream and ring
+// transports. When p's frame does not fit in dst's capacity, dst moves
+// into a pool buffer sized for the grown length and its old storage goes
+// back to the pool, so a queue that drains between bursts circulates
+// through the size classes instead of allocating a fresh buffer per
+// large frame. Above bufpool.MaxPooled, where Get falls back to an
+// exact-size make, the buffer grows geometrically by plain allocation
+// instead: a queue toward a stalled peer then copies itself O(log n)
+// times, not once per frame. dst must not be used after the call; the
+// caller hands the result to bufpool.Put once no byte of it is needed.
+func AppendPacketPooled(dst []byte, p *wire.Packet) []byte {
+	if need := len(dst) + EncodedSize(p); need > cap(dst) {
+		var grown []byte
+		if need <= bufpool.MaxPooled {
+			grown = bufpool.Get(need)[:len(dst)]
+		} else {
+			grown = make([]byte, len(dst), max(need, 2*cap(dst)))
+		}
+		copy(grown, dst)
+		if cap(dst) > 0 {
+			bufpool.Put(dst)
+		}
+		dst = grown
+	}
+	return AppendPacket(dst, p)
+}
+
 // SendCapturer is an optional Endpoint capability: SendCaptures reports
 // that Send fully captures every packet before returning — serializing
 // or copying it, retaining neither the *wire.Packet nor its Payload

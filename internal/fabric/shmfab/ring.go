@@ -213,20 +213,12 @@ func (r *ring) readable() bool {
 	return atomic.LoadUint64(u64at(r.mem, off)) == r.cons+1
 }
 
-// readSlot appends the consumer's next slot's data to dst and releases the
-// slot back to the producer. The caller has checked readable.
-func (r *ring) readSlot(dst []byte) []byte {
-	dst = append(dst, r.peekSlot()...)
-	r.releaseSlot()
-	return dst
-}
-
 // peekSlot returns the consumer's next slot's data in place — a view
 // into the mapping, valid only until releaseSlot hands the slot back to
 // the producer. The caller has checked readable. Together with
-// releaseSlot it is the zero-copy half of the consumer API: a decoder
-// that can finish with the bytes before releasing (shmfab's in-place
-// frame decode) skips the append readSlot would pay.
+// releaseSlot it is the consumer API: the decoder finishes with the
+// bytes (in-place frame decode, or a copy into the frame being
+// reassembled) before releasing.
 func (r *ring) peekSlot() []byte {
 	off := r.slotOff(r.cons)
 	n := int(*u32at(r.mem, off+8))

@@ -35,6 +35,7 @@
 package shmfab
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
 )
 
@@ -60,9 +62,6 @@ const (
 	// closeDrainTimeout bounds how long Close lets pumps flush queued
 	// frames into a ring whose consumer has stopped draining.
 	closeDrainTimeout = 5 * time.Second
-	// maxRecycledBuf caps the serialization buffer capacity kept for
-	// reuse between sends, so one burst does not pin its peak forever.
-	maxRecycledBuf = 256 << 10
 )
 
 // Config describes one process's attachment to a shared-memory fabric.
@@ -128,6 +127,12 @@ type Endpoint struct {
 // unbounded overflow buffer drained by a pump goroutine. The pumping flag
 // keeps the single-producer invariant: the direct path writes slots only
 // while the pump is parked with an empty buffer.
+//
+// Every serialization buffer bigger than one slot is a bufpool borrow,
+// returned once its bytes are in the ring: a direct-path frame once its
+// slots are written, a pump batch once it is pumped. Frames that fit one
+// slot encode in scratch, kept for the ring's lifetime, so a small-frame
+// storm costs no pool operation at all.
 type outRing struct {
 	r    *ring
 	mu   sync.Mutex
@@ -135,7 +140,7 @@ type outRing struct {
 
 	buf     []byte // serialized frames awaiting the pump
 	nframes int    // frames in buf, for loss accounting
-	scratch []byte // recycled serialization buffer for the direct path
+	scratch []byte // one slot's worth of serialization buffer for the direct path
 	pumping bool   // pump holds bytes it has not finished writing
 	closing bool   // endpoint closing: drain, then stop
 }
@@ -143,9 +148,14 @@ type outRing struct {
 // inRing owns the consumer half of one ring plus the byte-stream decoder
 // that reassembles frames spanning slots.
 type inRing struct {
-	r    *ring
-	dec  []byte // bytes drained from slots, not yet a complete frame
-	dead bool   // decoder hit a corrupt frame; ring abandoned
+	r *ring
+	// part is the frame straddling slots, reassembled in a bufpool
+	// borrow sized from its length prefix; nil between frames. A length
+	// prefix that itself straddles a slot boundary collects in pre first.
+	part []byte
+	pre  [4]byte
+	npre int
+	dead bool // decoder hit a corrupt frame; ring abandoned
 }
 
 // ringPath names the ring file carrying src's traffic toward dst.
@@ -305,34 +315,28 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	// Direct path: with the pump parked and nothing queued ahead of us,
 	// write the slots here and skip the handoff latency — but only when
 	// the whole frame fits right now, because this path must not wait.
-	if !o.pumping && len(o.buf) == 0 {
-		enc := fabric.AppendPacket(o.scratch[:0], p)
-		if o.r.freeSlots() >= slotsFor(len(enc), o.r.slotBytes) {
-			for off := 0; off < len(enc); off += o.r.slotBytes {
-				end := off + o.r.slotBytes
-				if end > len(enc) {
-					end = len(enc)
-				}
-				o.r.writeSlot(enc[off:end])
+	if size := fabric.EncodedSize(p); !o.pumping && len(o.buf) == 0 &&
+		o.r.freeSlots() >= slotsFor(size, o.r.slotBytes) {
+		var enc []byte
+		if size <= o.r.slotBytes {
+			if o.scratch == nil {
+				o.scratch = make([]byte, 0, o.r.slotBytes)
 			}
-			if cap(enc) <= maxRecycledBuf {
-				o.scratch = enc[:0]
-			}
-			return nil
-		}
-		// No room: the bytes are already serialized, queue them as the
-		// pump's next batch.
-		if cap(enc) > cap(o.buf) {
-			o.buf = enc
-			o.scratch = nil
+			enc = fabric.AppendPacket(o.scratch[:0], p)
 		} else {
-			o.buf = append(o.buf, enc...)
+			enc = fabric.AppendPacket(bufpool.Get(size)[:0], p)
 		}
-		o.nframes++
-		o.cond.Signal()
+		for off := 0; off < len(enc); off += o.r.slotBytes {
+			o.r.writeSlot(enc[off:min(off+o.r.slotBytes, len(enc))])
+		}
+		if size > o.r.slotBytes {
+			bufpool.Put(enc)
+		}
 		return nil
 	}
-	o.buf = fabric.AppendPacket(o.buf, p)
+	// The ring is short of room or the pump holds bytes: queue the frame
+	// behind them as part of the pump's next batch.
+	o.buf = fabric.AppendPacketPooled(o.buf, p)
 	o.nframes++
 	o.cond.Signal()
 	return nil
@@ -364,7 +368,9 @@ func (e *Endpoint) pumpLoop(o *outRing) {
 		o.buf, o.nframes = nil, 0
 		o.pumping = true
 		o.mu.Unlock()
-		if !e.pumpBatch(o, batch) {
+		ok := e.pumpBatch(o, batch)
+		bufpool.Put(batch)
+		if !ok {
 			// Drain deadline passed with the consumer stuck: this batch
 			// (possibly partially written) is abandoned, plus whatever
 			// raced into the buffer behind it.
@@ -444,8 +450,9 @@ func (e *Endpoint) PollBatch(into []*wire.Packet) int {
 // slot's data starts with a length prefix, so frames wholly inside the
 // slot decode straight out of the mapping (one copy, slot to pooled
 // payload) and the slot is released only afterwards. Only a frame that
-// spans slots — pump batches, payloads past the slot size — falls back
-// to accumulating the byte stream in ir.dec and re-delimiting there.
+// spans slots — pump batches, payloads past the slot size — is
+// reassembled, in ir.part, and decoded from there once its last byte is
+// in; the slot that completes it resumes in-place decoding.
 func (e *Endpoint) scanRings() {
 	for i := 0; i < e.nodes; i++ {
 		peer := (e.rr + i) % e.nodes
@@ -453,31 +460,78 @@ func (e *Endpoint) scanRings() {
 		if ir == nil || ir.dead {
 			continue
 		}
-		buffered := false
-		for ir.r.readable() {
-			if len(ir.dec) == 0 {
-				data := ir.r.peekSlot()
-				used, ok := e.decodeStream(data, peer)
-				if !ok {
-					e.abandonRing(ir)
-					break
-				}
-				if used < len(data) {
-					// A frame's tail is still streaming through the
-					// ring; switch to reassembly until it completes.
-					ir.dec = append(ir.dec[:0], data[used:]...)
-				}
-				ir.r.releaseSlot()
-				continue
-			}
-			ir.dec = ir.r.readSlot(ir.dec)
-			buffered = true
-		}
-		if buffered && !ir.dead {
-			e.decodeBuffered(ir, peer)
+		for ir.r.readable() && !ir.dead {
+			e.scanSlot(ir, peer, ir.r.peekSlot())
+			ir.r.releaseSlot()
 		}
 	}
 	e.rr = (e.rr + 1) % e.nodes
+}
+
+// scanSlot decodes one slot's data: first the tail of the frame being
+// reassembled, if any, then whole frames in place, and finally the head
+// of a frame that continues in the next slot. Caller holds recvMu.
+func (e *Endpoint) scanSlot(ir *inRing, peer int, data []byte) {
+	if ir.part != nil || ir.npre > 0 {
+		k, ok := ir.take(data)
+		if !ok {
+			e.abandonRing(ir)
+			return
+		}
+		data = data[k:]
+		if ir.part == nil || len(ir.part) < partLen(ir.part) {
+			return // the whole slot belonged to the unfinished frame
+		}
+		p, err := fabric.DecodePacketPooled(ir.part)
+		bufpool.Put(ir.part)
+		ir.part = nil
+		if err != nil {
+			e.abandonRing(ir)
+			return
+		}
+		p.Src = peer
+		e.decRun = append(e.decRun, p)
+	}
+	used, ok := e.decodeStream(data, peer)
+	if ok && used < len(data) {
+		// A frame's tail is still streaming through the ring: start
+		// reassembling it. take swallows all of data[used:], which is
+		// shorter than the frame by construction.
+		_, ok = ir.take(data[used:])
+	}
+	if !ok {
+		e.abandonRing(ir)
+	}
+}
+
+// take appends the head of data that belongs to the frame being
+// reassembled and returns how many bytes that was; false means the frame
+// announced an impossible length. Once the length prefix is complete,
+// the frame moves into a pool buffer holding exactly its bytes.
+func (ir *inRing) take(data []byte) (int, bool) {
+	took := 0
+	if ir.part == nil {
+		took = copy(ir.pre[ir.npre:], data)
+		ir.npre += took
+		if ir.npre < len(ir.pre) {
+			return took, true
+		}
+		ir.npre = 0
+		n := partLen(ir.pre[:])
+		if n-4 > fabric.MaxFrameBytes {
+			return took, false
+		}
+		ir.part = append(bufpool.Get(n)[:0], ir.pre[:]...)
+	}
+	k := min(partLen(ir.part)-len(ir.part), len(data)-took)
+	ir.part = append(ir.part, data[took:took+k]...)
+	return took + k, true
+}
+
+// partLen returns the full size of the frame whose length prefix starts
+// b.
+func partLen(b []byte) int {
+	return 4 + int(binary.LittleEndian.Uint32(b))
 }
 
 // decodeStream decodes every complete frame at the head of buf into the
@@ -507,37 +561,20 @@ func (e *Endpoint) decodeStream(buf []byte, peer int) (int, bool) {
 	return used, true
 }
 
-// decodeBuffered re-delimits ir's accumulated byte stream, keeping the
-// trailing partial frame for the next scan. Caller holds recvMu.
-func (e *Endpoint) decodeBuffered(ir *inRing, peer int) {
-	used, ok := e.decodeStream(ir.dec, peer)
-	if !ok {
-		e.abandonRing(ir)
-		return
-	}
-	rest := ir.dec[used:]
-	// Compact so the backing array does not grow with history, and stop
-	// recycling an array a giant frame once ballooned — keeping it would
-	// pin peak-frame memory per peer for the endpoint's lifetime.
-	if cap(ir.dec) > maxRecycledBuf && len(rest) <= maxRecycledBuf {
-		ir.dec = append([]byte(nil), rest...)
-	} else {
-		ir.dec = append(ir.dec[:0], rest...)
-	}
-}
-
 // abandonRing marks a corrupt ring dead — the ring is abandoned, the
 // endpoint (and frames already decoded this pass) stay live. Caller
 // holds recvMu.
 func (e *Endpoint) abandonRing(ir *inRing) {
 	ir.dead = true
-	ir.dec = nil
+	if ir.part != nil {
+		bufpool.Put(ir.part)
+		ir.part = nil
+	}
 }
 
 // maxDecRunEntries caps the scan run array capacity kept for reuse: a
 // storm scan can decode thousands of frames in one pass, and keeping
-// that peak would pin it per endpoint forever — the same shed-after-
-// burst discipline ir.dec applies to its byte stream.
+// that peak would pin it per endpoint forever.
 const maxDecRunEntries = 1024
 
 // clearDecRun resets the scan run buffer with its packet aliases

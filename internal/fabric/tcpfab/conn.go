@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
 )
 
@@ -35,6 +36,16 @@ import (
 // an empty queue under qmu, so a frame can never be enqueued without
 // either a kick in flight or a flusher already committed to another
 // pass.
+//
+// qbuf and wbuf are bufpool borrows. The queue grows through the pool
+// (fabric.AppendPacketPooled), flushOnce returns a batch to the pool the
+// moment its last byte is in the kernel, and between batches the stream
+// holds no buffer at all: the GC-trimmed pool classes do the caching, so
+// a burst of large frames cannot pin its peak per stream. A Put is safe
+// because nothing else ever aliases a batch: the failure paths hand
+// queue and residue to the stash, whose appendFrames copies them into a
+// fresh buffer and Puts nothing, and a stash that primes a new stream
+// becomes that stream's sole queue.
 type conn struct {
 	e    *Endpoint
 	pl   *poller
@@ -98,7 +109,7 @@ func (c *conn) enqueue(p *wire.Packet) bool {
 		c.qmu.Unlock()
 		return false
 	}
-	c.qbuf = fabric.AppendPacket(c.qbuf, p)
+	c.qbuf = fabric.AppendPacketPooled(c.qbuf, p)
 	c.qends = append(c.qends, len(c.qbuf))
 	c.qn++
 	c.pendingFrames.Add(1)
@@ -144,6 +155,9 @@ func (c *conn) tryInlineFlush() bool {
 		c.ioErr = true
 	}
 	c.iomu.Unlock()
+	if st == flushDone {
+		c.pl.flushedInline.Store(true)
+	}
 	return st == flushDone
 }
 
@@ -171,12 +185,8 @@ func (c *conn) flushOnce(now int64) flushStatus {
 				// A whole detached batch fully reached the kernel.
 				c.e.coalesced.Add(uint64(c.wn))
 				c.pendingFrames.Add(-int64(c.wn))
-				c.qmu.Lock()
-				if c.qbuf == nil && cap(c.wbuf) <= maxRecycledBuf {
-					c.qbuf, c.qends = c.wbuf[:0], c.wends[:0]
-				}
-				c.qmu.Unlock()
-				c.wbuf, c.wends, c.wn, c.woff = nil, nil, 0, 0
+				bufpool.Put(c.wbuf)
+				c.wbuf, c.wends, c.wn, c.woff = nil, c.wends[:0], 0, 0
 			}
 			c.qmu.Lock()
 			if c.qn == 0 {
@@ -188,8 +198,11 @@ func (c *conn) flushOnce(now int64) flushStatus {
 				c.qmu.Unlock()
 				return flushMore
 			}
-			c.wbuf, c.wends, c.wn = c.qbuf, c.qends, c.qn
-			c.qbuf, c.qends, c.qn = nil, nil, 0
+			// Detach the queue as the next batch; the emptied end-offset
+			// slice swaps over to the queue for reuse.
+			c.wbuf, c.wn = c.qbuf, c.qn
+			c.wends, c.qends = c.qends, c.wends
+			c.qbuf, c.qn = nil, 0
 			c.woff = 0
 			c.qmu.Unlock()
 			detached = true

@@ -118,15 +118,46 @@ type poller struct {
 	shutdown bool
 	woken    bool    // a wake byte is already in the pipe
 	spinning bool    // poller is in non-blocking passes; mailboxes need no wake byte
-	pending  []*conn // awaiting EPOLL_CTL_ADD
-	kicked   []*conn // have newly queued frames to flush
-	kills    []*conn // KillConn targets: shutdown(2) the socket
+	mail     mailbox // producer requests not yet taken by the loop
 
-	// Poller-goroutine state (no lock).
-	conns    map[int]*conn // fd -> conn, added only
-	resume   []*conn       // flush fairness carry-over to the next loop pass
-	now      int64         // unix nanos, refreshed once per loop pass
-	lastReap int64
+	// flushedInline is set by a producer whose inline flush drained its
+	// stream: work the loop never saw, and a sign the stream is in
+	// conversation with its reply due on this poller. The loop counts
+	// it as a worked pass, so the spin phase covers the reply instead
+	// of parking just before it lands — waking a parked poller is a
+	// netpoll round trip, slow while every P is busy.
+	flushedInline atomic.Bool
+
+	// Poller-goroutine state (no lock). taken is the mailbox the loop is
+	// working through; it swaps places with mail once per pass, so both
+	// keep their backing arrays. resume and resumeSpare are the same
+	// double buffer for flush fairness carry-over.
+	taken       mailbox
+	conns       map[int]*conn // fd -> conn, added only
+	resume      []*conn       // flush fairness carry-over to the next loop pass
+	resumeSpare []*conn
+	now         int64 // unix nanos, refreshed once per loop pass
+	lastReap    int64
+}
+
+// mailbox holds the requests producers leave for a poller.
+type mailbox struct {
+	pending []*conn // awaiting EPOLL_CTL_ADD
+	kicked  []*conn // have newly queued frames to flush
+	kills   []*conn // KillConn targets: shutdown(2) the socket
+}
+
+func (m *mailbox) empty() bool {
+	return len(m.pending)+len(m.kicked)+len(m.kills) == 0
+}
+
+// reset empties m for reuse, nil-ing the handled entries so a mailbox
+// does not keep torn-down conns alive.
+func (m *mailbox) reset() {
+	clear(m.pending)
+	clear(m.kicked)
+	clear(m.kills)
+	m.pending, m.kicked, m.kills = m.pending[:0], m.kicked[:0], m.kills[:0]
 }
 
 // start creates the epoll instance, wake pipe, and loop goroutine on
@@ -198,7 +229,7 @@ func (pl *poller) register(c *conn) error {
 		pl.mu.Unlock()
 		return fabric.ErrClosed
 	}
-	pl.pending = append(pl.pending, c)
+	pl.mail.pending = append(pl.mail.pending, c)
 	pl.wakeLocked()
 	pl.mu.Unlock()
 	return nil
@@ -210,7 +241,7 @@ func (pl *poller) register(c *conn) error {
 func (pl *poller) kick(c *conn) {
 	pl.mu.Lock()
 	if !pl.shutdown && pl.running {
-		pl.kicked = append(pl.kicked, c)
+		pl.mail.kicked = append(pl.mail.kicked, c)
 		pl.wakeLocked()
 	}
 	pl.mu.Unlock()
@@ -222,7 +253,7 @@ func (pl *poller) kick(c *conn) {
 func (pl *poller) kill(c *conn) {
 	pl.mu.Lock()
 	if !pl.shutdown && pl.running {
-		pl.kills = append(pl.kills, c)
+		pl.mail.kills = append(pl.mail.kills, c)
 		pl.wakeLocked()
 	}
 	pl.mu.Unlock()
@@ -284,7 +315,7 @@ func (pl *poller) loop() {
 			// flag flips writes the pipe and wakes us.
 			pl.mu.Lock()
 			pl.spinning = false
-			if len(pl.pending)+len(pl.kicked)+len(pl.kills) > 0 || pl.shutdown {
+			if !pl.mail.empty() || pl.shutdown {
 				pl.spinning = true
 			} else {
 				park = true
@@ -311,10 +342,7 @@ func (pl *poller) loop() {
 		if !pl.spinning {
 			pl.spinning = true
 		}
-		pending := pl.pending
-		kicked := pl.kicked
-		kills := pl.kills
-		pl.pending, pl.kicked, pl.kills = nil, nil, nil
+		pl.mail, pl.taken = pl.taken, pl.mail
 		shutdown := pl.shutdown
 		if pl.woken {
 			for {
@@ -327,31 +355,36 @@ func (pl *poller) loop() {
 		}
 		pl.mu.Unlock()
 
+		box := &pl.taken
 		if shutdown {
-			pl.teardownAll(pending)
+			pl.teardownAll(box.pending)
 			return
 		}
-		worked := n > 0 || len(pending)+len(kicked)+len(kills)+len(pl.resume) > 0
-		for _, c := range pending {
+		worked := n > 0 || !box.empty() || len(pl.resume) > 0 ||
+			(pl.flushedInline.Load() && pl.flushedInline.Swap(false))
+		for _, c := range box.pending {
 			pl.add(c)
 		}
-		for _, c := range kills {
+		for _, c := range box.kills {
 			if !c.gone {
 				syscall.Shutdown(c.fd, syscall.SHUT_RDWR)
 			}
 		}
 		resume := pl.resume
-		pl.resume = nil
+		pl.resume = pl.resumeSpare
 		for _, c := range resume {
 			if !c.gone {
 				pl.flush(c)
 			}
 		}
-		for _, c := range kicked {
+		clear(resume)
+		pl.resumeSpare = resume[:0]
+		for _, c := range box.kicked {
 			if c.added && !c.gone {
 				pl.flush(c)
 			}
 		}
+		box.reset()
 		for i := 0; i < n; i++ {
 			fd := int(events[i].Fd)
 			if fd == pl.wakeR {

@@ -77,10 +77,6 @@ const (
 	// queued frames toward a peer that has stopped reading.
 	closeDrainTimeout = 5 * time.Second
 
-	// maxRecycledBuf caps the outbound buffer capacity a stream keeps
-	// for reuse between batches (a few MTU-sized frames' worth).
-	maxRecycledBuf = 256 << 10
-
 	// readBufBytes sizes each stream's inbound staging window, drawn
 	// from the fabric buffer pool. Small frames assemble inside it — one
 	// socket read yields a whole decoded run — and a frame larger than

@@ -2,8 +2,11 @@ package tcpfab_test
 
 import (
 	"bytes"
+	"context"
 	"net"
+	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -409,6 +412,24 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 // connection between two quiescent endpoints and continuing to send
 // must deliver every frame, in order, with zero engine-visible loss.
 func TestKillConnZeroLoss(t *testing.T) {
+	killConnZeroLoss(t, 64, 8, 64)
+}
+
+// TestKillConnZeroLossLargeFrames repeats the requeue regression with
+// 1 MiB frames, whose queue grows through the buffer pool: the frames
+// sent right after the kill cross the dying stream's queue, the failure
+// stash and the redialed stream, so a pooled buffer returned while one
+// of those still referenced it would show up as a corrupted frame.
+func TestKillConnZeroLossLargeFrames(t *testing.T) {
+	killConnZeroLoss(t, 1<<20, 2, 16)
+}
+
+// killConnZeroLoss sends pre frames of size bytes and receives them, so
+// the kill hits an idle writer, kills the stream, then sends post more
+// right away. Every frame carries its own byte pattern, written into one
+// reused buffer (legal the moment Send returns), and must arrive intact,
+// in order, with no loss counted.
+func killConnZeroLoss(t *testing.T, size, pre, post int) {
 	ep0, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -423,32 +444,43 @@ func TestKillConnZeroLoss(t *testing.T) {
 	}
 	defer ep1.Close()
 
+	pattern := func(buf []byte, seq uint64) {
+		for i := range buf {
+			buf[i] = byte(int(seq)*131 + i*7 + i>>9)
+		}
+	}
+	buf := make([]byte, size)
+	want := make([]byte, size)
 	send := func(seq uint64) {
 		t.Helper()
-		if err := ep1.Send(&wire.Packet{Kind: wire.PktCtrl, Src: 1, Dst: 0, Seq: seq, Payload: []byte("keep")}); err != nil {
+		pattern(buf, seq)
+		if err := ep1.Send(&wire.Packet{Kind: wire.PktCtrl, Src: 1, Dst: 0, Seq: seq, Payload: buf}); err != nil {
 			t.Fatalf("send %d: %v", seq, err)
 		}
 	}
-	recv := func(want uint64) {
+	recv := func(seq uint64) {
 		t.Helper()
 		p := ep0.BlockingRecv(30 * time.Second)
 		if p == nil {
-			t.Fatalf("timed out waiting for frame %d", want)
+			t.Fatalf("timed out waiting for frame %d", seq)
 		}
-		if p.Seq != want || string(p.Payload) != "keep" {
-			t.Fatalf("frame %d: got seq %d payload %q", want, p.Seq, p.Payload)
+		if p.Seq != seq {
+			t.Fatalf("frame %d: got seq %d", seq, p.Seq)
 		}
+		if pattern(want, seq); !bytes.Equal(p.Payload, want) {
+			t.Fatalf("frame %d: payload corrupted", seq)
+		}
+		fabric.ReleasePacket(p)
 	}
 
 	// Warm up and flush: every pre-kill frame is received before the
 	// kill, so the failure hits an idle writer. (Bytes racing a real
 	// stream failure are legitimately written off as possibly-delivered;
 	// this test pins the queued-but-never-written case.)
-	const pre, post = 8, 64
-	for seq := uint64(1); seq <= pre; seq++ {
+	for seq := uint64(1); seq <= uint64(pre); seq++ {
 		send(seq)
 	}
-	for seq := uint64(1); seq <= pre; seq++ {
+	for seq := uint64(1); seq <= uint64(pre); seq++ {
 		recv(seq)
 	}
 
@@ -458,10 +490,10 @@ func TestKillConnZeroLoss(t *testing.T) {
 	// Keep sending immediately: these frames land either on the dying
 	// stream's queue (stashed, then replayed on the redialed stream) or
 	// on the redialed stream directly. Every one must arrive, in order.
-	for seq := uint64(pre + 1); seq <= pre+post; seq++ {
+	for seq := uint64(pre + 1); seq <= uint64(pre+post); seq++ {
 		send(seq)
 	}
-	for seq := uint64(pre + 1); seq <= pre+post; seq++ {
+	for seq := uint64(pre + 1); seq <= uint64(pre+post); seq++ {
 		recv(seq)
 	}
 	if n := ep1.LostFrames(); n != 0 {
@@ -605,12 +637,87 @@ func TestSendNeverBlocksOnStalledReceiver(t *testing.T) {
 	}
 }
 
+// TestQueueGrowthToStalledPeer pins how a send queue grows past the
+// buffer pool's largest class. The peer is a raw listener that accepts
+// the stream (with a tiny receive buffer) and never reads, so the queue
+// only grows; above bufpool.MaxPooled, Get would fall back to an
+// exact-size allocation, and a queue grown that way re-allocates and
+// re-copies itself on every frame. Geometric growth keeps the mallocs
+// logarithmic in the queue size.
+func TestQueueGrowthToStalledPeer(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4<<10)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	ep, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Peers: map[int]string{1: ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := ep.Dial(1); err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	defer peer.Close()
+
+	const frame, frames = 128 << 10, 128 // 16 MiB, far past the 4 MiB top class
+	p := &wire.Packet{Kind: wire.PktData, Src: 0, Dst: 1, Payload: make([]byte, frame)}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < frames; i++ {
+		p.Seq = uint64(i + 1)
+		if err := ep.Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	// Logarithmic: one doubling series for the buffer, one for its frame
+	// index, the poller's first-use slices, and pool classes a GC emptied
+	// mid-run (14 with the GC off, under 50 with it on). Exact-size
+	// growth past the top class costs ~190 here.
+	const budget = 80
+	n := m1.Mallocs - m0.Mallocs
+	t.Logf("%d mallocs", n)
+	if n > budget {
+		t.Errorf("queueing %d frames of %d KiB to a stalled peer cost %d mallocs, want <= %d (logarithmic growth)", frames, frame>>10, n, budget)
+	}
+	// Let the stream fail instead of waiting out Close's drain timeout.
+	peer.Close()
+	ep.KillConn(1)
+}
+
 // TestSendCapturesPayloadBeforeReturn: the engine may complete an eager
 // request — telling the application its buffer is reusable — the moment
 // Send returns, so Send must capture the payload bytes before returning.
 // An app that scribbles over the buffer right after Send must not
-// corrupt what arrives.
+// corrupt what arrives. The 1 MiB case sends faster than one write
+// drains, so its queue grows through the buffer pool frame after frame
+// while earlier batches are returned to it.
 func TestSendCapturesPayloadBeforeReturn(t *testing.T) {
+	t.Run("32KiB", func(t *testing.T) { sendCapturesPayload(t, 32<<10, 100) })
+	t.Run("1MiB", func(t *testing.T) { sendCapturesPayload(t, 1<<20, 24) })
+}
+
+func sendCapturesPayload(t *testing.T, size, n int) {
 	l, err := tcpfab.NewLocal(2)
 	if err != nil {
 		t.Fatal(err)
@@ -618,8 +725,7 @@ func TestSendCapturesPayloadBeforeReturn(t *testing.T) {
 	defer l.Close()
 	src, _ := l.Endpoint(0)
 	dst, _ := l.Endpoint(1)
-	const n = 100
-	buf := make([]byte, 32<<10)
+	buf := make([]byte, size)
 	for i := 0; i < n; i++ {
 		for j := range buf {
 			buf[j] = byte(i)
@@ -638,12 +744,16 @@ func TestSendCapturesPayloadBeforeReturn(t *testing.T) {
 		if p == nil {
 			t.Fatalf("packet %d lost", i)
 		}
+		if p.Seq != uint64(i+1) || len(p.Payload) != size {
+			t.Fatalf("packet %d arrived as seq %d carrying %d bytes, want %d", i+1, p.Seq, len(p.Payload), size)
+		}
 		want := byte(p.Seq - 1)
 		for j, b := range p.Payload {
 			if b != want {
 				t.Fatalf("packet seq %d byte %d corrupted to %#x by post-Send buffer reuse", p.Seq, j, b)
 			}
 		}
+		fabric.ReleasePacket(p)
 	}
 }
 

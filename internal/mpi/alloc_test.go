@@ -7,6 +7,7 @@ import (
 	"pioman/internal/core"
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/shmfab"
+	"pioman/internal/fabric/tcpfab"
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
@@ -14,29 +15,41 @@ import (
 )
 
 // engineRoundTripAllocs measures the steady-state malloc count of a
-// 4 KiB eager round trip through the full engine (Isend/Irecv, strategy
-// queue, nic driver, shared-memory rings, matching, delivery) with or
-// without a telemetry registry attached. It runs the Sequential engine —
-// progress is driven inline by the two communicating threads, so there
-// are no background pollers allocating on their own schedule — and
-// measures the process-wide malloc count around a long measured window,
-// which charges BOTH ranks' halves of every exchange to the budget.
-// Since the engine's progress passes drain arrivals through the batched
-// receive path (PollBatch into the engine's construction-sized batch
-// buffer), this also pins that the batched path stays on budget.
-func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry) float64 {
+// size-byte round trip through the full engine (Isend/Irecv, strategy
+// queue or rendezvous handshake, nic driver, transport, matching,
+// delivery) over the named real rail — "shm" (shared-memory rings) or
+// "tcp" (loopback sockets) — with or without a telemetry registry
+// attached. It runs the Sequential engine — progress is driven inline by
+// the two communicating threads, so there are no background progress
+// workers allocating on their own schedule — and measures the
+// process-wide malloc count around a long measured window, which charges
+// BOTH ranks' halves of every exchange to the budget. Since the engine's
+// progress passes drain arrivals through the batched receive path
+// (PollBatch into the engine's construction-sized batch buffer), this
+// also pins that the batched path stays on budget.
+func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry, rail string, size int) float64 {
 	t.Helper()
-	shm, err := shmfab.NewLocal(2, t.TempDir())
+	var f fabric.Fabric
+	var params nic.Params
+	var err error
+	switch rail {
+	case "shm":
+		f, err = shmfab.NewLocal(2, t.TempDir())
+		params = nic.ShmParams()
+	case "tcp":
+		f, err = tcpfab.NewLocal(2)
+		params = nic.RealParams()
+	default:
+		t.Fatalf("unknown rail %q", rail)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := mpi.Config{
-		Nodes: 2,
-		Mode:  core.Sequential,
-		MX:    nic.ShmParams(),
-		Fabrics: map[string]fabric.Fabric{
-			"shm": shm,
-		},
+		Nodes:   2,
+		Mode:    core.Sequential,
+		MX:      params,
+		Fabrics: map[string]fabric.Fabric{params.Name: f},
 		Metrics: reg,
 	}
 	w := mpi.NewWorld(cfg)
@@ -45,7 +58,6 @@ func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry) float64 {
 	const (
 		warm  = 100
 		meas  = 500
-		size  = 4 << 10
 		tagRT = 5
 	)
 	var perOp float64
@@ -92,7 +104,7 @@ func TestEngineEagerRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	perOp := engineRoundTripAllocs(t, nil)
+	perOp := engineRoundTripAllocs(t, nil, "shm", 4<<10)
 	t.Logf("engine 4KiB eager round trip: %.2f allocs/op (budget %.1f)", perOp, engineAllocBudget)
 	if perOp > engineAllocBudget {
 		t.Errorf("engine 4KiB eager round trip allocates %.2f/op, budget %.1f", perOp, engineAllocBudget)
@@ -111,7 +123,7 @@ func TestEngineEagerRoundTripAllocsMetered(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	reg := telemetry.NewRegistry()
-	perOp := engineRoundTripAllocs(t, reg)
+	perOp := engineRoundTripAllocs(t, reg, "shm", 4<<10)
 	t.Logf("metered engine 4KiB eager round trip: %.2f allocs/op (budget %.1f)", perOp, engineAllocBudget)
 	if perOp > engineAllocBudget {
 		t.Errorf("metered engine round trip allocates %.2f/op, budget %.1f", perOp, engineAllocBudget)
@@ -125,5 +137,27 @@ func TestEngineEagerRoundTripAllocsMetered(t *testing.T) {
 	}
 	if occ := snap.Get("node0.rail.shm.batch_occupancy"); occ == nil || occ.Hist.Count == 0 {
 		t.Error("rail occupancy histogram recorded nothing")
+	}
+}
+
+// TestEngineRendezvousRoundTripAllocs holds a 256 KiB rendezvous round
+// trip — RTS, CTS, DATA and DATA-ack both ways — to the same budget as
+// the eager path, over loopback TCP and over shared-memory rings. Every
+// piece of per-message rendezvous state is pooled or embedded: the RTS
+// payload, the reception state (embedded in the receive request), the
+// one-rail DATA rail set, and the transports' large-frame buffers. An
+// allocation that creeps back in here is paid once per bulk message.
+func TestEngineRendezvousRoundTripAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, rail := range []string{"tcp", "shm"} {
+		t.Run(rail, func(t *testing.T) {
+			perOp := engineRoundTripAllocs(t, nil, rail, 256<<10)
+			t.Logf("engine 256KiB rendezvous round trip over %s: %.2f allocs/op (budget %.1f)", rail, perOp, engineAllocBudget)
+			if perOp > engineAllocBudget {
+				t.Errorf("engine 256KiB rendezvous round trip over %s allocates %.2f/op, budget %.1f", rail, perOp, engineAllocBudget)
+			}
+		})
 	}
 }

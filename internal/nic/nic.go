@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/fabric/simfab"
 	"pioman/internal/ptime"
 	"pioman/internal/telemetry"
@@ -420,16 +421,10 @@ func (d *Driver) SendEager(h Header, payload []byte) {
 
 // SendRTS posts a rendezvous request-to-send: header-only, cheap. The
 // payload carries the message length plus the sender engine's session id
-// (see EncodeRTS), so a receiver can tell a restarted sender's fresh
+// (see putRTS), so a receiver can tell a restarted sender's fresh
 // rendezvous stream from a stale incarnation's.
 func (d *Driver) SendRTS(h Header, msgLen int, session uint64) {
-	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	d.rtsSent.Add(1)
-	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktRTS, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID = h.Seq, h.MsgID
-	p.Payload, p.WireLen = EncodeRTS(msgLen, session), HeaderBytes
-	d.send(p)
+	d.sendRTS(h, msgLen, session, 0)
 }
 
 // SendRTSReplay re-posts a rendezvous request-to-send for the engine's
@@ -438,12 +433,21 @@ func (d *Driver) SendRTS(h Header, msgLen int, session uint64) {
 // the per-sender sequence ordering (the original RTS may already have
 // been processed), answering idempotently with a fresh CTS or DATA-ack.
 func (d *Driver) SendRTSReplay(h Header, msgLen int, session uint64) {
+	d.sendRTS(h, msgLen, session, 1)
+}
+
+// sendRTS posts an RTS whose payload is a fabric buffer-pool borrow,
+// flagged Pooled: whoever releases the packet — send on a capturing
+// rail, the receiving engine over the simulator — returns the buffer.
+func (d *Driver) sendRTS(h Header, msgLen int, session uint64, offset int) {
 	ptime.SpinFor(d.p.Cost.SubmitOverhead)
 	d.rtsSent.Add(1)
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktRTS, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.Offset = h.Seq, h.MsgID, 1
-	p.Payload, p.WireLen = EncodeRTS(msgLen, session), HeaderBytes
+	p.Seq, p.MsgID, p.Offset = h.Seq, h.MsgID, offset
+	p.Payload, p.Pooled = bufpool.Get(rtsBytes), true
+	putRTS(p.Payload, msgLen, session)
+	p.WireLen = HeaderBytes
 	d.send(p)
 }
 
@@ -655,17 +659,18 @@ func (d *Driver) Stats() Stats {
 	}
 }
 
-// EncodeRTS builds an RTS payload: the message length in the first 8
-// bytes (little-endian, what DecodeLen reads) and the sender engine's
-// session id in the next 8. Pre-session decoders that only read the
-// length remain compatible.
-func EncodeRTS(msgLen int, session uint64) []byte {
-	b := make([]byte, 16)
+// rtsBytes is the size of an RTS payload.
+const rtsBytes = 16
+
+// putRTS writes an RTS payload into b[:rtsBytes]: the message length in
+// the first 8 bytes (little-endian, what DecodeLen reads) and the sender
+// engine's session id in the next 8. Pre-session decoders that only read
+// the length remain compatible.
+func putRTS(b []byte, msgLen int, session uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(msgLen >> (8 * i))
 		b[8+i] = byte(session >> (8 * i))
 	}
-	return b
 }
 
 // DecodeLen recovers a message length from an RTS payload.

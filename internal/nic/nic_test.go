@@ -249,7 +249,8 @@ func TestDefaultMTU(t *testing.T) {
 
 func TestLenCodecProperty(t *testing.T) {
 	f := func(n uint32, s uint64) bool {
-		b := EncodeRTS(int(n), s)
+		b := make([]byte, rtsBytes)
+		putRTS(b, int(n), s)
 		return DecodeLen(b) == int(n) && DecodeRTSSession(b) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
