@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/sched"
 )
 
@@ -72,7 +73,9 @@ func BenchmarkProgressIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkAggrEncodeDecode measures the aggregation train codec.
+// BenchmarkAggrEncodeDecode measures the aggregation train codec: a
+// pooled encode, the receive path's validation and in-place walk, and
+// the buffer's return.
 func BenchmarkAggrEncodeDecode(b *testing.B) {
 	var train []*SendReq
 	for i := 0; i < 8; i++ {
@@ -81,8 +84,13 @@ func BenchmarkAggrEncodeDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if decodeAggr(encodeAggr(train)) == nil {
+		enc := encodeAggr(train)
+		if !validAggr(enc) {
 			b.Fatal("decode failed")
 		}
+		for rest := enc; len(rest) > 0; {
+			_, _, _, rest = splitAggr(rest)
+		}
+		bufpool.Put(enc)
 	}
 }

@@ -19,20 +19,25 @@ import (
 // matched on the spot or appended to the engine's unexpected list to
 // wait for its Irecv.
 //
-// pkt, when set, is the inbound packet whose buffers payload borrows; it
-// goes back to the fabric packet pool when the arrival is released or
-// turns unexpected (the payload moves to a staging copy first) — the
-// engine's half of the inbound-buffer ownership rule (docs/FABRIC.md):
-// the fabric owns arrival buffers, the engine returns them after copying
-// payloads to their final destination. Arrivals recycle through a
-// freelist, so even the unexpected path allocates no bookkeeping.
+// An eager payload is in one of three places. With pkt set it borrows
+// that inbound packet, which the arrival owns; with staged set it is a
+// fabric buffer-pool copy the arrival owns; with neither it is one entry
+// of an aggregated train, borrowed from a frame handlePacket releases
+// when it returns, so a list may keep the arrival only after own(). The
+// packet and the staging go back to the fabric pools when the arrival is
+// released — the engine's half of the inbound-buffer ownership rule
+// (docs/FABRIC.md): the fabric owns arrival buffers, the engine returns
+// them after copying payloads to their final destination. Arrivals
+// recycle through a freelist, so even the unexpected path allocates no
+// bookkeeping.
 type arrival struct {
 	isRTS   bool
+	staged  bool
 	src     int
 	tag     int
 	seq     uint64
 	msgID   uint64 // RTS only
-	payload []byte // eager: the frame's payload, or the pooled staging copy once unexpected
+	payload []byte // eager only
 	msgLen  int    // RTS: announced message length
 	rail    *nic.Driver
 	pkt     *wire.Packet
@@ -49,13 +54,38 @@ func newArrival(rail *nic.Driver, src, tag int, seq uint64) *arrival {
 	return ev
 }
 
-// release retires a fully processed arrival: the inbound packet (when it
-// still owns one) goes back to the fabric pools, the struct to the
+// release retires a fully processed arrival: the inbound packet or the
+// staging copy it owns goes back to the fabric pools, the struct to the
 // freelist. The caller must have copied the payload out first.
 func (ev *arrival) release() {
+	if ev.staged {
+		bufpool.Put(ev.payload)
+	}
 	fabric.ReleasePacket(ev.pkt)
 	*ev = arrival{}
 	arrivalPool.Put(ev)
+}
+
+// stage moves the payload into a fabric buffer-pool copy the arrival
+// owns, releasing the inbound packet it borrowed from (if it owned one).
+// A no-op once staged.
+func (ev *arrival) stage() {
+	if ev.staged {
+		return
+	}
+	b := bufpool.Get(len(ev.payload))
+	copy(b, ev.payload)
+	fabric.ReleasePacket(ev.pkt)
+	ev.payload, ev.pkt, ev.staged = b, nil, true
+}
+
+// own makes the arrival independent of the frame being handled, so a
+// list may keep it: an aggregated train's entry is staged, while an
+// arrival that owns its packet already lives as long as it does.
+func (ev *arrival) own() {
+	if ev.pkt == nil && len(ev.payload) > 0 {
+		ev.stage()
+	}
 }
 
 // handleMatchable enforces per-sender stream order: the arrival is
@@ -88,6 +118,7 @@ func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 		if p.stash == nil {
 			p.stash = make(map[uint64]*arrival)
 		}
+		ev.own()
 		p.stash[ev.seq] = ev
 		ev = nil
 	default:
@@ -134,30 +165,28 @@ func (e *Engine) handleEager(core topo.CoreID, ev *arrival) (kept bool) {
 		return false
 	}
 	// Unexpected: pay the pool copy, then re-check — a receive may have
-	// been posted while we copied.
-	pooled := bufpool.Get(len(ev.payload))
-	copy(pooled, ev.payload)
-	ev.rail.ChargeMatchCopy(len(pooled))
+	// been posted while we copied. (An arrival that waited in the stash
+	// may hold its staging copy already; the charge models the paper's
+	// unexpected-pool copy either way.)
+	ev.stage()
+	n := len(ev.payload)
+	ev.rail.ChargeMatchCopy(n)
 	e.nUnexp.Add(1)
 	if e.tracing() {
-		e.cfg.Trace.Recordf(trace.KindUnexpected, int(core), ev.tag, len(pooled), "src=%d", ev.src)
+		e.cfg.Trace.Recordf(trace.KindUnexpected, int(core), ev.tag, n, "src=%d", ev.src)
 	}
 	e.qlock.Lock()
 	if r := e.matchPostedLocked(ev.src, ev.tag); r != nil {
 		e.qlock.Unlock()
 		// Second copy, pool to application buffer.
-		ev.rail.ChargeMatchCopy(len(pooled))
-		e.deliverEager(core, r, ev.src, ev.tag, pooled)
-		bufpool.Put(pooled)
+		ev.rail.ChargeMatchCopy(n)
+		e.deliverEager(core, r, ev.src, ev.tag, ev.payload)
 		return false
 	}
-	// The arrival itself becomes the unexpected entry, now owning the
-	// staging copy instead of the inbound frame.
-	pkt := ev.pkt
-	ev.payload, ev.pkt = pooled, nil
+	// The arrival itself becomes the unexpected entry, owning the staging
+	// copy.
 	e.unexpected = append(e.unexpected, ev)
 	e.qlock.Unlock()
-	fabric.ReleasePacket(pkt)
 	return true
 }
 
@@ -220,7 +249,6 @@ func (e *Engine) deliverUnexpected(r *RecvReq, u *arrival) {
 	n := copy(r.buf, u.payload)
 	r.n, r.from, r.truncated = n, u.src, len(u.payload) > len(r.buf)
 	r.gotTag = u.tag
-	bufpool.Put(u.payload)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindMatch, -1, r.tag, n, "unexpected src=%d", u.src)
 	}

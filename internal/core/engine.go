@@ -73,8 +73,11 @@ type Config struct {
 	// it submits inline, since deferral would only postpone the work to
 	// the wait. Only meaningful in Multithreaded mode with OffloadEager.
 	AdaptiveOffload bool
-	// Strategy picks the optimizer: "fifo" (default), "aggreg",
-	// "multirail".
+	// Strategy picks the optimizer: "aggreg" (default: a run of ready
+	// eager sends to one destination leaves as one aggregated frame up
+	// to the rail MTU, a lone one as a plain eager frame), "fifo" (one
+	// frame per send, the ablation's reference), "multirail" (FIFO eager
+	// submission plus rendezvous striping across bonded rails).
 	Strategy string
 	// AutoStripeWeights enables online stripe-weight tuning: the engine's
 	// maintenance tick measures each rail's goodput (bytes moved per

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/nic"
 	"pioman/internal/piom"
 	"pioman/internal/sched"
@@ -975,6 +977,28 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// aggrEntry is one entry of a decoded train, for the codec tests.
+type aggrEntry struct {
+	tag  int
+	seq  uint64
+	data []byte
+}
+
+// decodeAggr walks a train the way handlePacket does and collects its
+// entries (aliasing payload); nil when validAggr rejects it.
+func decodeAggr(payload []byte) []aggrEntry {
+	if !validAggr(payload) {
+		return nil
+	}
+	var out []aggrEntry
+	for rest := payload; len(rest) > 0; {
+		var s aggrEntry
+		s.tag, s.seq, s.data, rest = splitAggr(rest)
+		out = append(out, s)
+	}
+	return out
+}
+
 func TestAggrCodecProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -987,7 +1011,8 @@ func TestAggrCodecProperty(t *testing.T) {
 				data: payload(rng.Intn(512), byte(i)),
 			})
 		}
-		subs := decodeAggr(encodeAggr(train))
+		enc := encodeAggr(train)
+		subs := decodeAggr(enc)
 		if len(subs) != n {
 			t.Fatalf("trial %d: decoded %d subs, want %d", trial, len(subs), n)
 		}
@@ -997,6 +1022,7 @@ func TestAggrCodecProperty(t *testing.T) {
 				t.Fatalf("trial %d sub %d mismatch", trial, i)
 			}
 		}
+		bufpool.Put(enc)
 	}
 }
 
@@ -1013,11 +1039,16 @@ func TestDecodeAggrCorruption(t *testing.T) {
 	if got := decodeAggr(nil); got != nil {
 		t.Error("nil payload decoded to non-nil")
 	}
+	// A length field that wraps negative as an int must not pass.
+	binary.LittleEndian.PutUint64(enc[16:], 1<<63)
+	if decodeAggr(enc) != nil {
+		t.Error("train with a negative entry length decoded")
+	}
 }
 
 func TestStrategyNames(t *testing.T) {
 	for name, want := range map[string]string{
-		"":          "fifo",
+		"":          "aggreg",
 		"fifo":      "fifo",
 		"aggreg":    "aggreg",
 		"multirail": "multirail",

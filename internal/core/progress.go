@@ -302,11 +302,12 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 //
 // Packet ownership ends here: an eager frame rides its arrival and is
 // released once that is processed (possibly later, out of the stash);
-// every other protocol frame is released as soon as its handler
-// returns; control frames pass to the installed handler, which becomes
-// their owner; an aggregated frame is left to the GC, because its
-// sub-arrivals alias the shared payload and any of them may sit in the
-// stash indefinitely.
+// control frames pass to the installed handler, which becomes their
+// owner; every other frame, an aggregated train included, is released
+// as soon as its handler returns. A train's entries are walked in place
+// and their sub-arrivals borrow the frame only while it is handled: one
+// that a list keeps (the stash, the unexpected pool) first copies its
+// bytes into pooled staging (arrival.own).
 func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "%v from %d", p.Kind, p.Src)
@@ -332,16 +333,16 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 		e.handleMatchable(core, ev)
 		return
 	case wire.PktAggr:
-		subs := decodeAggr(p.Payload)
-		if subs == nil {
+		if !validAggr(p.Payload) {
 			panic("core: corrupted aggregated train")
 		}
-		for _, s := range subs {
-			ev := newArrival(rail, p.Src, s.tag, s.seq)
-			ev.payload = s.data
+		for rest := p.Payload; len(rest) > 0; {
+			tag, seq, data, next := splitAggr(rest)
+			ev := newArrival(rail, p.Src, tag, seq)
+			ev.payload = data
 			e.handleMatchable(core, ev)
+			rest = next
 		}
-		return
 	case wire.PktCtrl:
 		if h := e.ctrlHandler.Load(); h != nil {
 			(*h)(p)

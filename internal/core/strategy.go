@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/sync2"
 )
 
@@ -29,15 +30,18 @@ type strategy interface {
 	Dequeue(mtuOf func(dst int) int, into []*SendReq) []*SendReq
 }
 
-// newStrategy resolves a strategy name ("" defaults to fifo). Every name
-// maps to a dedicated implementation and anything else is a hard error:
-// a misspelled strategy must fail loudly at engine construction, not run
-// the whole experiment on a silently substituted policy.
+// newStrategy resolves a strategy name ("" defaults to aggreg: a window
+// of ready small sends to one peer leaves as one frame, and a lone send
+// still leaves as a plain eager frame; "fifo" remains as the reference
+// row of the strategy ablation). Every name maps to a dedicated
+// implementation and anything else is a hard error: a misspelled
+// strategy must fail loudly at engine construction, not run the whole
+// experiment on a silently substituted policy.
 func newStrategy(name string) strategy {
 	switch name {
-	case "", "fifo":
+	case "fifo":
 		return &fifoStrategy{}
-	case "aggreg", "aggregation":
+	case "", "aggreg", "aggregation":
 		return &aggrStrategy{}
 	case "multirail":
 		return &multirailStrategy{}
@@ -142,47 +146,54 @@ func (s *aggrStrategy) Dequeue(mtuOf func(int) int, into []*SendReq) []*SendReq 
 // [tag int64][seq uint64][len uint64][payload].
 const aggrEntryOverhead = 24
 
-// aggrSub is one decoded entry of an aggregated train.
-type aggrSub struct {
-	tag  int
-	seq  uint64
-	data []byte
-}
-
-// encodeAggr serializes a train into one payload.
+// encodeAggr serializes a train into one payload drawn from the fabric
+// buffer pool; the caller hands it to nic.Driver.SendAggr, which takes
+// ownership.
 func encodeAggr(train []*SendReq) []byte {
 	total := 0
 	for _, r := range train {
 		total += aggrEntryOverhead + len(r.data)
 	}
-	out := make([]byte, 0, total)
-	var hdr [aggrEntryOverhead]byte
+	out := bufpool.Get(total)
+	off := 0
 	for _, r := range train {
-		binary.LittleEndian.PutUint64(hdr[0:], uint64(int64(r.tag)))
-		binary.LittleEndian.PutUint64(hdr[8:], r.seq)
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(r.data)))
-		out = append(out, hdr[:]...)
-		out = append(out, r.data...)
+		binary.LittleEndian.PutUint64(out[off:], uint64(int64(r.tag)))
+		binary.LittleEndian.PutUint64(out[off+8:], r.seq)
+		binary.LittleEndian.PutUint64(out[off+16:], uint64(len(r.data)))
+		off += aggrEntryOverhead
+		off += copy(out[off:], r.data)
 	}
 	return out
 }
 
-// decodeAggr parses an aggregated payload; it returns nil on corruption.
-func decodeAggr(payload []byte) []aggrSub {
-	var subs []aggrSub
+// validAggr reports whether payload is a well-formed train: one or more
+// whole entries, every declared length within bounds. Checking the whole
+// payload up front lets the receive path walk it in place with
+// splitAggr, building nothing.
+func validAggr(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
 	for len(payload) > 0 {
 		if len(payload) < aggrEntryOverhead {
-			return nil
+			return false
 		}
-		tag := int(int64(binary.LittleEndian.Uint64(payload[0:])))
-		seq := binary.LittleEndian.Uint64(payload[8:])
-		n := int(binary.LittleEndian.Uint64(payload[16:]))
+		n := binary.LittleEndian.Uint64(payload[16:])
 		payload = payload[aggrEntryOverhead:]
-		if n < 0 || n > len(payload) {
-			return nil
+		if n > uint64(len(payload)) {
+			return false
 		}
-		subs = append(subs, aggrSub{tag: tag, seq: seq, data: payload[:n]})
 		payload = payload[n:]
 	}
-	return subs
+	return true
+}
+
+// splitAggr returns the first entry of a train validAggr accepted and the
+// entries after it. data aliases train.
+func splitAggr(train []byte) (tag int, seq uint64, data, rest []byte) {
+	tag = int(int64(binary.LittleEndian.Uint64(train[0:])))
+	seq = binary.LittleEndian.Uint64(train[8:])
+	n := binary.LittleEndian.Uint64(train[16:])
+	train = train[aggrEntryOverhead:]
+	return tag, seq, train[:n:n], train[n:]
 }

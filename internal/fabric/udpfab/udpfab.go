@@ -207,6 +207,13 @@ type Endpoint struct {
 	mu        sync.Mutex
 	peers     []*peerState // indexed by rank, created on first contact
 	peerAddrs map[int]string
+	// freeFrames recycles window frames (guarded by mu): Send draws one
+	// per datagram, and a frame comes back where it retires — acked in
+	// applyAckLocked, or abandoned by Close.
+	freeFrames []*outFrame
+	// ackBuf is the one pure-ack datagram sendAckLocked seals and writes
+	// (guarded by mu); the socket write copies it into the kernel.
+	ackBuf [dgHeaderBytes]byte
 
 	lost  atomic.Uint64
 	state atomic.Int32  // 0 open, 1 closed
@@ -369,7 +376,6 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	size := dgHeaderBytes + fabric.EncodedSize(p)
 	buf := bufpool.Get(size)[:dgHeaderBytes]
 	buf = fabric.AppendPacket(buf, p)
-	f := &outFrame{buf: buf}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -385,6 +391,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 			return err
 		}
 	}
+	f := e.newFrameLocked(buf)
 	f.seq = ps.nextSeq
 	ps.nextSeq++
 	f.backoff = e.rtoLocked(ps)
@@ -397,6 +404,31 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 		ps.pending = append(ps.pending, f)
 	}
 	return nil
+}
+
+// newFrameLocked wraps a sealed-to-be datagram in a window frame from
+// the freelist. Caller holds e.mu.
+func (e *Endpoint) newFrameLocked(buf []byte) *outFrame {
+	var f *outFrame
+	if n := len(e.freeFrames); n > 0 {
+		f = e.freeFrames[n-1]
+		e.freeFrames = e.freeFrames[:n-1]
+	} else {
+		f = new(outFrame)
+	}
+	f.buf = buf
+	return f
+}
+
+// retireLocked returns a frame that left the window for good — acked or
+// abandoned — to the pools: its datagram to bufpool, the frame to the
+// freelist, which keeps at most one window's worth. Caller holds e.mu.
+func (e *Endpoint) retireLocked(f *outFrame) {
+	bufpool.Put(f.buf)
+	*f = outFrame{}
+	if len(e.freeFrames) < e.window {
+		e.freeFrames = append(e.freeFrames, f)
+	}
 }
 
 // peer returns rank's state, creating it on first contact. Caller holds
@@ -462,7 +494,7 @@ func (e *Endpoint) sendAckLocked(ps *peerState) {
 	if ps.rxSess == 0 {
 		return // nothing ever received: nothing to ack
 	}
-	var b [dgHeaderBytes]byte
+	b := &e.ackBuf
 	h := dgHeader{
 		dtype:      dgAck,
 		src:        e.self,
@@ -711,7 +743,7 @@ func (e *Endpoint) applyAckLocked(ps *peerState, cum, sack uint64) {
 	for s := ps.txBase; s <= cum; s++ {
 		if f := ps.flight[s]; f != nil {
 			delete(ps.flight, s)
-			bufpool.Put(f.buf)
+			e.retireLocked(f)
 			retired++
 		}
 	}
@@ -724,7 +756,7 @@ func (e *Endpoint) applyAckLocked(ps *peerState, cum, sack uint64) {
 		}
 		if f := ps.flight[cum+1+i]; f != nil {
 			delete(ps.flight, cum+1+i)
-			bufpool.Put(f.buf)
+			e.retireLocked(f)
 			retired++
 		}
 	}
@@ -882,12 +914,12 @@ func (e *Endpoint) Close() error {
 		for s, f := range ps.flight {
 			delete(ps.flight, s)
 			e.lost.Add(1)
-			bufpool.Put(f.buf)
+			e.retireLocked(f)
 		}
 		for i, f := range ps.pending {
 			ps.pending[i] = nil
 			e.lost.Add(1)
-			bufpool.Put(f.buf)
+			e.retireLocked(f)
 		}
 		ps.pending = nil
 	}

@@ -14,20 +14,9 @@ import (
 	"pioman/internal/testenv"
 )
 
-// engineRoundTripAllocs measures the steady-state malloc count of a
-// size-byte round trip through the full engine (Isend/Irecv, strategy
-// queue or rendezvous handshake, nic driver, transport, matching,
-// delivery) over the named real rail — "shm" (shared-memory rings) or
-// "tcp" (loopback sockets) — with or without a telemetry registry
-// attached. It runs the Sequential engine — progress is driven inline by
-// the two communicating threads, so there are no background progress
-// workers allocating on their own schedule — and measures the
-// process-wide malloc count around a long measured window, which charges
-// BOTH ranks' halves of every exchange to the budget. Since the engine's
-// progress passes drain arrivals through the batched receive path
-// (PollBatch into the engine's construction-sized batch buffer), this
-// also pins that the batched path stays on budget.
-func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry, rail string, size int) float64 {
+// sequentialWorld opens a two-rank Sequential world over the named real
+// rail — "shm" (shared-memory rings) or "tcp" (loopback sockets).
+func sequentialWorld(t *testing.T, reg *telemetry.Registry, rail string) *mpi.World {
 	t.Helper()
 	var f fabric.Fabric
 	var params nic.Params
@@ -45,14 +34,31 @@ func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry, rail string, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mpi.Config{
+	return mpi.NewWorld(mpi.Config{
 		Nodes:   2,
 		Mode:    core.Sequential,
 		MX:      params,
 		Fabrics: map[string]fabric.Fabric{params.Name: f},
 		Metrics: reg,
-	}
-	w := mpi.NewWorld(cfg)
+	})
+}
+
+// engineRoundTripAllocs measures the steady-state malloc count of a
+// size-byte round trip through the full engine (Isend/Irecv, strategy
+// queue or rendezvous handshake, nic driver, transport, matching,
+// delivery) over the named real rail — "shm" (shared-memory rings) or
+// "tcp" (loopback sockets) — with or without a telemetry registry
+// attached. It runs the Sequential engine — progress is driven inline by
+// the two communicating threads, so there are no background progress
+// workers allocating on their own schedule — and measures the
+// process-wide malloc count around a long measured window, which charges
+// BOTH ranks' halves of every exchange to the budget. Since the engine's
+// progress passes drain arrivals through the batched receive path
+// (PollBatch into the engine's construction-sized batch buffer), this
+// also pins that the batched path stays on budget.
+func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry, rail string, size int) float64 {
+	t.Helper()
+	w := sequentialWorld(t, reg, rail)
 	defer w.Close()
 
 	const (
@@ -157,6 +163,83 @@ func TestEngineRendezvousRoundTripAllocs(t *testing.T) {
 			t.Logf("engine 256KiB rendezvous round trip over %s: %.2f allocs/op (budget %.1f)", rail, perOp, engineAllocBudget)
 			if perOp > engineAllocBudget {
 				t.Errorf("engine 256KiB rendezvous round trip over %s allocates %.2f/op, budget %.1f", rail, perOp, engineAllocBudget)
+			}
+		})
+	}
+}
+
+// TestEngineAggregatedWindowAllocs holds the default aggregating
+// submission path to the zero-allocation budget, per message: rank 0
+// posts 32 × 64 B Isends and then waits on them, so each window leaves
+// as aggregated trains (a pooled train encode the rail's release returns
+// on the send side; an in-place walk and a released frame on the
+// receive side), and rank 1 receives the window and returns a one-byte
+// credit. Stats().Aggregated must move, so the budget cannot be met by
+// windows that silently left one frame per message.
+func TestEngineAggregatedWindowAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		window    = 32
+		size      = 64
+		warm      = 50
+		meas      = 300
+		tagData   = 7
+		tagCredit = 8
+		budget    = 0.05
+	)
+	for _, rail := range []string{"shm", "tcp"} {
+		t.Run(rail, func(t *testing.T) {
+			w := sequentialWorld(t, nil, rail)
+			defer w.Close()
+			var perMsg float64
+			w.RunAll(func(p *mpi.Proc) {
+				var credit [1]byte
+				p.Barrier()
+				if p.Rank() == 0 {
+					data := make([]byte, size)
+					reqs := make([]*core.SendReq, window)
+					var m0, m1 runtime.MemStats
+					for it := 0; it < warm+meas; it++ {
+						if it == warm {
+							runtime.ReadMemStats(&m0)
+						}
+						for k := range reqs {
+							reqs[k] = p.Isend(1, tagData, data)
+						}
+						for _, r := range reqs {
+							p.WaitSend(r)
+							r.Release()
+						}
+						p.Recv(1, tagCredit, credit[:])
+					}
+					runtime.ReadMemStats(&m1)
+					perMsg = float64(m1.Mallocs-m0.Mallocs) / (meas * window)
+				} else {
+					bufs := make([][size]byte, window)
+					reqs := make([]*core.RecvReq, window)
+					for it := 0; it < warm+meas; it++ {
+						for k := range reqs {
+							reqs[k] = p.Irecv(0, tagData, bufs[k][:])
+						}
+						for _, r := range reqs {
+							p.WaitRecv(r)
+							r.Release()
+						}
+						p.Send(0, tagCredit, credit[:])
+					}
+				}
+				p.Barrier()
+			})
+			st := w.Node(0).Eng.Stats()
+			t.Logf("engine %d x %d B window over %s: %.4f allocs/msg (budget %.2f), %d of %d eager submits aggregated",
+				window, size, rail, perMsg, budget, st.Aggregated, st.EagerSubmits)
+			if st.Aggregated == 0 {
+				t.Fatal("no message left inside an aggregated train")
+			}
+			if perMsg > budget {
+				t.Errorf("aggregated window over %s allocates %.4f/msg, budget %.2f", rail, perMsg, budget)
 			}
 		})
 	}

@@ -514,7 +514,11 @@ func (d *Driver) SendData(h Header, offset int, payload []byte) {
 // SendAggr transmits an aggregated train of eager packs as one wire packet
 // (the optimizer's data-aggregation strategy). The payload is the encoded
 // train; the caller's core pays the same copy cost the individual packs
-// would have (they are copied into one registered buffer).
+// would have (they are copied into one registered buffer). payload must
+// be a fabric buffer-pool borrow, and the driver takes ownership of it
+// like sendRTS does: the packet is flagged Pooled, so whoever releases it
+// — send on a capturing rail, the receiving engine over the simulator —
+// returns the buffer.
 func (d *Driver) SendAggr(h Header, payload []byte) {
 	ptime.SpinFor(d.p.Cost.SubmitOverhead)
 	d.p.Cost.ChargeCopy(len(payload))
@@ -523,7 +527,7 @@ func (d *Driver) SendAggr(h Header, payload []byte) {
 	d.eagerBytes.Add(uint64(len(payload)))
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktAggr, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.Payload = h.Seq, h.MsgID, payload
+	p.Seq, p.MsgID, p.Payload, p.Pooled = h.Seq, h.MsgID, payload, true
 	p.WireLen = len(payload) + HeaderBytes
 	d.send(p)
 }

@@ -60,8 +60,9 @@ type Scheduler struct {
 	machine topo.Machine
 	cfg     Config
 
-	taskletMu sync2.SpinLock
-	tasklets  []*Tasklet
+	taskletMu   sync2.SpinLock
+	tasklets    []*Tasklet
+	taskletHead int
 
 	runq chan *Thread
 
@@ -156,8 +157,13 @@ func (s *Scheduler) ScheduleFunc(name string, fn func(core topo.CoreID)) {
 	s.Schedule(NewTasklet(name, fn))
 }
 
+// enqueueTasklet and popTasklet keep the tasklet queue head-indexed, like
+// the engine's strategy queue: re-slicing past a popped head would give
+// up the array's front, so a queue that empties and refills once per
+// kick would allocate a fresh array every time.
 func (s *Scheduler) enqueueTasklet(t *Tasklet) {
 	s.taskletMu.Lock()
+	s.tasklets, s.taskletHead = sync2.CompactQueue(s.tasklets, s.taskletHead)
 	s.tasklets = append(s.tasklets, t)
 	s.taskletMu.Unlock()
 }
@@ -165,11 +171,14 @@ func (s *Scheduler) enqueueTasklet(t *Tasklet) {
 func (s *Scheduler) popTasklet() *Tasklet {
 	s.taskletMu.Lock()
 	defer s.taskletMu.Unlock()
-	if len(s.tasklets) == 0 {
+	if s.taskletHead == len(s.tasklets) {
 		return nil
 	}
-	t := s.tasklets[0]
-	s.tasklets = s.tasklets[1:]
+	t := s.tasklets[s.taskletHead]
+	s.tasklets[s.taskletHead] = nil
+	if s.taskletHead++; s.taskletHead == len(s.tasklets) {
+		s.tasklets, s.taskletHead = s.tasklets[:0], 0
+	}
 	return t
 }
 
@@ -267,7 +276,7 @@ func (s *Scheduler) idlePhase(core topo.CoreID, idleTimer *time.Timer) bool {
 		}
 		// Higher-priority work preempts the idle phase.
 		s.taskletMu.Lock()
-		hasTasklet := len(s.tasklets) > 0
+		hasTasklet := len(s.tasklets) > s.taskletHead
 		s.taskletMu.Unlock()
 		if hasTasklet || len(s.runq) > 0 || s.stopped.Load() {
 			return true

@@ -77,8 +77,9 @@ func WithMachine(sockets, coresPerSocket int) Option {
 	}
 }
 
-// WithStrategy selects the optimizer strategy: "fifo" (default),
-// "aggreg" (small-message aggregation) or "multirail".
+// WithStrategy selects the optimizer strategy: "aggreg" (default:
+// small-message aggregation — a run of ready sends to one peer leaves as
+// one frame), "fifo" (one frame per send) or "multirail".
 func WithStrategy(name string) Option {
 	return func(o *options) { o.cfg.Strategy = name }
 }
