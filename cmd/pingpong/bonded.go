@@ -91,10 +91,7 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 		fmt.Fprintf(os.Stderr, "pingpong: %v\n", err)
 		return 1
 	}
-	sep, err := shmfab.New(shmfab.Config{
-		Self: rank, Nodes: 2, Dir: shmDir,
-		NoBusyPoll: true, // matches NoIdlePolling below
-	})
+	sep, err := shmfab.New(shmfab.Config{Self: rank, Nodes: 2, Dir: shmDir})
 	if err != nil {
 		tep.Close()
 		fmt.Fprintf(os.Stderr, "pingpong: %v\n", err)

@@ -271,12 +271,7 @@ func runReal(listen, connect, shmDir, udpAddr string, cfgRank int, quick bool, m
 	case shmDir != "":
 		rank = cfgRank
 		rail = nic.ShmParams()
-		ep, err = shmfab.New(shmfab.Config{
-			Self: rank, Nodes: 2, Dir: shmDir,
-			// Matches the engine's NoIdlePolling below: on a host
-			// without spare cores, spinning on a ring starves the peer.
-			NoBusyPoll: true,
-		})
+		ep, err = shmfab.New(shmfab.Config{Self: rank, Nodes: 2, Dir: shmDir})
 		if err == nil {
 			fmt.Printf("pingpong: rank %d on shared-memory rings in %s\n", rank, shmDir)
 		}

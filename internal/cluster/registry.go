@@ -28,13 +28,13 @@ import (
 const (
 	// DefaultHeartbeatInterval is how often each rank beats.
 	DefaultHeartbeatInterval = 100 * time.Millisecond
-	// DefaultMissedHeartbeats is how many intervals of silence cost a
-	// rank its liveness: deadline = interval × missed.
-	DefaultMissedHeartbeats = 3
-	// DefaultFlapLimit is how many joins one rank may perform before the
+	// missedHeartbeats is how many intervals of silence cost a rank its
+	// liveness: deadline = interval × missed.
+	missedHeartbeats = 3
+	// defaultFlapLimit is how many joins one rank may perform before the
 	// registry bans it — a rank that keeps crashing and rejoining churns
 	// every survivor's membership view for no benefit.
-	DefaultFlapLimit = 4
+	defaultFlapLimit = 4
 	// DefaultJoinTimeout bounds how long a join waits for the world to
 	// form before giving up.
 	DefaultJoinTimeout = 30 * time.Second
@@ -78,12 +78,10 @@ type Config struct {
 	// HeartbeatInterval is the expected beat cadence (zero selects
 	// DefaultHeartbeatInterval); the liveness deadline derives from it.
 	HeartbeatInterval time.Duration
-	// MissedHeartbeats is how many silent intervals kill a rank (zero
-	// selects DefaultMissedHeartbeats).
-	MissedHeartbeats int
-	// FlapLimit bans a rank after this many joins (zero selects
-	// DefaultFlapLimit; negative disables banning).
-	FlapLimit int
+	// flapLimit bans a rank after this many joins (zero selects
+	// defaultFlapLimit; negative disables banning). Only this package's
+	// tests set another value.
+	flapLimit int
 }
 
 // member is one rank's registration state.
@@ -105,7 +103,6 @@ type Registry struct {
 	banned  map[int]bool
 	formed  chan struct{} // closed once all Nranks joined
 	epoch   atomic.Uint64
-	deaths  atomic.Uint64
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -123,11 +120,8 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = DefaultHeartbeatInterval
 	}
-	if cfg.MissedHeartbeats <= 0 {
-		cfg.MissedHeartbeats = DefaultMissedHeartbeats
-	}
-	if cfg.FlapLimit == 0 {
-		cfg.FlapLimit = DefaultFlapLimit
+	if cfg.flapLimit == 0 {
+		cfg.flapLimit = defaultFlapLimit
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -154,10 +148,6 @@ func (r *Registry) Addr() string { return r.ln.Addr().String() }
 // bumped on every membership change afterwards (formation, death,
 // revival, ban).
 func (r *Registry) Epoch() uint64 { return r.epoch.Load() }
-
-// Deaths returns how many rank deaths the liveness sweeper (or explicit
-// leaves) declared.
-func (r *Registry) Deaths() uint64 { return r.deaths.Load() }
 
 // Snapshot returns the current epoch, the count of registered live
 // ranks, and the sorted dead set — the registry-side view nmtop and the
@@ -235,7 +225,7 @@ func (r *Registry) join(req request) response {
 	r.mu.Lock()
 	if r.banned[req.Rank] {
 		r.mu.Unlock()
-		return response{Error: fmt.Sprintf("rank %d is banned (join/leave churn exceeded %d joins)", req.Rank, r.cfg.FlapLimit)}
+		return response{Error: fmt.Sprintf("rank %d is banned (join/leave churn exceeded %d joins)", req.Rank, r.cfg.flapLimit)}
 	}
 	m := r.members[req.Rank]
 	if m == nil {
@@ -244,15 +234,14 @@ func (r *Registry) join(req request) response {
 	} else {
 		// Rejoin: a respawned (or flapping) incarnation of a known rank.
 		m.joins++
-		if r.cfg.FlapLimit > 0 && m.joins > r.cfg.FlapLimit {
+		if r.cfg.flapLimit > 0 && m.joins > r.cfg.flapLimit {
 			r.banned[req.Rank] = true
 			if !r.dead[req.Rank] {
 				r.dead[req.Rank] = true
-				r.deaths.Add(1)
 			}
 			r.bumpEpoch()
 			r.mu.Unlock()
-			return response{Error: fmt.Sprintf("rank %d is banned (join/leave churn exceeded %d joins)", req.Rank, r.cfg.FlapLimit)}
+			return response{Error: fmt.Sprintf("rank %d is banned (join/leave churn exceeded %d joins)", req.Rank, r.cfg.flapLimit)}
 		}
 		if r.dead[req.Rank] {
 			// Revival: the respawned rank rejoins the membership.
@@ -321,7 +310,6 @@ func (r *Registry) leave(req request) response {
 	}
 	if !r.dead[req.Rank] {
 		r.dead[req.Rank] = true
-		r.deaths.Add(1)
 		r.bumpEpoch()
 	}
 	return response{OK: true}
@@ -333,7 +321,7 @@ func (r *Registry) leave(req request) response {
 // trickling in and nobody owes heartbeats yet.
 func (r *Registry) sweep() {
 	defer r.wg.Done()
-	deadline := r.cfg.HeartbeatInterval * time.Duration(r.cfg.MissedHeartbeats)
+	deadline := r.cfg.HeartbeatInterval * missedHeartbeats
 	tick := time.NewTicker(r.cfg.HeartbeatInterval / 2)
 	defer tick.Stop()
 	for !r.closed.Load() {
@@ -350,7 +338,6 @@ func (r *Registry) sweep() {
 				continue
 			}
 			r.dead[rank] = true
-			r.deaths.Add(1)
 			r.bumpEpoch()
 		}
 		r.mu.Unlock()

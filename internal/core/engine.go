@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -103,11 +102,6 @@ type Config struct {
 	// defaultMaxPendingRdv; unexported because no caller outside this
 	// package's tests ever needed another value.
 	maxPendingRdvPerPeer int
-	// WaitSpin bounds inline polling in Wait before blocking on the
-	// completion flag. Zero selects the host-tuned default,
-	// AutoWaitSpin(false); the mpi layer passes its NoIdlePolling flag
-	// through so real-transport worlds spin less.
-	WaitSpin time.Duration
 	// Trace, if non-nil, records engine events.
 	Trace *trace.Recorder
 	// Metrics, if non-nil, registers the engine's counters, latency
@@ -160,8 +154,9 @@ type Stats struct {
 	PeerDead   uint64
 	ReqsFailed uint64
 	// FramesDropped counts inbound frames discarded unprocessed: a source
-	// rank outside the world, or a matchable frame from a rank currently
-	// declared dead.
+	// rank outside the world, a control frame (nothing in the engine
+	// consumes one), or a matchable frame from a rank currently declared
+	// dead.
 	FramesDropped uint64
 }
 
@@ -181,12 +176,11 @@ type Stats struct {
 // biglock (Sequential mode only) wraps whole library calls and is the
 // outermost. pollLock, submitLock and maintLock are only ever TryLocked
 // — a contending core moves on instead of waiting — so they cannot
-// deadlock whatever the nesting; in practice a pollLock holder may try
-// submitLock (a control handler posting a send) and maintLock is tried
-// with neither held. qlock and wokenMu are the two blocking leaves:
-// neither is held while acquiring any other lock, and nothing that can
-// block or run long (a rail send, a payload copy, a request completion,
-// which wakes threads) happens under them. The atomics read without any
+// deadlock whatever the nesting; in practice maintLock is tried with
+// neither of the other two held. qlock and wokenMu are the two blocking
+// leaves: neither is held while acquiring any other lock, and nothing
+// that can block or run long (a rail send, a payload copy, a request
+// completion, which wakes threads) happens under them. The atomics read without any
 // lock are named where they are declared.
 type Engine struct {
 	node  int
@@ -194,7 +188,11 @@ type Engine struct {
 	sch   *sched.Scheduler
 	srv   *piom.Server
 	rails []*nic.Driver
-	strat strategy
+	// aggregate and stripe are Config.Strategy, resolved once by
+	// parseStrategy: whether a submission train takes the same-destination
+	// run at the send queue's head, and whether large rendezvous payloads
+	// stripe across rails.
+	aggregate, stripe bool
 	// goroutineFed is set when any rail's arrivals are read by a
 	// goroutine of its endpoint (nic.Driver.GoroutineFed): a Wait loop
 	// then follows every unworked pass with runtime.Gosched, because the
@@ -202,11 +200,12 @@ type Engine struct {
 	// processor. Fixed at construction.
 	goroutineFed bool
 
-	// qlock protects the matching lists, the strategy queue and every
-	// peer's protocol state. Critical sections are short (list
+	// qlock protects the matching lists, the send queue and every peer's
+	// protocol state. Critical sections are short (list
 	// manipulation only); long operations (copies, submissions) run
 	// outside it.
 	qlock      sync2.SpinLock
+	sendq      sendQueue
 	posted     []*RecvReq
 	unexpected []*arrival
 	// peers is indexed by rank and never resized, so &e.peers[r] is
@@ -249,10 +248,6 @@ type Engine struct {
 	// trains in; every user holds submitLock, so one buffer serves the
 	// engine and steady-state submission stays allocation-free.
 	trainBuf []*SendReq
-	// mtuOf is the per-destination MTU lookup handed to the strategy,
-	// built once: allocating the closure per dequeue would put one heap
-	// object on every polling pass.
-	mtuOf func(dst int) int
 
 	// biglock is the Sequential baseline's library-wide mutex: classical
 	// thread-safe engines serialize every library call behind one lock
@@ -260,8 +255,6 @@ type Engine struct {
 	// so concurrent threads of one node contend on it. Unused in
 	// Multithreaded mode.
 	biglock sync2.SpinLock
-
-	ctrlHandler atomic.Pointer[func(*wire.Packet)]
 
 	// railFilter, when non-empty, restricts rendezvous data placement to
 	// the named rail (ForceDataRail) — a measurement hook, not a routing
@@ -333,9 +326,6 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		}
 		world = max(world, r.Endpoint().Nodes())
 	}
-	if cfg.WaitSpin <= 0 {
-		cfg.WaitSpin = AutoWaitSpin(false)
-	}
 	if cfg.MultirailMin <= 0 {
 		cfg.MultirailMin = 128 << 10
 	}
@@ -369,8 +359,7 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 	for _, r := range rails {
 		e.goroutineFed = e.goroutineFed || r.GoroutineFed()
 	}
-	e.strat = newStrategy(cfg.Strategy)
-	e.mtuOf = func(dst int) int { return e.railFor(dst).MTU() }
+	e.aggregate, e.stripe = parseStrategy(cfg.Strategy)
 	if cfg.Metrics != nil {
 		e.tel = newEngineTelemetry(cfg.Metrics, e)
 		e.registerRails(cfg.Metrics)
@@ -379,28 +368,6 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		srv.Register(e)
 	}
 	return e
-}
-
-// AutoWaitSpin returns the Wait spin budget tuned to the host shape —
-// the "real-mode latency tuning" knob. On machines with cores to burn
-// (≥4 CPUs) a tight 300µs spin catches the common few-µs completion
-// without a scheduler round trip. On small hosts, or whenever the
-// caller runs with NoIdlePolling, the budget is 50µs, then the thread
-// blocks and releases its core. What the short budget protects depends
-// on the rail. On one that polls for itself (shmfab) the spinner never
-// leaves its processor, so every µs past the common completion time is
-// taken from the peer rank or a computing sibling thread. On a
-// goroutine-fed rail (tcpfab, udpfab) the spin is cooperative — Wait
-// yields after every unworked pass, so the goroutine that reads the
-// socket runs inside the budget and the frame usually arrives well
-// before it ends; there the budget only bounds how long a wait for a
-// genuinely late message keeps a processor cycling through yields.
-// Config.WaitSpin overrides it.
-func AutoWaitSpin(noIdlePolling bool) time.Duration {
-	if noIdlePolling || runtime.NumCPU() < 4 {
-		return 50 * time.Microsecond
-	}
-	return 300 * time.Microsecond
 }
 
 // tracing reports whether an event recorder is attached. Hot paths
@@ -417,16 +384,6 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
 // Scheduler returns the node's scheduler.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sch }
-
-// SetCtrlHandler installs the callback for control packets (used by the
-// MPI layer's collectives). The handler runs on the polling core.
-func (e *Engine) SetCtrlHandler(h func(*wire.Packet)) {
-	if h == nil {
-		e.ctrlHandler.Store(nil)
-		return
-	}
-	e.ctrlHandler.Store(&h)
-}
 
 // defaultRail returns the inter-node rail.
 func (e *Engine) defaultRail() *nic.Driver { return e.rails[0] }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric/bufpool"
+	"pioman/internal/fabric/simfab"
 	"pioman/internal/nic"
 	"pioman/internal/piom"
 	"pioman/internal/sched"
@@ -97,7 +98,7 @@ func newCluster(t testing.TB, n int, opts ...clusterOpt) *testCluster {
 		}
 		var rails []*nic.Driver
 		for _, rp := range params.railsFn(node) {
-			rails = append(rails, nic.NewSim(rp, params.fabrics[rp.Name], node))
+			rails = append(rails, simRail(rp, params.fabrics[rp.Name], node))
 		}
 		eng := New(node, sch, srv, rails, Config{
 			Mode:                 params.mode,
@@ -302,7 +303,8 @@ func TestTagSelectivity(t *testing.T) {
 	c.run(0, func(th *sched.Thread) {
 		a := c.Nodes[0].Eng.Isend(1, 1, []byte("tag one"))
 		b := c.Nodes[0].Eng.Isend(1, 2, []byte("tag two"))
-		c.Nodes[0].Eng.WaitAll(th, a.Req(), b.Req())
+		c.Nodes[0].Eng.WaitSend(a, th)
+		c.Nodes[0].Eng.WaitSend(b, th)
 	})
 	buf2 := make([]byte, 16)
 	buf1 := make([]byte, 16)
@@ -491,24 +493,23 @@ func TestMultirailSplitsLargeData(t *testing.T) {
 }
 
 // TestMultirailIsNotFifoAlias pins the bugfix for the strategy table:
-// "multirail" used to resolve to a renamed fifoStrategy, silently running
-// every multirail experiment on FIFO placement. It must resolve to the
-// dedicated implementation, and names the table does not know must stay
-// a hard error rather than degrade to some default.
+// "multirail" used to resolve to a renamed fifo policy, silently running
+// every multirail experiment on FIFO placement. It must engage striping
+// (and fifo must not), and names the table does not know must stay a
+// hard error rather than degrade to some default.
 func TestMultirailIsNotFifoAlias(t *testing.T) {
-	s := newStrategy("multirail")
-	if _, ok := s.(*multirailStrategy); !ok {
-		t.Fatalf("newStrategy(\"multirail\") = %T, want *multirailStrategy", s)
+	if _, stripe := parseStrategy("multirail"); !stripe {
+		t.Fatal("parseStrategy(\"multirail\") does not stripe")
 	}
-	if _, ok := newStrategy("fifo").(*fifoStrategy); !ok {
-		t.Fatal("newStrategy(\"fifo\") is not the fifo implementation")
+	if _, stripe := parseStrategy("fifo"); stripe {
+		t.Fatal("parseStrategy(\"fifo\") stripes")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown strategy name did not panic")
 		}
 	}()
-	newStrategy("multi-rail") // a plausible typo must fail loudly
+	parseStrategy("multi-rail") // a plausible typo must fail loudly
 }
 
 // TestMultirailWeightProportion: striping must follow the rails' declared
@@ -741,23 +742,6 @@ func TestSelfSendViaShm(t *testing.T) {
 	}
 }
 
-func TestCtrlHandler(t *testing.T) {
-	c := newCluster(t, 2)
-	got := make(chan byte, 1)
-	c.Nodes[1].Eng.SetCtrlHandler(func(p *wire.Packet) {
-		got <- p.Payload[0]
-	})
-	c.Nodes[0].Eng.defaultRail().SendCtrl(nic.Header{Src: 0, Dst: 1, Tag: -1}, []byte{55})
-	select {
-	case b := <-got:
-		if b != 55 {
-			t.Fatalf("ctrl payload = %d", b)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("ctrl packet never handled")
-	}
-}
-
 func TestBlockingFallbackDeliversWhileCoresBusy(t *testing.T) {
 	c := newCluster(t, 2, withCores(1), withBlockingFallback())
 	// Hog node 1's only core with computation; progression must come from
@@ -908,8 +892,17 @@ func TestEngineValidation(t *testing.T) {
 			}
 		}()
 		fab := wire.NewFabric(2, wire.MYRI10G())
-		New(0, sch, nil, []*nic.Driver{nic.NewSim(nic.MXParams(), fab, 1)}, Config{})
+		New(0, sch, nil, []*nic.Driver{simRail(nic.MXParams(), fab, 1)}, Config{})
 	}()
+}
+
+// simRail is node's driver for rail p over the wire simulator w.
+func simRail(p nic.Params, w *wire.Fabric, node int) *nic.Driver {
+	ep, err := simfab.New(w).Endpoint(node)
+	if err != nil {
+		panic(err)
+	}
+	return nic.New(p, ep)
 }
 
 func TestUnknownStrategyPanics(t *testing.T) {
@@ -918,7 +911,7 @@ func TestUnknownStrategyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newStrategy("bogus")
+	parseStrategy("bogus")
 }
 
 func TestModeString(t *testing.T) {
@@ -1046,63 +1039,68 @@ func TestDecodeAggrCorruption(t *testing.T) {
 	}
 }
 
+// TestStrategyNames pins the name → policy table parseStrategy resolves
+// once at construction.
 func TestStrategyNames(t *testing.T) {
-	for name, want := range map[string]string{
-		"":          "aggreg",
-		"fifo":      "fifo",
-		"aggreg":    "aggreg",
-		"multirail": "multirail",
+	type policy struct{ aggregate, stripe bool }
+	for name, want := range map[string]policy{
+		"":          {aggregate: true},
+		"aggreg":    {aggregate: true},
+		"fifo":      {},
+		"multirail": {stripe: true},
 	} {
-		if got := newStrategy(name).Name(); got != want {
-			t.Errorf("newStrategy(%q).Name() = %q, want %q", name, got, want)
+		var got policy
+		got.aggregate, got.stripe = parseStrategy(name)
+		if got != want {
+			t.Errorf("parseStrategy(%q) = %+v, want %+v", name, got, want)
 		}
 	}
 }
 
 func TestFifoDequeueOrder(t *testing.T) {
-	s := newStrategy("fifo")
+	var s sendQueue
 	for i := 0; i < 5; i++ {
-		s.Enqueue(&SendReq{dst: 1, seq: uint64(i)})
+		s.push(&SendReq{dst: 1, seq: uint64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		tr := s.Dequeue(func(int) int { return 1 << 20 }, nil)
+		tr := s.take(nil, false, 1<<20)
 		if len(tr) != 1 || tr[0].seq != uint64(i) {
 			t.Fatalf("dequeue %d: got %+v", i, tr)
 		}
 	}
-	if s.Head() != nil || s.Dequeue(func(int) int { return 1 }, nil) != nil {
+	if s.peek() != nil {
 		t.Fatal("drained queue still pending")
 	}
 }
 
 func TestAggrDequeueRespectsMTUAndDst(t *testing.T) {
-	s := newStrategy("aggreg")
+	var s sendQueue
 	// Three packs to dst 1 of 100B each, then one to dst 2.
 	for i := 0; i < 3; i++ {
-		s.Enqueue(&SendReq{dst: 1, seq: uint64(i), data: make([]byte, 100)})
+		s.push(&SendReq{dst: 1, seq: uint64(i), data: make([]byte, 100)})
 	}
-	s.Enqueue(&SendReq{dst: 2, seq: 99, data: make([]byte, 100)})
+	s.push(&SendReq{dst: 2, seq: 99, data: make([]byte, 100)})
 	// Every entry costs 24B header + 100B payload; MTU fits exactly three.
-	tr := s.Dequeue(func(int) int { return 3 * (24 + 100) }, nil)
+	tr := s.take(nil, true, 3*(24+100))
 	if len(tr) != 3 {
 		t.Fatalf("train len = %d, want 3 same-dst packs", len(tr))
 	}
-	tr2 := s.Dequeue(func(int) int { return 1 << 20 }, nil)
+	tr2 := s.take(nil, true, 1<<20)
 	if len(tr2) != 1 || tr2[0].dst != 2 {
 		t.Fatalf("second train %+v, want the dst-2 pack", tr2)
 	}
 }
 
 func TestAggrStopsAtDifferentDst(t *testing.T) {
-	s := newStrategy("aggreg")
-	s.Enqueue(&SendReq{dst: 1, data: make([]byte, 10)})
-	s.Enqueue(&SendReq{dst: 2, data: make([]byte, 10)})
-	s.Enqueue(&SendReq{dst: 1, data: make([]byte, 10)})
-	tr := s.Dequeue(func(int) int { return 1 << 20 }, nil)
+	var s sendQueue
+	s.push(&SendReq{dst: 1, data: make([]byte, 10)})
+	s.push(&SendReq{dst: 2, data: make([]byte, 10)})
+	s.push(&SendReq{dst: 1, data: make([]byte, 10)})
+	tr := s.take(nil, true, 1<<20)
 	if len(tr) != 1 || tr[0].dst != 1 {
 		t.Fatalf("first train %+v", tr)
 	}
-	tr = s.Dequeue(func(int) int { return 1 << 20 }, nil)
+	tr = s.take(nil, true, 1<<20)
 	if len(tr) != 1 || tr[0].dst != 2 {
 		t.Fatalf("second train %+v", tr)
 	}

@@ -97,7 +97,8 @@ func TestRespawnedRankRestartsStreams(t *testing.T) {
 // TestRankValidation covers what the per-rank maps used to hide: a frame
 // naming a source outside [0, Nodes) is dropped and counted before it can
 // index a peer, a matchable frame from a dead rank is dropped instead of
-// advancing the zeroed stream, posts naming an out-of-range rank panic
+// advancing the zeroed stream, a control frame — which nothing in the
+// engine sends or consumes — is dropped from any rank, posts naming an out-of-range rank panic
 // with the rank and the world size, and the liveness calls keep ignoring
 // out-of-range ranks.
 func TestRankValidation(t *testing.T) {
@@ -119,6 +120,7 @@ func TestRankValidation(t *testing.T) {
 		{name: "data frame src=Nodes", do: frame(wire.PktData, 3), wantDropped: 1},
 		{name: "ack frame src=-7", do: frame(wire.PktDataAck, -7), wantDropped: 1},
 		{name: "ctrl frame src=Nodes", do: frame(wire.PktCtrl, 3), wantDropped: 1},
+		{name: "ctrl frame in world", do: frame(wire.PktCtrl, 1), wantDropped: 1},
 		{name: "eager frame from dead rank", do: func(e *Engine) {
 			e.MarkPeerDead(2)
 			frame(wire.PktEager, 2)(e)

@@ -197,7 +197,7 @@ func (e *Engine) BlockingWait(timeout time.Duration) bool {
 }
 
 // submitPending grabs the submission lock and drains the ready part of
-// the strategy queue — one train only when bounded. fromApp marks
+// the send queue — one train only when bounded. fromApp marks
 // submissions executed on the posting thread (the baseline path) as
 // opposed to offloaded ones.
 func (e *Engine) submitPending(core topo.CoreID, fromApp, bounded bool) bool {
@@ -244,15 +244,16 @@ func (e *Engine) submitInline(r *SendReq) {
 func (e *Engine) dequeueReady() []*SendReq {
 	e.qlock.Lock()
 	defer e.qlock.Unlock()
-	head := e.strat.Head()
-	if head == nil || !e.railFor(head.dst).CanSubmit(head.dst) {
+	head := e.sendq.peek()
+	if head == nil {
 		return nil
 	}
-	train := e.strat.Dequeue(e.mtuOf, e.trainBuf)
-	if train != nil {
-		e.trainBuf = train
+	rail := e.railFor(head.dst)
+	if !rail.CanSubmit(head.dst) {
+		return nil
 	}
-	return train
+	e.trainBuf = e.sendq.take(e.trainBuf, e.aggregate, rail.MTU())
+	return e.trainBuf
 }
 
 // submitTrain puts one train on the wire and completes its requests.
@@ -300,19 +301,22 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 // The source rank is input from outside the process: a frame naming one
 // outside the world is dropped before anything indexes a peer with it.
 //
+// A control frame is outside input the engine has no use for — nothing
+// in this engine sends one — so it is dropped and counted like a frame
+// from outside the world.
+//
 // Packet ownership ends here: an eager frame rides its arrival and is
 // released once that is processed (possibly later, out of the stash);
-// control frames pass to the installed handler, which becomes their
-// owner; every other frame, an aggregated train included, is released
-// as soon as its handler returns. A train's entries are walked in place
-// and their sub-arrivals borrow the frame only while it is handled: one
-// that a list keeps (the stash, the unexpected pool) first copies its
-// bytes into pooled staging (arrival.own).
+// every other frame, an aggregated train included, is released as soon
+// as its handler returns. A train's entries are walked in place and
+// their sub-arrivals borrow the frame only while it is handled: one that
+// a list keeps (the stash, the unexpected pool) first copies its bytes
+// into pooled staging (arrival.own).
 func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "%v from %d", p.Kind, p.Src)
 	}
-	if !e.inWorld(p.Src) {
+	if !e.inWorld(p.Src) || p.Kind == wire.PktCtrl {
 		e.nDropped.Add(1)
 		fabric.ReleasePacket(p)
 		return
@@ -343,11 +347,6 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 			e.handleMatchable(core, ev)
 			rest = next
 		}
-	case wire.PktCtrl:
-		if h := e.ctrlHandler.Load(); h != nil {
-			(*h)(p)
-		}
-		return
 	case wire.PktRTS:
 		e.handleRTSFrame(rail, core, p)
 	case wire.PktCTS:

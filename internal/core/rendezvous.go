@@ -283,7 +283,7 @@ func (e *Engine) sendRdvData(core topo.CoreID, s *SendReq) {
 		return
 	}
 	lim := rails[0].MaxFrame()
-	if e.strat.Name() != "multirail" && (lim <= 0 || s.Len() <= lim) {
+	if !e.stripe && (lim <= 0 || s.Len() <= lim) {
 		// Single-rail strategies model the classical single-DMA
 		// submission; the simulator's wire does its own fragmenting.
 		rails[0].SendData(h, 0, s.data)
@@ -409,7 +409,7 @@ func (e *Engine) dataRails(dst, size int) []*nic.Driver {
 			}
 		}
 	}
-	if e.strat.Name() != "multirail" || size < e.cfg.MultirailMin || dst == e.node {
+	if !e.stripe || size < e.cfg.MultirailMin || dst == e.node {
 		i := e.railIndex(e.railFor(dst))
 		return e.rails[i : i+1 : i+1]
 	}

@@ -50,7 +50,7 @@ type SendReq struct {
 	msgID uint64 // rendezvous only
 	data  []byte
 	rdv   bool
-	// submitted flags that an eager send left the strategy queue; guarded
+	// submitted flags that an eager send left the send queue; guarded
 	// by the engine's qlock.
 	submitted bool
 	// phase is where a rendezvous send in its peer's unacked window
@@ -232,7 +232,7 @@ func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 	e.qlock.Lock()
 	p.nextSeq++
 	r.seq = p.nextSeq
-	e.strat.Enqueue(r)
+	e.sendq.push(r)
 	e.qlock.Unlock()
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d seq=%d", dst, r.seq)
@@ -318,21 +318,22 @@ func (e *Engine) kick() {
 //
 // The Sequential engine polls inline under the library-wide mutex — that
 // is the only progress it ever makes. The Multithreaded engine spins
-// briefly on the event server (completions usually arrive from another
-// core within a few µs), then genuinely blocks: the thread releases its
-// core — so the freed core's worker starts polling — and Marcel
-// reschedules it when whichever core detects the event sets the
+// briefly on the event server, for the budget the server derived from
+// the host (piom.Server.WaitSpin) — completions usually arrive from
+// another core within a few µs — then genuinely blocks: the thread
+// releases its core — so the freed core's worker starts polling — and
+// Marcel reschedules it when whichever core detects the event sets the
 // completion flag (§3.2: "Pioman unblocks the corresponding thread and
-// asks Marcel to schedule it"). Blocking without releasing the core would
-// deadlock a fully-loaded node: every core would sit in a blocked thread
-// with nobody left to poll.
+// asks Marcel to schedule it"). Blocking without releasing the core
+// would deadlock a fully-loaded node: every core would sit in a blocked
+// thread with nobody left to poll.
 //
 // On a goroutine-fed rail (fabric.GoroutineFed: tcpfab, udpfab) both
 // loops follow a pass that did no work with runtime.Gosched: the frame
 // being waited for is read off its socket by a goroutine of the
 // endpoint, and a waiter that never leaves its processor keeps that
 // goroutine queued until the spin budget runs out. Rails whose poll
-// moves the frames itself are exempt (docs/PERF.md, "Tuning knobs").
+// moves the frames itself are exempt (docs/PERF.md, "Cooperative waits").
 func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 	if req.Completed() {
 		return
@@ -364,7 +365,7 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 		}
 		return
 	}
-	deadline := time.Now().Add(e.cfg.WaitSpin)
+	deadline := time.Now().Add(e.srv.WaitSpin())
 	for !req.Completed() {
 		worked := e.pollUncounted(core)
 		if req.Completed() {
@@ -412,17 +413,3 @@ func (e *Engine) WaitSend(r *SendReq, th *sched.Thread) { e.Wait(&r.req, th) }
 
 // WaitRecv waits for a receive request on the calling thread.
 func (e *Engine) WaitRecv(r *RecvReq, th *sched.Thread) { e.Wait(&r.req, th) }
-
-// WaitAll waits for a set of requests.
-func (e *Engine) WaitAll(th *sched.Thread, reqs ...*piom.Request) {
-	for _, r := range reqs {
-		e.Wait(r, th)
-	}
-}
-
-// Await blocks a plain goroutine (one not scheduled on a simulated core)
-// until req completes. It never drives progress; use it only in
-// Multithreaded mode where background progression is guaranteed.
-func (e *Engine) Await(req *piom.Request, spin time.Duration) {
-	req.Flag().SpinWait(spin)
-}

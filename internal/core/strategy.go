@@ -8,137 +8,95 @@ import (
 	"pioman/internal/sync2"
 )
 
-// strategy is the optimizer of Fig. 3: it owns the queue of waiting
-// eager sends (the figure's "waiting packs" — the requests themselves
-// queue; there is no wrapper to allocate per message) and decides what
-// to put on the wire next. Implementations are called under the engine's
-// qlock and must therefore be allocation-light and non-blocking.
-type strategy interface {
-	Name() string
-	// Enqueue adds a ready eager send.
-	Enqueue(r *SendReq)
-	// Head returns the next send to leave the queue without removing it,
-	// or nil when empty. The engine peeks it to check whether the
-	// destination rail can accept a submission before dequeuing.
-	Head() *SendReq
-	// Dequeue appends the next train to submit — one or more sends for
-	// the same destination — to into (reset to length zero first) and
-	// returns it, or nil when the queue is empty. The caller owns the
-	// returned slice until the next Dequeue, so a reused train buffer
-	// makes steady-state submission allocation-free. mtuOf reports the
-	// payload budget of the rail serving a destination.
-	Dequeue(mtuOf func(dst int) int, into []*SendReq) []*SendReq
-}
-
-// newStrategy resolves a strategy name ("" defaults to aggreg: a window
-// of ready small sends to one peer leaves as one frame, and a lone send
-// still leaves as a plain eager frame; "fifo" remains as the reference
-// row of the strategy ablation). Every name maps to a dedicated
-// implementation and anything else is a hard error: a misspelled
-// strategy must fail loudly at engine construction, not run the whole
-// experiment on a silently substituted policy.
-func newStrategy(name string) strategy {
+// parseStrategy resolves Config.Strategy, once, into the two policies the
+// optimizer of Fig. 3 applies:
+//
+//   - aggregate: a train leaving the send queue is the contiguous
+//     same-destination run at its head, up to the rail MTU — the
+//     data-aggregation optimization of [2] — so a window of ready small
+//     sends to one peer leaves as one frame (a lone send still leaves as
+//     a plain eager frame). Without it every send is its own train.
+//   - stripe: rendezvous payloads at or above Config.MultirailMin are
+//     split across every rail with a positive stripe weight,
+//     proportionally to those weights, in MTU-sized chunks
+//     (Engine.sendRdvData / stripeData).
+//
+// "" and "aggreg" aggregate (the default), "fifo" does neither (the
+// reference row of the strategy ablation), "multirail" stripes and keeps
+// FIFO eager submission (small messages do not benefit from splitting —
+// the per-rail handshakes would dominate). Anything else is a hard error:
+// a misspelled strategy must fail loudly at engine construction, not run
+// the whole experiment on a silently substituted policy.
+func parseStrategy(name string) (aggregate, stripe bool) {
 	switch name {
 	case "fifo":
-		return &fifoStrategy{}
+		return false, false
 	case "", "aggreg", "aggregation":
-		return &aggrStrategy{}
+		return true, false
 	case "multirail":
-		return &multirailStrategy{}
+		return false, true
 	default:
 		panic(fmt.Sprintf("core: unknown strategy %q", name))
 	}
 }
 
-// fifoStrategy submits sends one at a time in post order. The head
-// index (rather than re-slicing q[1:]) keeps the backing array's
-// capacity across enqueue/dequeue cycles, so a steady request stream
-// recycles one array instead of reallocating per send.
-type fifoStrategy struct {
+// sendQueue holds the eager sends waiting for a free rail, in post order
+// (the figure's "waiting packs" — the requests themselves queue; there is
+// no wrapper to allocate per message). The head index (rather than
+// re-slicing q[1:]) keeps the backing array's capacity across
+// enqueue/dequeue cycles, so a steady request stream recycles one array
+// instead of reallocating per send. Guarded by the engine's qlock.
+type sendQueue struct {
 	q    []*SendReq
 	head int
 }
 
-// Name identifies the strategy.
-func (s *fifoStrategy) Name() string { return "fifo" }
-
-func (s *fifoStrategy) Enqueue(r *SendReq) {
+// push appends a ready eager send.
+func (s *sendQueue) push(r *SendReq) {
 	s.q, s.head = sync2.CompactQueue(s.q, s.head)
 	s.q = append(s.q, r)
 }
 
-func (s *fifoStrategy) Head() *SendReq {
+// peek returns the next send to leave the queue without removing it, or
+// nil when empty. The engine checks whether the destination rail can
+// accept a submission before taking the train.
+func (s *sendQueue) peek() *SendReq {
 	if s.head == len(s.q) {
 		return nil
 	}
 	return s.q[s.head]
 }
 
-func (s *fifoStrategy) Dequeue(mtuOf func(int) int, into []*SendReq) []*SendReq {
-	if s.head == len(s.q) {
-		return nil
+// take removes the next train from a non-empty queue and returns it
+// appended to into[:0]: the head send, plus — when aggregate — the run of
+// sends to the same destination right behind it whose aggregated entries
+// fit mtu. Taking only a contiguous run preserves global post order, so
+// per-(src,tag) FIFO matching is unaffected. The caller owns the train
+// until the next take, so a reused train buffer keeps steady-state
+// submission allocation-free.
+func (s *sendQueue) take(into []*SendReq, aggregate bool, mtu int) []*SendReq {
+	hd := s.q[s.head]
+	train := append(into[:0], hd)
+	next := s.head + 1
+	if aggregate {
+		budget := mtu - aggrEntryOverhead - len(hd.data)
+		for ; next < len(s.q); next++ {
+			r := s.q[next]
+			need := aggrEntryOverhead + len(r.data)
+			if r.dst != hd.dst || need > budget {
+				break
+			}
+			train = append(train, r)
+			budget -= need
+		}
 	}
-	train := append(into[:0], s.q[s.head])
-	s.advance(s.head + 1)
-	return train
-}
-
-// advance moves the head to next, dropping the queue's aliases of the
-// sends a train now owns and rewinding to the array's start once empty.
-func (s *fifoStrategy) advance(next int) {
+	// Drop the queue's aliases of the sends the train now owns, and
+	// rewind to the array's start once empty.
 	clear(s.q[s.head:next])
 	s.head = next
 	if s.head == len(s.q) {
 		s.q, s.head = s.q[:0], 0
 	}
-}
-
-// multirailStrategy is the bonded-rails optimizer: eager sends queue in
-// plain post order (small messages do not benefit from splitting — the
-// per-rail handshakes would dominate), while its distinguishing policy
-// lives on the engine's rendezvous data path, keyed off Name(): payloads
-// at or above Config.MultirailMin are striped across every rail with a
-// positive stripe weight, proportionally to those weights, in MTU-sized
-// chunks (Engine.sendRdvData / stripeData). It is a distinct type rather
-// than a renamed fifoStrategy so tests can pin that selecting "multirail"
-// actually engages multirail placement.
-type multirailStrategy struct {
-	fifoStrategy
-}
-
-// Name identifies the strategy; the engine's data-placement path keys off
-// this value.
-func (s *multirailStrategy) Name() string { return "multirail" }
-
-// aggrStrategy coalesces consecutive same-destination sends into one wire
-// packet up to the rail MTU — the data-aggregation optimization of [2].
-// It queues exactly like fifo and differs only in how much a Dequeue
-// takes: a contiguous same-destination run, which preserves global post
-// order, so per-(src,tag) FIFO matching is unaffected.
-type aggrStrategy struct {
-	fifoStrategy
-}
-
-func (s *aggrStrategy) Name() string { return "aggreg" }
-
-func (s *aggrStrategy) Dequeue(mtuOf func(int) int, into []*SendReq) []*SendReq {
-	if s.head == len(s.q) {
-		return nil
-	}
-	hd := s.q[s.head]
-	budget := mtuOf(hd.dst) - aggrEntryOverhead - len(hd.data)
-	train := append(into[:0], hd)
-	i := s.head + 1
-	for ; i < len(s.q); i++ {
-		r := s.q[i]
-		need := aggrEntryOverhead + len(r.data)
-		if r.dst != hd.dst || need > budget {
-			break
-		}
-		train = append(train, r)
-		budget -= need
-	}
-	s.advance(i)
 	return train
 }
 

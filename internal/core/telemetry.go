@@ -64,7 +64,7 @@ func newEngineTelemetry(reg *telemetry.Registry, e *Engine) *engineTelemetry {
 	reg.RegisterCounter(p+".stripe_retunes", "online EWMA stripe-weight adjustments applied", e.nRetunes.Load)
 	reg.RegisterCounter(p+".peer_dead", "peer ranks declared dead (deadline detection or cluster verdict)", e.nPeerDead.Load)
 	reg.RegisterCounter(p+".reqs_failed", "requests completed with ErrPeerDead", e.nReqFailed.Load)
-	reg.RegisterCounter(p+".frames_dropped", "inbound frames dropped (source outside the world, or matchable frame from a dead rank)", e.nDropped.Load)
+	reg.RegisterCounter(p+".frames_dropped", "inbound frames dropped (source outside the world, a control frame, or a matchable frame from a dead rank)", e.nDropped.Load)
 	t := &engineTelemetry{
 		dwell:     reg.Histogram(p+".progress_dwell_ns", "sampled progress-pass duration (ns, 1-in-64 passes)"),
 		park:      reg.Histogram(p+".park_ns", "time parked in the blocking-receive fallback (ns)"),

@@ -1,10 +1,11 @@
-// Package docgate enforces the repo's godoc contract on selected
-// packages: every exported identifier — package, type, function, method
-// on an exported type, const and var — carries a doc comment. It is the
-// small in-tree stand-in for a revive/golint exported-comment check
-// (nothing may be go-installed into this build), run both as a test
-// (internal/docgate's own suite gates internal/fabric, internal/nic and
-// internal/mpi) and as a CI command (tools/docgate).
+// Package docgate enforces the repo's two API contracts. The godoc gate
+// (Missing): every exported identifier of selected packages — package,
+// type, function, method on an exported type, const and var — carries a
+// doc comment. The unused-export gate (Unused): every exported identifier
+// under internal/ has a non-test caller somewhere in the module. It is the
+// small in-tree stand-in for revive/golint and deadcode checks (nothing
+// may be go-installed into this build), run both as a test (internal/
+// docgate's own suite) and as a CI command (tools/docgate).
 package docgate
 
 import (
@@ -169,8 +170,17 @@ func missingInPkg(fset *token.FileSet, pkg *ast.Package) []finding {
 // receiverName returns a method's receiver type name and whether that
 // type is exported; ("", false) for plain functions.
 func receiverName(d *ast.FuncDecl) (string, bool) {
+	if id := receiverIdent(d); id != nil {
+		return id.Name, id.IsExported()
+	}
+	return "", false
+}
+
+// receiverIdent returns the identifier naming a method's receiver type;
+// nil for plain functions.
+func receiverIdent(d *ast.FuncDecl) *ast.Ident {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return "", false
+		return nil
 	}
 	t := d.Recv.List[0].Type
 	for {
@@ -182,9 +192,9 @@ func receiverName(d *ast.FuncDecl) (string, bool) {
 		case *ast.IndexListExpr:
 			t = x.X
 		case *ast.Ident:
-			return x.Name, x.IsExported()
+			return x
 		default:
-			return "", false
+			return nil
 		}
 	}
 }

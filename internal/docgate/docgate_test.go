@@ -100,3 +100,76 @@ const (
 		t.Errorf("false positives on a documented package:\n%s", strings.Join(missing, "\n"))
 	}
 }
+
+// TestNoUnusedExports is the unused-export gate: no exported identifier
+// under internal/ may lack a non-test reference (docgate.Unused), and
+// the allowlist may name nothing that is gone.
+func TestNoUnusedExports(t *testing.T) {
+	found, err := Unused(filepath.Join("..", ".."), UnusedAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range found {
+		t.Error(m)
+	}
+}
+
+// TestUnusedDetects pins the unused-export check against a synthetic
+// module: a func only a test calls and a func nobody calls are reported,
+// a func a command calls and a method of a type the root package aliases
+// are not.
+func TestUnusedDetects(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/p/p.go", `package p
+
+func TestOnly() {}
+
+func Unreferenced() {}
+
+func Used() {}
+
+type T struct{}
+
+func (T) Public() {}
+`)
+	write("internal/p/p_test.go", `package p
+
+import "testing"
+
+func TestX(t *testing.T) { TestOnly() }
+`)
+	write("cmd/x/main.go", `package main
+
+import "m/internal/p"
+
+func main() { p.Used() }
+`)
+	write("m.go", `package m
+
+import "m/internal/p"
+
+type T = p.T
+`)
+	found, err := Unused(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{"function internal/p.TestOnly ", "function internal/p.Unreferenced "}
+	if len(found) != len(wants) {
+		t.Fatalf("checker reported %d findings, want %d:\n%s", len(found), len(wants), strings.Join(found, "\n"))
+	}
+	for i, want := range wants {
+		if !strings.Contains(found[i], want) {
+			t.Errorf("finding %d = %q, want one naming %q", i, found[i], want)
+		}
+	}
+}

@@ -230,7 +230,7 @@ func TestPingpongQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	rows := RunPingpong(core.Multithreaded, []int{64, 4096, 64 << 10})
+	rows := RunPingpongRails(core.Multithreaded, []int{64, 4096, 64 << 10}, true)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -18,16 +18,10 @@ type PingpongRow struct {
 	BandwidthMBps float64
 }
 
-// RunPingpong measures half round-trip latency and effective bandwidth for
-// each size under the given engine mode, on the default testbed rail set
-// (MX plus the intra-node shared-memory rail).
-func RunPingpong(mode core.Mode, sizes []int) []PingpongRow {
-	return RunPingpongRails(mode, sizes, true)
-}
-
-// RunPingpongRails is RunPingpong with the simulated rail set explicit:
-// withSHM keeps the intra-node shared-memory rail alongside MX, false
-// sweeps over MX alone (cmd/pingpong's -rails flag).
+// RunPingpongRails measures half round-trip latency and effective
+// bandwidth for each size under the given engine mode. withSHM keeps the
+// testbed's intra-node shared-memory rail alongside MX; false sweeps over
+// MX alone (cmd/pingpong's -rails flag).
 func RunPingpongRails(mode core.Mode, sizes []int, withSHM bool) []PingpongRow {
 	warm, meas := iters(20, 200)
 	var cfg mpi.Config

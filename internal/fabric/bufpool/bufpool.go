@@ -1,7 +1,7 @@
 // Package bufpool is the fabric layer's size-classed buffer arena: the
 // recycling pool behind the zero-allocation receive path. Transports
 // decode inbound frames into buffers borrowed from this pool
-// (fabric.DecodePacketPooled / fabric.ReadPacketPooled), the engine
+// (fabric.DecodePacketPooled / fabric.DecodeHeaderPooled), the engine
 // copies the payload into the application buffer, and the buffer comes
 // back through Put — so the steady-state eager path allocates nothing
 // per packet, which is what keeps the communication engine's overhead

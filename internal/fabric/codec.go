@@ -3,7 +3,6 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
@@ -47,9 +46,8 @@ const (
 	// still gets a synchronous error.
 	MaxPayloadBytes = MaxFrameBytes - headerBytes
 
-	// HeaderScratchBytes is the scratch a ReadPacketPooled caller
-	// provides: length prefix plus fixed header. One buffer per read
-	// loop keeps the steady-state read path allocation-free.
+	// HeaderScratchBytes is the length prefix plus fixed header: the
+	// smallest legal frame, and what DecodeHeaderPooled needs to see.
 	HeaderScratchBytes = 4 + headerBytes
 )
 
@@ -62,8 +60,8 @@ func EncodedSize(p *wire.Packet) int {
 // It panics on a payload too large for one frame: every encode path must
 // refuse such packets on the sender, because past 4 GiB the u32 length
 // prefix wraps and desyncs the whole stream, and even below that the
-// receiver's MaxFrameBytes guard would kill the connection. WritePacket
-// performs the same check up front and reports it as an error.
+// receiver's MaxFrameBytes guard would kill the connection. Transports
+// refuse such payloads in Send first, as a synchronous error.
 func AppendPacket(dst []byte, p *wire.Packet) []byte {
 	if len(p.Payload) > MaxPayloadBytes {
 		panic(fmt.Sprintf("fabric: %d-byte payload exceeds frame limit %d", len(p.Payload), MaxPayloadBytes))
@@ -89,58 +87,23 @@ func AppendPacket(dst []byte, p *wire.Packet) []byte {
 	return append(dst, p.Payload...)
 }
 
-// EncodePacket returns p as one self-delimiting frame.
-func EncodePacket(p *wire.Packet) []byte {
-	return AppendPacket(make([]byte, 0, EncodedSize(p)), p)
-}
-
-// checkFrame validates a complete frame's length prefix against the
-// frame bound and the actual byte count — the shared gate of
-// DecodePacket and DecodePacketPooled, so the two documented-identical
-// entry points cannot drift in what they accept.
-func checkFrame(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("fabric: frame truncated at length prefix (%d bytes)", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > MaxFrameBytes {
-		return fmt.Errorf("fabric: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
-	if uint32(len(b)-4) != n {
-		return fmt.Errorf("fabric: frame length %d does not match %d trailing bytes", n, len(b)-4)
-	}
-	return nil
-}
-
-// DecodePacket parses one complete frame produced by EncodePacket.
-func DecodePacket(b []byte) (*wire.Packet, error) {
-	if err := checkFrame(b); err != nil {
-		return nil, err
-	}
-	p := &wire.Packet{}
-	if err := decodeBody(b[4:], p, func(n int) []byte { return make([]byte, n) }); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// DecodePacketPooled is DecodePacket drawing from the recycling pools:
-// the packet struct comes from the packet freelist and the payload from
-// the fabric buffer pool (Packet.Pooled is set accordingly). The caller
-// chain must hand the result to ReleasePacket once done — transports use
-// this on their receive paths, and the engine releases after copying the
-// payload out, which is what keeps the steady-state eager path free of
-// per-packet allocation.
+// DecodePacketPooled parses one complete frame, exactly b, into a packet
+// from the packet freelist whose payload comes from the fabric buffer
+// pool (Packet.Pooled is set accordingly). The caller chain must hand the
+// result to ReleasePacket once done — transports use this on their
+// receive paths, and the engine releases after copying the payload out,
+// which is what keeps the steady-state eager path free of per-packet
+// allocation. The length prefix is checked against len(b) before any
+// payload buffer is drawn, so a lying prefix costs no allocation.
 func DecodePacketPooled(b []byte) (*wire.Packet, error) {
-	if err := checkFrame(b); err != nil {
+	if len(b) >= 4 && binary.LittleEndian.Uint32(b) != uint32(len(b)-4) {
+		return nil, fmt.Errorf("fabric: frame length %d does not match %d trailing bytes", binary.LittleEndian.Uint32(b), len(b)-4)
+	}
+	p, _, err := DecodeHeaderPooled(b)
+	if err != nil {
 		return nil, err
 	}
-	p := GetPacket()
-	if err := decodeBody(b[4:], p, bufpool.Get); err != nil {
-		ReleasePacket(p)
-		return nil, err
-	}
-	p.Pooled = p.Payload != nil
+	copy(p.Payload, b[HeaderScratchBytes:])
 	return p, nil
 }
 
@@ -167,27 +130,6 @@ func parseHeader(hdr []byte, p *wire.Packet) (plen uint32, withPayload bool, err
 	return plen, withPayload, nil
 }
 
-// decodeBody parses a frame body (everything after the length prefix)
-// into dst, whose payload buffer is provided by alloc(n). A nil return
-// from parseHeader leaves dst half-filled; callers discard it on error.
-func decodeBody(b []byte, dst *wire.Packet, alloc func(int) []byte) error {
-	if len(b) < headerBytes {
-		return fmt.Errorf("fabric: frame body of %d bytes below header size %d", len(b), headerBytes)
-	}
-	plen, withPayload, err := parseHeader(b[:headerBytes], dst)
-	if err != nil {
-		return err
-	}
-	if uint32(len(b)-headerBytes) != plen {
-		return fmt.Errorf("fabric: payload length %d does not match %d trailing bytes", plen, len(b)-headerBytes)
-	}
-	if withPayload {
-		dst.Payload = alloc(int(plen))
-		copy(dst.Payload, b[headerBytes:])
-	}
-	return nil
-}
-
 // DecodeHeaderPooled parses the length prefix plus fixed header at the
 // start of b — at least HeaderScratchBytes — into a packet from the
 // freelist whose payload buffer is allocated from the fabric buffer pool
@@ -196,8 +138,7 @@ func decodeBody(b []byte, dst *wire.Packet, alloc func(int) []byte) error {
 // HeaderScratchBytes from its staging window, fills p.Payload from the
 // stream as bytes arrive, and owns the packet (ReleasePacket on error or
 // after delivery). frameLen is the full frame size including the
-// prefix, so the caller knows where the next frame starts. Validation
-// matches ReadPacketPooled exactly.
+// prefix, so the caller knows where the next frame starts.
 func DecodeHeaderPooled(b []byte) (p *wire.Packet, frameLen int, err error) {
 	if len(b) < HeaderScratchBytes {
 		return nil, 0, fmt.Errorf("fabric: header scratch of %d bytes, need %d", len(b), HeaderScratchBytes)
@@ -224,93 +165,4 @@ func DecodeHeaderPooled(b []byte) (p *wire.Packet, frameLen int, err error) {
 		p.Pooled = true
 	}
 	return p, 4 + int(n), nil
-}
-
-// WritePacket writes p as one frame to w. Oversized payloads are refused
-// as an error before reaching AppendPacket's panic: a stream writer wants
-// a rejected send, not a crashed process.
-func WritePacket(w io.Writer, p *wire.Packet) error {
-	if len(p.Payload) > MaxPayloadBytes {
-		return fmt.Errorf("fabric: %d-byte payload exceeds frame limit %d", len(p.Payload), MaxPayloadBytes)
-	}
-	_, err := w.Write(EncodePacket(p))
-	return err
-}
-
-// ReadPacket reads exactly one frame from r. io.EOF at a frame boundary is
-// returned as io.EOF; a partial frame yields io.ErrUnexpectedEOF.
-func ReadPacket(r io.Reader) (*wire.Packet, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(pre[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("fabric: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	p := &wire.Packet{}
-	if err := decodeBody(body, p, func(n int) []byte { return make([]byte, n) }); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ReadPacketPooled reads exactly one frame from r like ReadPacket, but
-// with the zero-allocation layout the stream transports' read loops
-// want: the fixed-size header lands in hdr — caller-owned scratch of at
-// least HeaderScratchBytes, reused across calls — and the payload is
-// read directly into a buffer from the fabric buffer pool, so a frame
-// crosses from the stream into the engine with exactly one copy no
-// matter how large it is (no intermediate whole-frame buffer). The
-// packet struct comes from the packet freelist; the consumer returns
-// everything via ReleasePacket. EOF semantics match ReadPacket.
-func ReadPacketPooled(r io.Reader, hdr []byte) (*wire.Packet, error) {
-	if len(hdr) < HeaderScratchBytes {
-		hdr = make([]byte, HeaderScratchBytes)
-	}
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("fabric: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
-	if n < headerBytes {
-		return nil, fmt.Errorf("fabric: frame body of %d bytes below header size %d", n, headerBytes)
-	}
-	if _, err := io.ReadFull(r, hdr[4:4+headerBytes]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	p := GetPacket()
-	plen, withPayload, err := parseHeader(hdr[4:4+headerBytes], p)
-	if err != nil {
-		ReleasePacket(p)
-		return nil, err
-	}
-	if n-headerBytes != plen {
-		ReleasePacket(p)
-		return nil, fmt.Errorf("fabric: payload length %d does not match %d trailing bytes", plen, n-headerBytes)
-	}
-	if withPayload {
-		p.Payload = bufpool.Get(int(plen))
-		p.Pooled = true
-		if _, err := io.ReadFull(r, p.Payload); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			ReleasePacket(p)
-			return nil, err
-		}
-	}
-	return p, nil
 }

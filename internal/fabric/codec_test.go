@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +60,12 @@ func samePacket(t *testing.T, want, got *wire.Packet) {
 	}
 }
 
+// roundTrip encodes p as one frame and decodes it back through the
+// pooled decoder every datagram and ring transport uses.
+func roundTrip(p *wire.Packet) (*wire.Packet, error) {
+	return DecodePacketPooled(AppendPacket(nil, p))
+}
+
 func TestCodecRoundTripAllKinds(t *testing.T) {
 	for _, kind := range allKinds {
 		for pi, payload := range edgePayloads() {
@@ -69,7 +74,7 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 				Offset: len(payload) / 2, Payload: payload,
 				WireLen: len(payload) + 32,
 			}
-			got, err := DecodePacket(EncodePacket(p))
+			got, err := roundTrip(p)
 			if err != nil {
 				t.Fatalf("kind %v payload #%d: %v", kind, pi, err)
 			}
@@ -88,7 +93,7 @@ func TestCodecRoundTripExtremes(t *testing.T) {
 		MsgID:  math.MaxUint64 - 1,
 		Offset: math.MaxInt32, // max rendezvous chunk offset
 	}
-	got, err := DecodePacket(EncodePacket(p))
+	got, err := roundTrip(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +101,12 @@ func TestCodecRoundTripExtremes(t *testing.T) {
 }
 
 // TestCodecRoundTripProperty fuzzes random packets through the codec and
-// through the stream reader/writer, the property being byte-exact
-// round-trips for any field combination.
+// through a concatenated stream walked frame by frame with
+// DecodeHeaderPooled, the property being byte-exact round-trips for any
+// field combination.
 func TestCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var stream bytes.Buffer
+	var stream []byte
 	var sent []*wire.Packet
 	for i := 0; i < 500; i++ {
 		var payload []byte
@@ -119,50 +125,47 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			Payload: payload,
 			WireLen: len(payload) + 32,
 		}
-		got, err := DecodePacket(EncodePacket(p))
+		got, err := roundTrip(p)
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
 		samePacket(t, p, got)
-		if err := WritePacket(&stream, p); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendPacket(stream, p)
 		sent = append(sent, p)
 	}
 	// The concatenated stream must parse back packet-for-packet: this is
-	// exactly what tcpfab's reader does on a socket.
+	// exactly what tcpfab's poller does with a socket's staging window.
 	for i, want := range sent {
-		got, err := ReadPacket(&stream)
+		got, n, err := DecodeHeaderPooled(stream)
 		if err != nil {
 			t.Fatalf("stream packet %d: %v", i, err)
 		}
+		copy(got.Payload, stream[HeaderScratchBytes:n])
 		samePacket(t, want, got)
+		stream = stream[n:]
 	}
-	if _, err := ReadPacket(&stream); err != io.EOF {
-		t.Fatalf("exhausted stream: want io.EOF, got %v", err)
+	if len(stream) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(stream))
 	}
 }
 
-// TestCodecRefusesOversizedPayloads: every encode entry point must stop
-// an over-limit payload on the sender — WritePacket as an error, the raw
-// encoders as a panic — because an encoded oversize frame either kills
-// the receiving connection or (past 4 GiB) wraps the length prefix and
+// TestCodecRefusesOversizedPayloads: the encoder must stop an over-limit
+// payload on the sender with a panic (transports refuse it earlier, in
+// Send, as an error), because an encoded oversize frame either kills the
+// receiving connection or (past 4 GiB) wraps the length prefix and
 // desyncs the stream.
 func TestCodecRefusesOversizedPayloads(t *testing.T) {
 	p := &wire.Packet{Kind: wire.PktData, Payload: make([]byte, MaxFrameBytes-headerBytes+1)}
-	if err := WritePacket(io.Discard, p); err == nil {
-		t.Error("WritePacket accepted an over-limit payload")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("AppendPacket encoded an over-limit payload without panicking")
 		}
 	}()
-	EncodePacket(p)
+	AppendPacket(nil, p)
 }
 
 func TestCodecRejectsCorruptFrames(t *testing.T) {
-	good := EncodePacket(&wire.Packet{Kind: wire.PktEager, Payload: []byte("abc")})
+	good := AppendPacket(nil, &wire.Packet{Kind: wire.PktEager, Payload: []byte("abc")})
 	cases := map[string][]byte{
 		"empty":            {},
 		"short prefix":     good[:3],
@@ -173,16 +176,14 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 		"huge length":      {0xFF, 0xFF, 0xFF, 0xFF},
 	}
 	for name, b := range cases {
-		if _, err := DecodePacket(b); err == nil {
+		if _, err := DecodePacketPooled(b); err == nil {
 			t.Errorf("%s: corrupt frame decoded without error", name)
 		}
 	}
-	// Stream reader: a partial frame is an unexpected EOF, not a hang or
-	// a zero packet.
-	if _, err := ReadPacket(bytes.NewReader(good[:len(good)-2])); err != io.ErrUnexpectedEOF {
-		t.Errorf("partial stream frame: want ErrUnexpectedEOF, got %v", err)
-	}
-	if _, err := ReadPacket(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})); err == nil {
+	// Stream decoder: a header announcing more than MaxFrameBytes is
+	// refused before any payload buffer is drawn.
+	huge := append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, good[4:]...)
+	if _, _, err := DecodeHeaderPooled(huge); err == nil {
 		t.Errorf("oversized stream frame accepted")
 	}
 }

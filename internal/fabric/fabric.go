@@ -94,8 +94,8 @@ type Backlogger interface {
 // that polls in a loop without ever leaving its processor can starve the
 // very goroutine that would deliver the frame it polls for. The engine
 // follows an unworked polling pass with runtime.Gosched on such rails
-// (docs/PERF.md, "Tuning knobs"). Transports whose PollBatch moves the
-// frames itself (shmfab scans its rings, simfab its modeled wire) must
+// (docs/PERF.md, "Cooperative waits"). Transports whose PollBatch moves
+// the frames itself (shmfab scans its rings, simfab its modeled wire) must
 // not implement it: a poll there is the progress, and yielding between
 // polls only feeds whoever else is runnable.
 type GoroutineFed interface {

@@ -24,9 +24,7 @@
 // slots directly when the ring has room or hands the bytes to a per-ring
 // pump goroutine with an unbounded overflow buffer. Ring waits busy-wait
 // with adaptive backoff — a short yield-spin phase that escalates into
-// sleeping — and the spin phase is disabled by Config.NoBusyPoll, the
-// transport-level counterpart of mpi.Config.NoIdlePolling for hosts
-// without cores to burn.
+// sleeping.
 //
 // Delivery within one ring is strict per-sender FIFO; across senders no
 // order is promised — exactly the portable fabric.Endpoint contract, see
@@ -50,11 +48,11 @@ import (
 )
 
 const (
-	// defaultSlots is the per-ring slot count when Config leaves it zero.
+	// defaultSlots is the per-ring slot count.
 	defaultSlots = 128
-	// defaultSlotBytes is the per-slot data capacity when Config leaves
-	// it zero. 128 slots × 8 KiB gives each direction a 1 MiB window,
-	// several eager messages deep, before the pump path engages.
+	// defaultSlotBytes is the per-slot data capacity. 128 slots × 8 KiB
+	// gives each direction a 1 MiB window, several eager messages deep,
+	// before the pump path engages.
 	defaultSlotBytes = 8 << 10
 	// defaultAttachTimeout bounds how long an endpoint waits for a peer
 	// mid-creation before declaring the ring file abandoned.
@@ -75,28 +73,23 @@ type Config struct {
 	// fresh for the run (stale rings from a previous run would be
 	// spliced into this one mid-state).
 	Dir string
-	// Slots is the per-ring slot count (default 128). All ranks must
-	// agree; attachment fails otherwise.
-	Slots int
-	// SlotBytes is the per-slot data capacity (default 8 KiB, rounded up
-	// to a multiple of 8). All ranks must agree.
-	SlotBytes int
-	// NoBusyPoll disables the yield-spin phase of ring waits: waiters go
-	// straight to sleeping backoff. Set it when the engine runs with
-	// mpi.Config.NoIdlePolling — on a host without spare cores, spinning
-	// on a ring only starves the peer of the CPU it needs to make the
-	// awaited progress.
-	NoBusyPoll bool
-	// AttachTimeout bounds waiting for a peer that won the creation race
-	// but has not finished initializing a ring (default 10s).
-	AttachTimeout time.Duration
+
+	// The ring geometry and the attach timeout are test hooks (WithGeometry,
+	// WithAttachTimeout); zero selects the defaults every shipped caller
+	// runs. slots is the per-ring slot count, slotBytes the per-slot data
+	// capacity (rounded up to a multiple of 8); all ranks must agree on
+	// both, attachment fails otherwise. attachTimeout bounds waiting for a
+	// peer that won the creation race but has not finished initializing a
+	// ring.
+	slots, slotBytes int
+	attachTimeout    time.Duration
 }
 
 // Endpoint is one process's port on a shared-memory fabric. It implements
 // fabric.Endpoint.
 type Endpoint struct {
 	self, nodes int
-	cfg         Config
+	dir         string
 
 	out []*outRing // producer side, indexed by destination rank; nil at self
 	in  []*inRing  // consumer side, indexed by source rank; nil at self
@@ -193,15 +186,15 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("shmfab: Config.Dir is required")
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = defaultSlots
+	if cfg.slots <= 0 {
+		cfg.slots = defaultSlots
 	}
-	if cfg.SlotBytes <= 0 {
-		cfg.SlotBytes = defaultSlotBytes
+	if cfg.slotBytes <= 0 {
+		cfg.slotBytes = defaultSlotBytes
 	}
-	cfg.SlotBytes = (cfg.SlotBytes + 7) &^ 7 // keep slot seq fields 8-aligned
-	if cfg.AttachTimeout <= 0 {
-		cfg.AttachTimeout = defaultAttachTimeout
+	cfg.slotBytes = (cfg.slotBytes + 7) &^ 7 // keep slot seq fields 8-aligned
+	if cfg.attachTimeout <= 0 {
+		cfg.attachTimeout = defaultAttachTimeout
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shmfab: ring directory: %w", err)
@@ -218,17 +211,17 @@ func New(cfg Config) (*Endpoint, error) {
 	e := &Endpoint{
 		self:  cfg.Self,
 		nodes: cfg.Nodes,
-		cfg:   cfg,
+		dir:   cfg.Dir,
 		out:   make([]*outRing, cfg.Nodes),
 		in:    make([]*inRing, cfg.Nodes),
 		inbox: fabric.NewInbox(),
 	}
-	deadline := time.Now().Add(cfg.AttachTimeout)
+	deadline := time.Now().Add(cfg.attachTimeout)
 	for peer := 0; peer < cfg.Nodes; peer++ {
 		if peer == cfg.Self {
 			continue
 		}
-		or, err := openRing(ringPath(cfg.Dir, cfg.Self, peer), cfg.Slots, cfg.SlotBytes, deadline)
+		or, err := openRing(ringPath(cfg.Dir, cfg.Self, peer), cfg.slots, cfg.slotBytes, deadline)
 		if err != nil {
 			e.abortNew()
 			return nil, err
@@ -236,7 +229,7 @@ func New(cfg Config) (*Endpoint, error) {
 		o := &outRing{r: or}
 		o.cond = sync.NewCond(&o.mu)
 		e.out[peer] = o
-		ir, err := openRing(ringPath(cfg.Dir, peer, cfg.Self), cfg.Slots, cfg.SlotBytes, deadline)
+		ir, err := openRing(ringPath(cfg.Dir, peer, cfg.Self), cfg.slots, cfg.slotBytes, deadline)
 		if err != nil {
 			e.abortNew()
 			return nil, err
@@ -389,7 +382,7 @@ func (e *Endpoint) pumpLoop(o *outRing) {
 // consumer with adaptive backoff. It reports false when the endpoint is
 // closing and the drain deadline has passed before the batch fit.
 func (e *Endpoint) pumpBatch(o *outRing, batch []byte) bool {
-	b := backoff{noBusy: e.cfg.NoBusyPoll}
+	var b backoff
 	for off := 0; off < len(batch); {
 		// The backoff re-arms once per stall, not per slot: while the
 		// consumer keeps pace the slot loop runs straight through with no
@@ -592,12 +585,12 @@ func (e *Endpoint) clearDecRun() {
 }
 
 // BlockingRecv implements fabric.Endpoint: it waits up to timeout for a
-// packet with adaptive backoff — briefly yield-spinning (skipped under
-// NoBusyPoll), then sleeping at escalating intervals — so an idle waiter
+// packet with adaptive backoff — briefly yield-spinning, then sleeping
+// at escalating intervals — so an idle waiter
 // costs little CPU while a loaded one wakes fast.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 	deadline := time.Now().Add(timeout)
-	b := backoff{noBusy: e.cfg.NoBusyPoll}
+	var b backoff
 	var one [1]*wire.Packet
 	for {
 		if e.PollBatch(one[:]) == 1 {
@@ -651,7 +644,7 @@ func (e *Endpoint) Close() error {
 // mismatch) is not misreported as a duplicate rank.
 func (e *Endpoint) abortNew() {
 	e.unmapAll()
-	os.Remove(filepath.Join(e.cfg.Dir, fmt.Sprintf("rank-%d.claim", e.self)))
+	os.Remove(filepath.Join(e.dir, fmt.Sprintf("rank-%d.claim", e.self)))
 }
 
 // unmapAll releases every ring mapping (construction-failure and Close
@@ -674,12 +667,10 @@ func (e *Endpoint) unmapAll() {
 // backoff is the adaptive wait used whenever a ring is full (producer
 // side) or empty (consumer side): a bounded yield-spin phase for the
 // common case where the peer is actively moving, then sleeps that double
-// up to a cap so a stalled peer costs little CPU. noBusy skips the spin
-// phase entirely — the NoIdlePolling-compatible mode.
+// up to a cap so a stalled peer costs little CPU.
 type backoff struct {
-	noBusy bool
-	spins  int
-	sleep  time.Duration
+	spins int
+	sleep time.Duration
 }
 
 const (
@@ -690,7 +681,7 @@ const (
 
 // pause waits one adaptive step.
 func (b *backoff) pause() {
-	if !b.noBusy && b.spins < backoffSpins {
+	if b.spins < backoffSpins {
 		b.spins++
 		runtime.Gosched()
 		return

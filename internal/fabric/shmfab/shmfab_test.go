@@ -229,7 +229,7 @@ func TestStrictFIFO(t *testing.T) {
 func TestFramesStraddleSlots(t *testing.T) {
 	dir := t.TempDir()
 	open := func(rank int) *shmfab.Endpoint {
-		ep, err := shmfab.New(shmfab.Config{Self: rank, Nodes: 2, Dir: dir, Slots: 8, SlotBytes: 64})
+		ep, err := shmfab.New(shmfab.WithGeometry(shmfab.Config{Self: rank, Nodes: 2, Dir: dir}, 8, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestGeometryMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep0.Close()
-	if _, err := shmfab.New(shmfab.Config{Self: 1, Nodes: 2, Dir: dir, Slots: 16, SlotBytes: 1024}); err == nil {
+	if _, err := shmfab.New(shmfab.WithGeometry(shmfab.Config{Self: 1, Nodes: 2, Dir: dir}, 16, 1024)); err == nil {
 		t.Fatal("endpoint with mismatched ring geometry attached anyway")
 	}
 
@@ -542,7 +542,7 @@ func TestGeometryMismatchRejected(t *testing.T) {
 	// size, which must be diagnosed as a geometry mismatch promptly —
 	// not misreported as a dead creator after the full attach timeout.
 	dir2 := t.TempDir()
-	small, err := shmfab.New(shmfab.Config{Self: 0, Nodes: 2, Dir: dir2, Slots: 16, SlotBytes: 1024})
+	small, err := shmfab.New(shmfab.WithGeometry(shmfab.Config{Self: 0, Nodes: 2, Dir: dir2}, 16, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestAbandonedInitTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := shmfab.New(shmfab.Config{Self: 1, Nodes: 2, Dir: dir, AttachTimeout: 300 * time.Millisecond})
+	_, err := shmfab.New(shmfab.WithAttachTimeout(shmfab.Config{Self: 1, Nodes: 2, Dir: dir}, 300*time.Millisecond))
 	if err == nil {
 		t.Fatal("attached to an abandoned ring file")
 	}

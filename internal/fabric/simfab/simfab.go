@@ -53,16 +53,6 @@ type Endpoint struct {
 	closed atomic.Bool
 }
 
-// NewEndpoint attaches directly to w as node self, panicking on a rank
-// outside the fabric (construction paths validate ranks themselves).
-func NewEndpoint(w *wire.Fabric, self int) *Endpoint {
-	ep, err := New(w).Endpoint(self)
-	if err != nil {
-		panic(err)
-	}
-	return ep.(*Endpoint)
-}
-
 // Self implements fabric.Endpoint.
 func (e *Endpoint) Self() int { return e.self }
 

@@ -12,15 +12,16 @@
 // assumes, with no cross-size reordering at all.
 //
 // Connections are NOT serviced by per-stream goroutines. A bounded pool
-// of event-driven pollers (sized from runtime.NumCPU, configurable via
-// Config.Pollers) multiplexes every connection through one epoll
+// of event-driven pollers (sized from GOMAXPROCS, at most maxPollers)
+// multiplexes every connection through one epoll
 // instance per poller: the paper's central claim — many communication
 // flows progressed by a small, controlled set of threads — applied to
 // the socket layer itself. An endpoint serving N peers costs O(pool)
 // goroutines, not O(N). On the send side, frames queued for one stream
 // while the poller was busy are coalesced and flushed as a single run —
 // one write syscall when the kernel buffer has room — the send-side dual
-// of PollBatch. Connections idle past Config.IdleTimeout in both
+// of PollBatch. With an idle timeout set (a test hook: every shipped
+// endpoint runs without one), connections idle past it in both
 // directions are reaped (fds released, peer sees clean EOF); the next
 // Send redials transparently through the existing retry path.
 //
@@ -104,14 +105,11 @@ type Config struct {
 	// us) can be omitted; their accepted connection becomes the send
 	// path.
 	Peers map[int]string
-	// Pollers sets the event-loop pool size. 0 means
-	// min(runtime.NumCPU(), 8); pollers start lazily, so unused slots
-	// cost nothing.
-	Pollers int
-	// IdleTimeout reaps connections quiet in both directions for this
+	// idleTimeout reaps connections quiet in both directions for this
 	// long: their fds are released, the peer sees a clean EOF, and the
-	// next Send redials transparently. 0 disables reaping.
-	IdleTimeout time.Duration
+	// next Send redials transparently. 0 (every shipped caller) disables
+	// reaping; only this package's tests set it (WithIdleTimeout).
+	idleTimeout time.Duration
 }
 
 // Endpoint is one process's port on a TCP fabric.
@@ -182,16 +180,9 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
 		return nil, fmt.Errorf("tcpfab: rank %d outside cluster of %d", cfg.Self, cfg.Nodes)
 	}
-	np := cfg.Pollers
-	if np <= 0 {
-		np = runtime.NumCPU()
-		if np > maxPollers {
-			np = maxPollers
-		}
-	}
-	if np < 1 {
-		np = 1
-	}
+	// The pool is as wide as the Go scheduler's processors: more event
+	// loops than Ps could only wait for one.
+	np := min(runtime.GOMAXPROCS(0), maxPollers)
 	e := &Endpoint{
 		self:        cfg.Self,
 		nodes:       cfg.Nodes,
@@ -201,7 +192,7 @@ func New(cfg Config) (*Endpoint, error) {
 		open:        make(map[net.Conn]struct{}),
 		conns:       make(map[*conn]struct{}),
 		stash:       make(map[int]stash),
-		idleTimeout: cfg.IdleTimeout,
+		idleTimeout: cfg.idleTimeout,
 		done:        make(chan struct{}),
 		inbox:       fabric.NewInbox(),
 	}
@@ -568,35 +559,9 @@ func (e *Endpoint) serveConn(nc net.Conn) {
 // count is an upper bound on loss, never an undercount.
 func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 
-// KillConn forcibly fails the established stream toward rank, if one
-// exists, and reports whether it did. It simulates an abrupt connection
-// failure (peer crash, cable pull) for tests: the owning poller
-// shutdown(2)s the socket and discovers the dead stream through its
-// normal event path, so the salvage, stash, and redial machinery runs
-// its production course.
-func (e *Endpoint) KillConn(rank int) bool {
-	e.mu.Lock()
-	c := e.out[rank]
-	e.mu.Unlock()
-	if c == nil {
-		return false
-	}
-	c.pl.kill(c)
-	return true
-}
-
 // MaxPayload implements fabric.PayloadLimiter: the codec's frame ceiling
 // bounds what one Send can carry.
 func (e *Endpoint) MaxPayload() int { return fabric.MaxPayloadBytes }
-
-// Pollers reports how many event-loop goroutines are currently running.
-// Pollers start lazily and exit on Close, so this is also the endpoint's
-// goroutine footprint for connection servicing.
-func (e *Endpoint) Pollers() int { return int(e.nPollers.Load()) }
-
-// OpenConns reports how many registered streams the endpoint currently
-// holds (send paths plus simultaneous-connect losers kept for reading).
-func (e *Endpoint) OpenConns() int { return int(e.nConns.Load()) }
 
 // RegisterMetrics implements fabric.MetricSource: the poller pool's
 // scalability counters join reg under prefix (the rail driver passes

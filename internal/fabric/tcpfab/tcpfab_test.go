@@ -505,15 +505,15 @@ func killConnZeroLoss(t *testing.T, size, pre, post int) {
 // exchanged, so each side's poller is running and owns the stream.
 func quietPair(t *testing.T, idle time.Duration) (ep0, ep1 *tcpfab.Endpoint) {
 	t.Helper()
-	ep0, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0", IdleTimeout: idle})
+	ep0, err := tcpfab.New(tcpfab.WithIdleTimeout(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0"}, idle))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ep0.Close() })
-	ep1, err = tcpfab.New(tcpfab.Config{
-		Self: 1, Nodes: 2, Listen: "127.0.0.1:0", IdleTimeout: idle,
+	ep1, err = tcpfab.New(tcpfab.WithIdleTimeout(tcpfab.Config{
+		Self: 1, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers: map[int]string{0: ep0.Addr().String()},
-	})
+	}, idle))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func NewLocalChaos(n int, chaos *ChaosParams) (*Local, error) {
 		if chaos != nil {
 			cp := *chaos
 			cp.Seed = chaos.Seed*1000003 + int64(i)
-			cfg.Chaos = &cp
+			cfg.chaos = &cp
 		}
 		ep, err := New(cfg)
 		if err != nil {

@@ -74,7 +74,7 @@ func TestWindowFullSendBackpressure(t *testing.T) {
 	e, err := New(Config{
 		Self: 0, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers:  map[int]string{1: peer.addr()},
-		Window: 4, RTO: 30 * time.Millisecond, RTOMax: 60 * time.Millisecond,
+		window: 4, rto: 30 * time.Millisecond, rtoMax: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestAckOfUnsentSeqIgnored(t *testing.T) {
 	e, err := New(Config{
 		Self: 0, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers: map[int]string{1: peer.addr()},
-		RTO:   20 * time.Millisecond, RTOMax: 40 * time.Millisecond,
+		rto:   20 * time.Millisecond, rtoMax: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestRetransmitStormBoundedByBackoffCap(t *testing.T) {
 	e, err := New(Config{
 		Self: 0, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers: map[int]string{1: peer.addr()},
-		RTO:   10 * time.Millisecond, RTOMax: 40 * time.Millisecond,
+		rto:   10 * time.Millisecond, rtoMax: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestRetransmitStormBoundedByBackoffCap(t *testing.T) {
 // exactly once — nothing lost, nothing duplicated, counters visible.
 func TestReceiverRestartMidWindow(t *testing.T) {
 	a, err := New(Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0",
-		RTO: 20 * time.Millisecond, RTOMax: 100 * time.Millisecond})
+		rto: 20 * time.Millisecond, rtoMax: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,23 +333,23 @@ func TestAdaptiveRTOLowRTT(t *testing.T) {
 	b.SetPeerAddr(0, a.Addr().String())
 	drainAll(b)
 
-	if got := a.PeerRTO(1); got != defaultRTO {
+	if got := a.peerRTO(1); got != defaultRTO {
 		t.Fatalf("PeerRTO before any traffic = %v, want the %v base", got, defaultRTO)
 	}
 	// Bursts of ackEvery frames force prompt acks; each ack completes the
 	// one outstanding round-trip sample and the next burst arms a fresh
 	// one. Loopback samples are microseconds, so a handful suffice.
 	deadline := time.Now().Add(10 * time.Second)
-	for a.PeerRTO(1) >= 10*time.Millisecond {
+	for a.peerRTO(1) >= 10*time.Millisecond {
 		if time.Now().After(deadline) {
-			t.Fatalf("PeerRTO stuck at %v: loopback round trips never adapted it below 10ms", a.PeerRTO(1))
+			t.Fatalf("PeerRTO stuck at %v: loopback round trips never adapted it below 10ms", a.peerRTO(1))
 		}
 		for i := 0; i < ackEvery; i++ {
 			sendSmall(t, a, 1, uint64(i))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := a.PeerRTO(1); got < minAdaptiveRTO {
+	if got := a.peerRTO(1); got < minAdaptiveRTO {
 		t.Fatalf("PeerRTO = %v, below the %v adaptive floor", got, minAdaptiveRTO)
 	}
 }
@@ -362,12 +362,12 @@ func TestAdaptiveRTOLowRTT(t *testing.T) {
 // retransmits.
 func TestAdaptiveRTOHighRTTNoSpuriousRetransmit(t *testing.T) {
 	delay := &ChaosParams{Delay: 25 * time.Millisecond}
-	a, err := New(Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0", Chaos: delay})
+	a, err := New(Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0", chaos: delay})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(Config{Self: 1, Nodes: 2, Listen: "127.0.0.1:0", Chaos: delay})
+	b, err := New(Config{Self: 1, Nodes: 2, Listen: "127.0.0.1:0", chaos: delay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestAdaptiveRTOHighRTTNoSpuriousRetransmit(t *testing.T) {
 	// true RTT) until a sample lands; wait for the estimator to clear the
 	// round trip.
 	sendSmall(t, a, 1, 1)
-	waitFor(t, 10*time.Second, func() bool { return a.PeerRTO(1) > 50*time.Millisecond })
+	waitFor(t, 10*time.Second, func() bool { return a.peerRTO(1) > 50*time.Millisecond })
 	waitFor(t, 10*time.Second, func() bool { return flightSize(a, 1) == 0 })
 
 	base := get("retransmits")
@@ -391,7 +391,7 @@ func TestAdaptiveRTOHighRTTNoSpuriousRetransmit(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return flightSize(a, 1) == 0 })
 	if got := get("retransmits"); got != base {
-		t.Fatalf("%d spurious retransmits on a settled high-RTT stream (timeout %v)", got-base, a.PeerRTO(1))
+		t.Fatalf("%d spurious retransmits on a settled high-RTT stream (timeout %v)", got-base, a.peerRTO(1))
 	}
 }
 
@@ -406,14 +406,14 @@ func TestAIMDWindowLossBurstRecovery(t *testing.T) {
 	e, err := New(Config{
 		Self: 0, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers:  map[int]string{1: peer.addr()},
-		Window: 64, RTO: 30 * time.Millisecond, RTOMax: 60 * time.Millisecond,
+		window: 64, rto: 30 * time.Millisecond, rtoMax: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	get := counters(e)
-	if w := e.PeerWindow(1); w != 64 {
+	if w := e.peerWindow(1); w != 64 {
 		t.Fatalf("fresh peer window = %d, want the configured 64", w)
 	}
 	if g := get("window_size"); g != 64 {
@@ -429,10 +429,10 @@ func TestAIMDWindowLossBurstRecovery(t *testing.T) {
 		t.Fatal("endpoint transmitted nothing")
 	}
 	session := binary.LittleEndian.Uint64(b[8:16])
-	waitFor(t, 2*time.Second, func() bool { return e.PeerWindow(1) == 32 })
+	waitFor(t, 2*time.Second, func() bool { return e.peerWindow(1) == 32 })
 	base := get("retransmits")
 	waitFor(t, 2*time.Second, func() bool { return get("retransmits") > base+1 })
-	if w := e.PeerWindow(1); w != 32 {
+	if w := e.peerWindow(1); w != 32 {
 		t.Fatalf("repeat retransmits of one burst re-halved the window: %d, want 32", w)
 	}
 
@@ -440,11 +440,11 @@ func TestAIMDWindowLossBurstRecovery(t *testing.T) {
 	// unacked is a new loss event — 32 halves to 16, and the floor holds
 	// from there.
 	sendSmall(t, e, 1, 2)
-	waitFor(t, 2*time.Second, func() bool { return e.PeerWindow(1) == 16 })
+	waitFor(t, 2*time.Second, func() bool { return e.peerWindow(1) == 16 })
 	sendSmall(t, e, 1, 3)
 	base = get("retransmits")
 	waitFor(t, 2*time.Second, func() bool { return get("retransmits") > base+2 })
-	if w := e.PeerWindow(1); w != 16 {
+	if w := e.peerWindow(1); w != 16 {
 		t.Fatalf("window fell through the floor: %d, want 16", w)
 	}
 
@@ -462,7 +462,7 @@ func TestAIMDWindowLossBurstRecovery(t *testing.T) {
 	if _, err := peer.conn.WriteToUDP(ack, e.Addr().(*net.UDPAddr)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return e.PeerWindow(1) == 17 })
+	waitFor(t, 2*time.Second, func() bool { return e.peerWindow(1) == 17 })
 	if g := get("window_size"); g != 17 {
 		t.Fatalf("window_size gauge = %d after regrowth, want 17", g)
 	}
@@ -479,4 +479,30 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		}
 		time.Sleep(tickPeriod)
 	}
+}
+
+// peerRTO reports the retransmit timeout a fresh frame toward rank
+// would start with right now — the configured base until ack round
+// trips have been measured, the adaptive estimate afterwards: the
+// white-box surface of the adaptive-RTO regression tests.
+func (e *Endpoint) peerRTO(rank int) time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
+		return e.rto
+	}
+	return e.rtoLocked(e.peers[rank])
+}
+
+// peerWindow reports the live AIMD send window toward rank — the
+// configured bound until loss cut it, the regrown value as clean acks
+// earn frames back: the white-box surface of the loss-burst recovery
+// tests.
+func (e *Endpoint) peerWindow(rank int) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
+		return e.window
+	}
+	return e.peers[rank].cwnd
 }

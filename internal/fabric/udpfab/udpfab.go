@@ -108,25 +108,29 @@ type Config struct {
 	// contact first. Peers that always speak first can be omitted: their
 	// address is learned from their first valid datagram.
 	Peers map[int]string
-	// Window bounds in-flight (unacknowledged) datagrams per peer; zero
-	// selects the default. Sends beyond it queue without blocking and
+
+	// The reliability tuning below is unexported: every shipped endpoint
+	// runs the defaults, and only this package's tests (and NewLocalChaos)
+	// set another value.
+	//
+	// window bounds in-flight (unacknowledged) datagrams per peer; zero
+	// selects defaultWindow. Sends beyond it queue without blocking and
 	// tick the window_stalls counter.
-	Window int
-	// RTO is the retransmit timeout used toward a peer before any ack
-	// round trip has been measured; RTOMax caps the per-frame
+	window int
+	// rto is the retransmit timeout used toward a peer before any ack
+	// round trip has been measured; rtoMax caps the per-frame
 	// exponential backoff. Once acks provide samples the timeout adapts
 	// per peer — Jacobson SRTT/RTTVAR, floored at minAdaptiveRTO and
-	// capped at RTOMax — so a low-RTT link recovers losses faster than
+	// capped at rtoMax — so a low-RTT link recovers losses faster than
 	// the fixed base and a high-RTT link stops retransmitting frames
 	// whose acks are merely still in flight. Zero selects the defaults.
-	RTO    time.Duration
-	RTOMax time.Duration
-	// Chaos, when non-nil, injects seeded datagram-level disorder (drop,
+	rto, rtoMax time.Duration
+	// chaos, when non-nil, injects seeded datagram-level disorder (drop,
 	// duplication, reordering, corruption, latency) into this endpoint's
 	// transmit path, beneath the reliability sublayer — every injected
 	// failure is absorbed by retransmission and duplicate suppression
 	// before the fabric contract is visible above.
-	Chaos *ChaosParams
+	chaos *ChaosParams
 }
 
 // outFrame is one sent-but-unacknowledged datagram: the sealed bytes
@@ -259,9 +263,9 @@ func New(cfg Config) (*Endpoint, error) {
 	e := &Endpoint{
 		self:      cfg.Self,
 		nodes:     cfg.Nodes,
-		window:    cfg.Window,
-		rto:       cfg.RTO,
-		rtoMax:    cfg.RTOMax,
+		window:    cfg.window,
+		rto:       cfg.rto,
+		rtoMax:    cfg.rtoMax,
 		conn:      conn,
 		peers:     make([]*peerState, cfg.Nodes),
 		peerAddrs: make(map[int]string, len(cfg.Peers)),
@@ -286,8 +290,8 @@ func New(cfg Config) (*Endpoint, error) {
 	for r, a := range cfg.Peers {
 		e.peerAddrs[r] = a
 	}
-	if cfg.Chaos != nil {
-		e.chaos = newChaosState(*cfg.Chaos)
+	if cfg.chaos != nil {
+		e.chaos = newChaosState(*cfg.chaos)
 	}
 	e.wg.Add(2)
 	go e.readLoop()
@@ -688,20 +692,6 @@ func (e *Endpoint) observeRTTLocked(ps *peerState, rtt time.Duration) {
 	ps.srtt += (rtt - ps.srtt) / 8
 }
 
-// PeerRTO reports the retransmit timeout a fresh frame toward rank
-// would start with right now — the configured base until ack round
-// trips have been measured, the adaptive estimate afterwards. An
-// observability hook (and the white-box surface of the adaptive-RTO
-// regression tests); the transport does not need callers to look.
-func (e *Endpoint) PeerRTO(rank int) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
-		return e.rto
-	}
-	return e.rtoLocked(e.peers[rank])
-}
-
 // cwndFloor is the AIMD decrease floor: min(cwndFloorFrames, the
 // configured window), so a deliberately tiny window is never inflated
 // by the floor.
@@ -710,19 +700,6 @@ func (e *Endpoint) cwndFloor() int {
 		return e.window
 	}
 	return cwndFloorFrames
-}
-
-// PeerWindow reports the live AIMD send window toward rank — the
-// configured bound until loss cut it, the regrown value as clean acks
-// earn frames back. An observability hook and the white-box surface of
-// the loss-burst recovery tests.
-func (e *Endpoint) PeerWindow(rank int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
-		return e.window
-	}
-	return e.peers[rank].cwnd
 }
 
 // applyAckLocked retires acknowledged frames from ps's window and

@@ -58,14 +58,6 @@ type ClusterWorld struct {
 	deaths    atomic.Uint64 // cumulative death verdicts applied
 }
 
-// InCluster reports whether the process was launched with the nmrun
-// environment contract (EnvRank present), i.e. whether JoinCluster can
-// work.
-func InCluster() bool {
-	_, ok := os.LookupEnv(EnvRank)
-	return ok
-}
-
 // envInt parses an integer environment variable, returning def when the
 // variable is unset and an error when it is set but malformed.
 func envInt(name string, def int) (int, error) {

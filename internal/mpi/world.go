@@ -281,7 +281,6 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		Strategy:          cfg.Strategy,
 		MultirailMin:      cfg.MultirailMin,
 		AutoStripeWeights: cfg.AutoStripeWeights,
-		WaitSpin:          core.AutoWaitSpin(cfg.NoIdlePolling),
 		PeerDeadline:      cfg.PeerDeadline,
 		Trace:             rec,
 		Metrics:           cfg.Metrics,

@@ -29,7 +29,6 @@ import (
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/bufpool"
-	"pioman/internal/fabric/simfab"
 	"pioman/internal/ptime"
 	"pioman/internal/telemetry"
 	"pioman/internal/wire"
@@ -307,15 +306,6 @@ func New(p Params, ep fabric.Endpoint) *Driver {
 	return d
 }
 
-// NewSim returns node self's driver on the wire simulator fab — the
-// pre-fabric constructor, kept for the simulation tests and benches.
-func NewSim(p Params, fab *wire.Fabric, self int) *Driver {
-	if fab == nil {
-		panic("nic: nil fabric")
-	}
-	return New(p, simfab.NewEndpoint(fab, self))
-}
-
 // send submits p to the transport, counting rejections. Send failures are
 // absorbed here: the engine's protocols treat a dead transport like a
 // silent wire (requests stay pending until shutdown), and SendErrs —
@@ -528,16 +518,6 @@ func (d *Driver) SendAggr(h Header, payload []byte) {
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktAggr, h.Src, h.Dst, h.Tag
 	p.Seq, p.MsgID, p.Payload, p.Pooled = h.Seq, h.MsgID, payload, true
-	p.WireLen = len(payload) + HeaderBytes
-	d.send(p)
-}
-
-// SendCtrl transmits an engine control packet (barriers, tests).
-func (d *Driver) SendCtrl(h Header, payload []byte) {
-	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktCtrl, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.Payload = h.Seq, h.MsgID, payload
 	p.WireLen = len(payload) + HeaderBytes
 	d.send(p)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
+	"pioman/internal/fabric/simfab"
 	"pioman/internal/telemetry"
 	"pioman/internal/testenv"
 	"pioman/internal/wire"
@@ -23,10 +24,20 @@ func fastParams() Params {
 	}
 }
 
+// simDriver is node self's driver on the wire simulator fab, panicking
+// on a rank outside it.
+func simDriver(p Params, fab *wire.Fabric, self int) *Driver {
+	ep, err := simfab.New(fab).Endpoint(self)
+	if err != nil {
+		panic(err)
+	}
+	return New(p, ep)
+}
+
 func pair(t *testing.T, p Params) (*Driver, *Driver) {
 	t.Helper()
 	fab := wire.NewFabric(2, p.Link)
-	return NewSim(p, fab, 0), NewSim(p, fab, 1)
+	return simDriver(p, fab, 0), simDriver(p, fab, 1)
 }
 
 func pollUntil(t *testing.T, d *Driver, timeout time.Duration) *wire.Packet {
@@ -185,15 +196,6 @@ func TestBlockingPoll(t *testing.T) {
 	}
 }
 
-func TestCtrlPackets(t *testing.T) {
-	a, b := pair(t, fastParams())
-	a.SendCtrl(Header{Src: 0, Dst: 1, Tag: -1}, []byte{42})
-	p := pollUntil(t, b, time.Second)
-	if p.Kind != wire.PktCtrl || p.Payload[0] != 42 {
-		t.Fatalf("bad ctrl %+v", p)
-	}
-}
-
 func TestPresetsSane(t *testing.T) {
 	mx, shm, tcp := MXParams(), SHMParams(), TCPParams()
 	if mx.EagerMax != 32<<10 {
@@ -225,7 +227,7 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("New(self=%d) did not panic", bad)
 				}
 			}()
-			NewSim(MXParams(), fab, bad)
+			simDriver(MXParams(), fab, bad)
 		}()
 	}
 	func() {
@@ -241,7 +243,7 @@ func TestNewValidation(t *testing.T) {
 func TestDefaultMTU(t *testing.T) {
 	fab := wire.NewFabric(1, wire.MYRI10G())
 	p := Params{Name: "x", Link: wire.MYRI10G()}
-	d := NewSim(p, fab, 0)
+	d := simDriver(p, fab, 0)
 	if d.MTU() <= 0 {
 		t.Fatalf("MTU = %d, want positive default", d.MTU())
 	}
@@ -281,7 +283,7 @@ func TestStripeWeights(t *testing.T) {
 		t.Errorf("simulated SHM preset declares stripe weight %v, want 0 (intra-node only)", w)
 	}
 	fab := wire.NewFabric(1, wire.MYRI10G())
-	d := NewSim(MXParams(), fab, 0)
+	d := simDriver(MXParams(), fab, 0)
 	if d.StripeWeight() != MXParams().StripeWeight {
 		t.Fatalf("driver weight %v, want the preset's %v", d.StripeWeight(), MXParams().StripeWeight)
 	}
@@ -300,7 +302,7 @@ func TestStripeWeights(t *testing.T) {
 // failing the capability probe.
 func TestLostFramesWithoutCounter(t *testing.T) {
 	fab := wire.NewFabric(1, wire.MYRI10G())
-	if got := NewSim(MXParams(), fab, 0).LostFrames(); got != 0 {
+	if got := simDriver(MXParams(), fab, 0).LostFrames(); got != 0 {
 		t.Fatalf("simulated rail reports %d lost frames", got)
 	}
 }
@@ -313,7 +315,7 @@ func TestLostFramesWithoutCounter(t *testing.T) {
 func TestConcurrentStatsSnapshot(t *testing.T) {
 	p := fastParams()
 	fab := wire.NewFabric(2, p.Link)
-	a, b := NewSim(p, fab, 0), NewSim(p, fab, 1)
+	a, b := simDriver(p, fab, 0), simDriver(p, fab, 1)
 	reg := telemetry.NewRegistry()
 	a.RegisterMetrics(reg, "node0.rail.fast")
 	b.RegisterMetrics(reg, "node1.rail.fast")

@@ -52,33 +52,14 @@ type Source interface {
 // whose peer died still completes, it just carries the reason.
 type Request struct {
 	done sync2.Flag
-	// onComplete, if set, runs exactly once right before waiters wake.
-	onComplete func()
 	// err is the request's failure, written before done.Set (whose
 	// release/acquire ordering publishes it) and read only after the
 	// completion flag is observed set.
 	err error
 }
 
-// NewRequest returns a fresh incomplete request.
-func NewRequest() *Request { return &Request{} }
-
-// OnComplete registers f to run when the request completes. Must be called
-// before the request is visible to other goroutines.
-func (r *Request) OnComplete(f func()) { r.onComplete = f }
-
 // Complete marks the request done and wakes waiters. Idempotent.
-func (r *Request) Complete() {
-	if r.done.IsSet() {
-		return
-	}
-	if r.onComplete != nil {
-		f := r.onComplete
-		r.onComplete = nil
-		f()
-	}
-	r.done.Set()
-}
+func (r *Request) Complete() { r.done.Set() }
 
 // CompleteErr marks the request done with a failure and wakes waiters.
 // Waiters observe completion exactly as for Complete; Err reports the
@@ -108,41 +89,47 @@ func (r *Request) Completed() bool { return r.done.IsSet() }
 // Flag exposes the completion flag for thread blocking.
 func (r *Request) Flag() *sync2.Flag { return &r.done }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. The timer trigger's period belongs to
+// the scheduler (sched.Config.TimerPeriod); the server only supplies the
+// tasklet each tick schedules.
 type Config struct {
-	// TimerPeriod is the tick interval for the timer trigger. Zero keeps
-	// the scheduler's; the timer is the last-resort trigger when every
-	// core computes and blocking mode is off.
-	TimerPeriod time.Duration
 	// EnableIdleHook installs the server as the scheduler idle hook
 	// (active polling on idle cores). On for the multithreaded engine.
 	EnableIdleHook bool
 	// EnableBlocking starts one watcher goroutine per source that blocks
 	// on the NIC when no core is idle.
 	EnableBlocking bool
-	// BlockingCheck is how often the watcher re-evaluates idleness (and
-	// the timeout of each blocking receive). Zero selects the host-tuned
-	// default, AutoBlockingCheck.
-	BlockingCheck time.Duration
 }
 
-// AutoBlockingCheck returns the watcher cadence tuned to the host shape
-// and polling mode. With active polling on and ≥4 CPUs the watcher is a
-// backstop, so the historical 100µs cadence holds. Without active
-// polling (noIdlePolling — mpi.Config.NoIdlePolling, i.e. the idle hook
-// disabled) or on smaller hosts the watcher is the only progress made
-// while no thread sits in a wait's spin phase — every thread computing
-// (the overlap case) or blocked past its spin budget — and a 50µs
-// cadence halves the worst-case reaction to an event that lands just
-// after a timeout expired, without measurable idle cost (the watcher
-// sleeps inside the blocking receive either way). A thread that is
-// spinning in Wait finds its own arrivals and does not depend on the
-// cadence. Config.BlockingCheck overrides it.
-func AutoBlockingCheck(noIdlePolling bool) time.Duration {
-	if !noIdlePolling && runtime.NumCPU() >= 4 {
-		return 100 * time.Microsecond
+// hostTimings derives, once per server, the two waiting parameters that
+// depend on nothing but the host and the polling mode — PIOMan choosing
+// "the most appropriate method depending on the context" (§3.1), where
+// the context is how many processors the Go scheduler runs
+// (runtime.GOMAXPROCS, not runtime.NumCPU: a GOMAXPROCS=1 run on a wide
+// host has one processor to spin on, not many) and whether idle cores
+// poll.
+//
+// With active polling on and ≥4 processors there are cores to burn: a
+// waiting thread spins 300µs, which catches the common few-µs completion
+// without a scheduler round trip, and the watcher is only a backstop
+// re-checking idleness every 100µs. Otherwise the spin is 50µs, then the
+// thread blocks and releases its core. On a rail that polls for itself
+// (shmfab) the spinner never leaves its processor, so every µs past the
+// common completion time is taken from the peer rank or a computing
+// sibling thread; on a goroutine-fed rail (tcpfab, udpfab) the spin is
+// cooperative and the budget only bounds how long a wait for a genuinely
+// late message keeps a processor cycling through yields. And the watcher
+// is then the only progress made while no thread sits in a wait's spin
+// phase — every thread computing (the overlap case) or blocked past its
+// spin budget — so its cadence tightens to 50µs, halving the worst-case
+// reaction to an event that lands just after a timeout expired, without
+// measurable idle cost (it sleeps inside the blocking receive either
+// way).
+func hostTimings(idleHook bool) (waitSpin, watchCadence time.Duration) {
+	if idleHook && runtime.GOMAXPROCS(0) >= 4 {
+		return 300 * time.Microsecond, 100 * time.Microsecond
 	}
-	return 50 * time.Microsecond
+	return 50 * time.Microsecond, 50 * time.Microsecond
 }
 
 // Stats counts server activity.
@@ -154,7 +141,11 @@ type Stats struct {
 
 // Server coordinates progress for one node.
 type Server struct {
-	cfg   Config
+	cfg Config
+	// waitSpin and watchCadence are hostTimings' derivation, fixed at
+	// construction.
+	waitSpin, watchCadence time.Duration
+
 	sch   *sched.Scheduler
 	mu    sync2.SpinLock
 	srcs  []Source
@@ -169,12 +160,8 @@ type Server struct {
 // NewServer creates a server bound to one node's scheduler and installs its
 // triggers according to cfg.
 func NewServer(sch *sched.Scheduler, cfg Config) *Server {
-	if cfg.BlockingCheck <= 0 {
-		// With the idle hook off the watcher is the progress engine —
-		// the NoIdlePolling configuration — so the cadence tightens.
-		cfg.BlockingCheck = AutoBlockingCheck(!cfg.EnableIdleHook)
-	}
 	s := &Server{cfg: cfg, sch: sch, stop: make(chan struct{})}
+	s.waitSpin, s.watchCadence = hostTimings(cfg.EnableIdleHook)
 	s.tl = sched.NewTasklet("piom.progress", func(core topo.CoreID) {
 		s.Poll(core)
 	})
@@ -237,29 +224,14 @@ func (s *Server) Poll(core topo.CoreID) bool {
 	return worked
 }
 
+// WaitSpin is how long a thread waiting on a request should poll inline
+// before blocking: the host-derived budget every engine wait spends.
+func (s *Server) WaitSpin() time.Duration { return s.waitSpin }
+
 // Schedule queues the progress tasklet, e.g. right after a request is
 // registered ("the asynchronous send actually only registers the request in
 // a work list and generates an event", §2.1).
 func (s *Server) Schedule() { s.sch.Schedule(s.tl) }
-
-// WaitFor makes the calling goroutine (which should hold a core) poll the
-// server until req completes. The fast path spins through Poll — detecting
-// both local completions and ones raced by other cores — and falls back to
-// blocking on the completion flag after spinBudget, so a wait never burns a
-// core indefinitely.
-func (s *Server) WaitFor(req *Request, core topo.CoreID, spinBudget time.Duration) {
-	deadline := time.Now().Add(spinBudget)
-	for !req.Completed() {
-		s.Poll(core)
-		if req.Completed() {
-			return
-		}
-		if time.Now().After(deadline) {
-			req.Flag().SpinWait(time.Millisecond)
-			return
-		}
-	}
-}
 
 // watch is the blocking watcher loop for one source: engaged only while no
 // core is idle, exactly as §3.2 describes rendezvous management.
@@ -272,10 +244,10 @@ func (s *Server) watch(src Source) {
 		}
 		if s.cfg.EnableIdleHook && s.sch.IdleCores() > 0 {
 			// Active polling owns progress; stand by.
-			time.Sleep(s.cfg.BlockingCheck)
+			time.Sleep(s.watchCadence)
 			continue
 		}
-		if src.BlockingWait(s.cfg.BlockingCheck) {
+		if src.BlockingWait(s.watchCadence) {
 			s.bwake.Add(1)
 		}
 	}

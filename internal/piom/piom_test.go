@@ -1,6 +1,8 @@
 package piom
 
 import (
+	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,21 +54,37 @@ func newSched(t *testing.T, cores int) *sched.Scheduler {
 }
 
 func TestRequestLifecycle(t *testing.T) {
-	r := NewRequest()
+	var r Request
 	if r.Completed() {
 		t.Fatal("fresh request completed")
 	}
-	var hooks int
-	r.OnComplete(func() { hooks++ })
 	r.Complete()
 	r.Complete() // idempotent
 	if !r.Completed() {
 		t.Fatal("not completed after Complete")
 	}
-	if hooks != 1 {
-		t.Fatalf("onComplete ran %d times, want 1", hooks)
+	r.CompleteErr(errors.New("late")) // the first completion wins
+	if r.Err() != nil {
+		t.Fatalf("Err = %v after a successful completion", r.Err())
 	}
 	r.Flag().Wait() // must not block
+}
+
+// TestHostTimingsFollowGOMAXPROCS pins the derivation of the wait spin
+// and the watcher cadence from the processors the Go scheduler runs, not
+// the CPUs the host has: with one P there is no core to burn, so even
+// with the idle hook on a server takes the small-host 50µs budget and
+// 50µs cadence.
+func TestHostTimingsFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	srv := NewServer(newSched(t, 2), Config{EnableIdleHook: true})
+	defer srv.Stop()
+	if got := srv.WaitSpin(); got != 50*time.Microsecond {
+		t.Errorf("WaitSpin = %v under GOMAXPROCS=1, want 50µs", got)
+	}
+	if srv.watchCadence != 50*time.Microsecond {
+		t.Errorf("watcher cadence = %v under GOMAXPROCS=1, want 50µs", srv.watchCadence)
+	}
 }
 
 func TestIdleCoresPollSources(t *testing.T) {
@@ -115,70 +133,9 @@ func TestScheduleRunsTasklet(t *testing.T) {
 	}
 }
 
-func TestWaitForCompletesViaPolling(t *testing.T) {
-	sch := newSched(t, 1)
-	srv := NewServer(sch, Config{})
-	defer srv.Stop()
-	req := NewRequest()
-	src := newFakeSource()
-	srv.Register(src)
-	// Completion happens on the 5th progress pass.
-	done := atomic.Int64{}
-	srv.Register(sourceFunc(func(core topo.CoreID) bool {
-		if done.Add(1) == 5 {
-			req.Complete()
-			return true
-		}
-		return false
-	}))
-	th := sch.Spawn("waiter", func(th *sched.Thread) {
-		srv.WaitFor(req, th.Core(), 100*time.Millisecond)
-	})
-	th.Join()
-	if !req.Completed() {
-		t.Fatal("WaitFor returned with incomplete request")
-	}
-}
-
-func TestWaitForFallsBackToFlag(t *testing.T) {
-	sch := newSched(t, 2)
-	srv := NewServer(sch, Config{})
-	defer srv.Stop()
-	req := NewRequest()
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		req.Complete()
-	}()
-	start := time.Now()
-	// Tiny spin budget: must fall back to blocking and still wake.
-	th := sch.Spawn("waiter", func(th *sched.Thread) {
-		srv.WaitFor(req, th.Core(), 10*time.Microsecond)
-	})
-	th.Join()
-	if !req.Completed() {
-		t.Fatal("incomplete after WaitFor")
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("WaitFor took far too long")
-	}
-}
-
-// sourceFunc adapts a function to Source with a no-op BlockingWait.
-type sourceFunc func(core topo.CoreID) bool
-
-func (f sourceFunc) Progress(core topo.CoreID) bool { return f(core) }
-func (f sourceFunc) BlockingWait(d time.Duration) bool {
-	time.Sleep(d)
-	return false
-}
-
 func TestBlockingWatcherEngagesWhenNoCoreIdle(t *testing.T) {
 	sch := newSched(t, 1)
-	srv := NewServer(sch, Config{
-		EnableIdleHook: true,
-		EnableBlocking: true,
-		BlockingCheck:  200 * time.Microsecond,
-	})
+	srv := NewServer(sch, Config{EnableIdleHook: true, EnableBlocking: true})
 	defer srv.Stop()
 	src := newFakeSource()
 	srv.Register(src)
@@ -214,11 +171,7 @@ func TestBlockingWatcherEngagesWhenNoCoreIdle(t *testing.T) {
 
 func TestBlockingWatcherStandsByWhenIdle(t *testing.T) {
 	sch := newSched(t, 4) // plenty of idle cores
-	srv := NewServer(sch, Config{
-		EnableIdleHook: true,
-		EnableBlocking: true,
-		BlockingCheck:  100 * time.Microsecond,
-	})
+	srv := NewServer(sch, Config{EnableIdleHook: true, EnableBlocking: true})
 	defer srv.Stop()
 	src := newFakeSource()
 	srv.Register(src)

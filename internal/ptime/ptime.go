@@ -90,6 +90,3 @@ func (s Stopwatch) Elapsed() time.Duration {
 	}
 	return el
 }
-
-// Restart resets the stopwatch to now.
-func (s *Stopwatch) Restart() { *s = NewStopwatch() }

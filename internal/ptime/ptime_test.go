@@ -43,9 +43,9 @@ func TestStopwatch(t *testing.T) {
 	if e := sw.Elapsed(); e < 100*time.Microsecond {
 		t.Fatalf("Elapsed = %v, want >= 100µs", e)
 	}
-	sw.Restart()
+	sw = NewStopwatch()
 	if e := sw.Elapsed(); e > time.Millisecond {
-		t.Fatalf("after Restart, Elapsed = %v, want ~0", e)
+		t.Fatalf("fresh stopwatch: Elapsed = %v, want ~0", e)
 	}
 }
 

@@ -41,10 +41,11 @@ type Config struct {
 	Machine topo.Machine
 	// TimerPeriod is the interval of the timer trigger; 0 disables it.
 	TimerPeriod time.Duration
-	// IdleSpin is how long an idle core busy-polls the hook before
-	// yielding to the Go runtime; it bounds the CPU burned per idle pass.
-	IdleSpin time.Duration
 }
+
+// idleSpin is how long an idle core busy-polls the hook before yielding
+// to the Go runtime; it bounds the CPU burned per idle pass.
+const idleSpin = 5 * time.Microsecond
 
 // Stats exposes scheduler activity counters (monotonic, atomic reads).
 type Stats struct {
@@ -58,7 +59,6 @@ type Stats struct {
 // Scheduler owns the simulated cores of one node.
 type Scheduler struct {
 	machine topo.Machine
-	cfg     Config
 
 	taskletMu   sync2.SpinLock
 	tasklets    []*Tasklet
@@ -90,12 +90,8 @@ func New(cfg Config) *Scheduler {
 	if err := cfg.Machine.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.IdleSpin <= 0 {
-		cfg.IdleSpin = 5 * time.Microsecond
-	}
 	s := &Scheduler{
 		machine: cfg.Machine,
-		cfg:     cfg,
 		runq:    make(chan *Thread, 4096),
 		stop:    make(chan struct{}),
 	}
@@ -152,13 +148,8 @@ func (s *Scheduler) Schedule(t *Tasklet) {
 	}
 }
 
-// ScheduleFunc schedules a one-shot anonymous tasklet.
-func (s *Scheduler) ScheduleFunc(name string, fn func(core topo.CoreID)) {
-	s.Schedule(NewTasklet(name, fn))
-}
-
 // enqueueTasklet and popTasklet keep the tasklet queue head-indexed, like
-// the engine's strategy queue: re-slicing past a popped head would give
+// the engine's send queue: re-slicing past a popped head would give
 // up the array's front, so a queue that empties and refills once per
 // kick would allocate a fresh array every time.
 func (s *Scheduler) enqueueTasklet(t *Tasklet) {
@@ -233,7 +224,7 @@ func (s *Scheduler) worker(core topo.CoreID) {
 	}
 }
 
-// idlePhase busy-polls the idle hook for up to cfg.IdleSpin, returning
+// idlePhase busy-polls the idle hook for up to idleSpin, returning
 // early if a tasklet or thread shows up. Reports whether any hook call did
 // work. idleTimer is the worker's reusable timer; idlePhase leaves it
 // stopped and drained.
@@ -267,7 +258,7 @@ func (s *Scheduler) idlePhase(core topo.CoreID, idleTimer *time.Timer) bool {
 		}
 	}
 	hook := *hp
-	deadline := time.Now().Add(s.cfg.IdleSpin)
+	deadline := time.Now().Add(idleSpin)
 	worked := false
 	for {
 		s.nIdlePolls.Add(1)

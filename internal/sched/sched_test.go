@@ -139,20 +139,6 @@ func TestNilTaskletFnPanics(t *testing.T) {
 	NewTasklet("bad", nil)
 }
 
-func TestScheduleFunc(t *testing.T) {
-	s := testSched(t, 2)
-	done := make(chan topo.CoreID, 1)
-	s.ScheduleFunc("once", func(core topo.CoreID) { done <- core })
-	select {
-	case c := <-done:
-		if !s.Machine().ValidCore(c) {
-			t.Fatalf("ran on invalid core %d", c)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("one-shot tasklet never ran")
-	}
-}
-
 func TestThreadRunsAndJoins(t *testing.T) {
 	s := testSched(t, 2)
 	ran := false
@@ -270,27 +256,6 @@ func TestBlockReleasesCoreForOthers(t *testing.T) {
 	blocked.Join()
 }
 
-func TestSpinThen(t *testing.T) {
-	s := testSched(t, 1)
-	th := s.Spawn("spinner", func(th *Thread) {
-		n := 0
-		ok := th.SpinThen(50*time.Millisecond, func() bool {
-			n++
-			return n >= 3
-		})
-		if !ok {
-			t.Error("SpinThen should have succeeded")
-		}
-		if !th.SpinThen(time.Microsecond, func() bool { return true }) {
-			t.Error("immediately-true condition failed")
-		}
-		if th.SpinThen(100*time.Microsecond, func() bool { return false }) {
-			t.Error("never-true condition succeeded")
-		}
-	})
-	th.Join()
-}
-
 func TestComputeWithoutCorePanics(t *testing.T) {
 	s := testSched(t, 1)
 	ch := make(chan *Thread, 1)
@@ -398,7 +363,7 @@ func TestStatsCount(t *testing.T) {
 	th := s.Spawn("w", func(th *Thread) { th.Compute(time.Microsecond) })
 	th.Join()
 	done := make(chan struct{})
-	s.ScheduleFunc("t", func(core topo.CoreID) { close(done) })
+	s.Schedule(NewTasklet("t", func(core topo.CoreID) { close(done) }))
 	<-done
 	st := s.Stats()
 	if st.ThreadsRun == 0 {
@@ -415,6 +380,6 @@ func TestStatsCount(t *testing.T) {
 func TestScheduleAfterShutdownIsNoop(t *testing.T) {
 	s := New(Config{Machine: topo.Machine{Sockets: 1, CoresPerSocket: 1}})
 	s.Shutdown()
-	s.ScheduleFunc("late", func(core topo.CoreID) {})
+	s.Schedule(NewTasklet("late", func(core topo.CoreID) {}))
 	s.Shutdown() // double shutdown is fine
 }

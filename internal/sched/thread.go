@@ -108,23 +108,6 @@ func (th *Thread) Block(f *sync2.Flag) {
 	th.acquireCore()
 }
 
-// SpinThen runs fn repeatedly while holding the core until it returns
-// true or the budget elapses; it reports whether fn succeeded. Wait-style
-// operations use it to poll inline ("the message is sent inside the wait
-// function", §3.2) before falling back to blocking.
-func (th *Thread) SpinThen(budget time.Duration, fn func() bool) bool {
-	th.mustHoldCore("SpinThen")
-	deadline := time.Now().Add(budget)
-	for {
-		if fn() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
-}
-
 // Join waits (from any goroutine, without holding a core) for the thread
 // to finish.
 func (th *Thread) Join() { th.done.Wait() }

@@ -1,26 +1,27 @@
 // Package stats provides the small statistics toolkit used by the benchmark
-// harness: running mean/variance (Welford), min/max, and percentile
-// summaries over duration samples. The paper reports single µs numbers per
+// harness: percentile, mean and trimmed-mean summaries over duration
+// samples. The paper reports single µs numbers per
 // configuration; we additionally report medians and spread because the
 // simulated testbed runs on a shared host.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
 )
 
-// Running accumulates streaming statistics with Welford's algorithm.
-type Running struct {
+// running accumulates streaming statistics with Welford's algorithm. No
+// caller outside this package's tests streams samples any more (every
+// harness keeps a Sample), so it is unexported.
+type running struct {
 	n        int
 	mean, m2 float64
 	min, max float64
 }
 
 // Add incorporates one sample.
-func (r *Running) Add(x float64) {
+func (r *running) Add(x float64) {
 	r.n++
 	if r.n == 1 {
 		r.min, r.max = x, x
@@ -38,27 +39,24 @@ func (r *Running) Add(x float64) {
 }
 
 // N returns the sample count.
-func (r *Running) N() int { return r.n }
+func (r *running) N() int { return r.n }
 
 // Mean returns the sample mean, 0 if empty.
-func (r *Running) Mean() float64 { return r.mean }
+func (r *running) Mean() float64 { return r.mean }
 
 // Var returns the unbiased sample variance, 0 for fewer than 2 samples.
-func (r *Running) Var() float64 {
+func (r *running) Var() float64 {
 	if r.n < 2 {
 		return 0
 	}
 	return r.m2 / float64(r.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
 // Min returns the smallest sample, 0 if empty.
-func (r *Running) Min() float64 { return r.min }
+func (r *running) Min() float64 { return r.min }
 
 // Max returns the largest sample, 0 if empty.
-func (r *Running) Max() float64 { return r.max }
+func (r *running) Max() float64 { return r.max }
 
 // Sample is a bounded collection of duration measurements.
 type Sample struct {
@@ -99,12 +97,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 // Median returns the 50th percentile.
 func (s *Sample) Median() time.Duration { return s.Percentile(50) }
 
-// Min returns the smallest measurement, 0 if empty.
-func (s *Sample) Min() time.Duration { return s.Percentile(0) }
-
-// Max returns the largest measurement, 0 if empty.
-func (s *Sample) Max() time.Duration { return s.Percentile(100) }
-
 // Mean returns the arithmetic mean, 0 if empty.
 func (s *Sample) Mean() time.Duration {
 	if len(s.xs) == 0 {
@@ -142,13 +134,5 @@ func (s *Sample) TrimmedMean(frac float64) time.Duration {
 	return sum / time.Duration(len(kept))
 }
 
-// Summary formats min/median/mean/p95/max in microseconds.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("min=%.1fµs med=%.1fµs mean=%.1fµs p95=%.1fµs max=%.1fµs (n=%d)",
-		us(s.Min()), us(s.Median()), us(s.Mean()), us(s.Percentile(95)), us(s.Max()), s.N())
-}
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
 // US converts a duration to float microseconds for table printing.
-func US(d time.Duration) float64 { return us(d) }
+func US(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

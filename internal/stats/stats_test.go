@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunningBasics(t *testing.T) {
-	var r Running
+	var r running
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
@@ -29,8 +29,8 @@ func TestRunningBasics(t *testing.T) {
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.Std() != 0 {
+	var r running
+	if r.Mean() != 0 || r.Var() != 0 {
 		t.Fatal("empty Running should report zeros")
 	}
 	r.Add(3)
@@ -47,7 +47,7 @@ func TestRunningMatchesBatch(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		var r Running
+		var r running
 		var sum float64
 		for _, v := range raw {
 			r.Add(float64(v))
@@ -101,9 +101,6 @@ func TestEmptySample(t *testing.T) {
 	s := NewSample(0)
 	if s.Median() != 0 || s.Mean() != 0 || s.TrimmedMean(0.1) != 0 {
 		t.Fatal("empty sample must report zeros")
-	}
-	if s.Summary() == "" {
-		t.Fatal("Summary must not be empty")
 	}
 }
 
@@ -160,7 +157,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			if v < prev {
 				t.Fatalf("percentile not monotone: P%v=%v < prev %v", p, v, prev)
 			}
-			if v < s.Min() || v > s.Max() {
+			if v < s.Percentile(0) || v > s.Percentile(100) {
 				t.Fatalf("P%v=%v outside [min,max]", p, v)
 			}
 			prev = v

@@ -75,10 +75,12 @@ func (f *Flag) Wait() {
 	<-f.channel()
 }
 
-// SpinWait busy-waits up to spin before blocking on the channel. It returns
-// as soon as the flag is set. The spin phase keeps the sub-5µs completion
-// path free of scheduler round trips.
-func (f *Flag) SpinWait(spin time.Duration) {
+// spinWait busy-waits up to spin before blocking on the channel. It
+// returns as soon as the flag is set. The spin phase keeps the sub-5µs
+// completion path free of scheduler round trips. The engine spins in its
+// own wait loop instead (it polls while it spins), so only this package's
+// tests call it.
+func (f *Flag) spinWait(spin time.Duration) {
 	if f.done.Load() {
 		return
 	}

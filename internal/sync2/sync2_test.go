@@ -103,7 +103,7 @@ func TestFlagSpinWaitFastPath(t *testing.T) {
 	var f Flag
 	f.Set()
 	start := time.Now()
-	f.SpinWait(time.Second)
+	f.spinWait(time.Second)
 	if el := time.Since(start); el > 10*time.Millisecond {
 		t.Fatalf("SpinWait on set flag took %v", el)
 	}
@@ -115,7 +115,7 @@ func TestFlagSpinWaitFallsBackToBlock(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		f.Set()
 	}()
-	f.SpinWait(100 * time.Microsecond) // spin expires, must block then wake
+	f.spinWait(100 * time.Microsecond) // spin expires, must block then wake
 	if !f.IsSet() {
 		t.Fatal("returned without flag set")
 	}
@@ -131,7 +131,7 @@ func TestFlagManyWaiters(t *testing.T) {
 			if i%2 == 0 {
 				f.Wait()
 			} else {
-				f.SpinWait(time.Microsecond)
+				f.spinWait(time.Microsecond)
 			}
 		}(i)
 	}
@@ -143,70 +143,5 @@ func TestFlagManyWaiters(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiters did not all wake")
-	}
-}
-
-func TestSemaphoreBounds(t *testing.T) {
-	s := NewSemaphore(2)
-	s.Acquire()
-	s.Acquire()
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire succeeded beyond capacity")
-	}
-	if s.InUse() != 2 || s.Cap() != 2 {
-		t.Fatalf("InUse=%d Cap=%d, want 2,2", s.InUse(), s.Cap())
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire failed with free slot")
-	}
-	s.Release()
-	s.Release()
-}
-
-func TestSemaphoreReleaseUnacquiredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSemaphore(1).Release()
-}
-
-func TestSemaphoreZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSemaphore(0)
-}
-
-func TestSemaphoreConcurrentOccupancy(t *testing.T) {
-	const capn = 3
-	s := NewSemaphore(capn)
-	var cur, max, mu = 0, 0, sync.Mutex{}
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Acquire()
-			mu.Lock()
-			cur++
-			if cur > max {
-				max = cur
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			cur--
-			mu.Unlock()
-			s.Release()
-		}()
-	}
-	wg.Wait()
-	if max > capn {
-		t.Fatalf("observed %d concurrent holders, cap %d", max, capn)
 	}
 }

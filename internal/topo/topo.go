@@ -1,9 +1,7 @@
 // Package topo models the hardware topology of a cluster node: sockets and
 // cores, like the dual quad-core Xeon machines of the paper's testbed. The
-// Marcel analog (internal/sched) uses the topology to enumerate cores, and
-// the engine uses socket distance to prefer offloading submissions to cores
-// close to the communicating thread (cache-affinity, §2.2's "cache effects"
-// caveat).
+// Marcel analog (internal/sched) uses the topology to enumerate its
+// simulated cores.
 package topo
 
 import "fmt"
@@ -33,8 +31,8 @@ func (m Machine) Validate() error {
 // NumCores returns the total number of cores.
 func (m Machine) NumCores() int { return m.Sockets * m.CoresPerSocket }
 
-// Socket returns the socket that owns core c.
-func (m Machine) Socket(c CoreID) int {
+// socket returns the socket that owns core c.
+func (m Machine) socket(c CoreID) int {
 	if !m.ValidCore(c) {
 		panic(fmt.Sprintf("topo: core %d out of range on %v", c, m))
 	}
@@ -46,51 +44,11 @@ func (m Machine) ValidCore(c CoreID) bool {
 	return c >= 0 && int(c) < m.NumCores()
 }
 
-// Distance returns a topological distance between two cores: 0 for the same
-// core, 1 for cores sharing a socket, 2 across sockets. The offload
-// placement policy prefers low distance to keep the submitted buffer warm
-// in a shared cache.
-func (m Machine) Distance(a, b CoreID) int {
-	switch {
-	case a == b:
-		return 0
-	case m.Socket(a) == m.Socket(b):
-		return 1
-	default:
-		return 2
-	}
-}
-
-// Siblings returns every core sharing a socket with c, excluding c itself.
-func (m Machine) Siblings(c CoreID) []CoreID {
-	s := m.Socket(c)
-	out := make([]CoreID, 0, m.CoresPerSocket-1)
-	for i := s * m.CoresPerSocket; i < (s+1)*m.CoresPerSocket; i++ {
-		if CoreID(i) != c {
-			out = append(out, CoreID(i))
-		}
-	}
-	return out
-}
-
 // Cores enumerates every core ID.
 func (m Machine) Cores() []CoreID {
 	out := make([]CoreID, m.NumCores())
 	for i := range out {
 		out[i] = CoreID(i)
-	}
-	return out
-}
-
-// ByDistance returns all cores other than c sorted by increasing distance
-// from c (socket-mates first). Within a distance class, IDs ascend.
-func (m Machine) ByDistance(c CoreID) []CoreID {
-	out := make([]CoreID, 0, m.NumCores()-1)
-	out = append(out, m.Siblings(c)...)
-	for _, o := range m.Cores() {
-		if m.Socket(o) != m.Socket(c) {
-			out = append(out, o)
-		}
 	}
 	return out
 }

@@ -27,13 +27,13 @@ func TestValidate(t *testing.T) {
 func TestSocketAssignment(t *testing.T) {
 	m := DualQuadXeon()
 	for c := 0; c < 4; c++ {
-		if m.Socket(CoreID(c)) != 0 {
-			t.Errorf("core %d on socket %d, want 0", c, m.Socket(CoreID(c)))
+		if m.socket(CoreID(c)) != 0 {
+			t.Errorf("core %d on socket %d, want 0", c, m.socket(CoreID(c)))
 		}
 	}
 	for c := 4; c < 8; c++ {
-		if m.Socket(CoreID(c)) != 1 {
-			t.Errorf("core %d on socket %d, want 1", c, m.Socket(CoreID(c)))
+		if m.socket(CoreID(c)) != 1 {
+			t.Errorf("core %d on socket %d, want 1", c, m.socket(CoreID(c)))
 		}
 	}
 }
@@ -44,36 +44,7 @@ func TestSocketOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DualQuadXeon().Socket(8)
-}
-
-func TestDistance(t *testing.T) {
-	m := DualQuadXeon()
-	cases := []struct {
-		a, b CoreID
-		want int
-	}{
-		{0, 0, 0}, {0, 1, 1}, {0, 3, 1}, {0, 4, 2}, {3, 7, 2}, {4, 5, 1},
-	}
-	for _, c := range cases {
-		if got := m.Distance(c.a, c.b); got != c.want {
-			t.Errorf("Distance(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestSiblings(t *testing.T) {
-	m := DualQuadXeon()
-	sib := m.Siblings(1)
-	want := []CoreID{0, 2, 3}
-	if len(sib) != len(want) {
-		t.Fatalf("Siblings(1) = %v, want %v", sib, want)
-	}
-	for i := range want {
-		if sib[i] != want[i] {
-			t.Fatalf("Siblings(1) = %v, want %v", sib, want)
-		}
-	}
+	DualQuadXeon().socket(8)
 }
 
 func TestCoresEnumeration(t *testing.T) {
@@ -89,55 +60,24 @@ func TestCoresEnumeration(t *testing.T) {
 	}
 }
 
-func TestByDistanceOrder(t *testing.T) {
-	m := DualQuadXeon()
-	order := m.ByDistance(5)
-	if len(order) != 7 {
-		t.Fatalf("len = %d, want 7", len(order))
-	}
-	// First 3 must share socket 1, remaining 4 must be socket 0.
-	for _, c := range order[:3] {
-		if m.Socket(c) != 1 {
-			t.Errorf("near core %d on socket %d, want 1", c, m.Socket(c))
-		}
-	}
-	for _, c := range order[3:] {
-		if m.Socket(c) != 0 {
-			t.Errorf("far core %d on socket %d, want 0", c, m.Socket(c))
-		}
-	}
-}
-
-// Properties over arbitrary (small) machines.
+// Properties over arbitrary (small) machines: the cores enumerate
+// densely and every socket owns exactly CoresPerSocket of them.
 func TestTopologyProperties(t *testing.T) {
 	f := func(s, c uint8) bool {
 		m := Machine{Sockets: int(s%4) + 1, CoresPerSocket: int(c%8) + 1}
-		// Distance is symmetric and bounded.
-		for _, a := range m.Cores() {
-			for _, b := range m.Cores() {
-				d1, d2 := m.Distance(a, b), m.Distance(b, a)
-				if d1 != d2 || d1 < 0 || d1 > 2 {
-					return false
-				}
-				if (a == b) != (d1 == 0) {
-					return false
-				}
+		perSocket := make([]int, m.Sockets)
+		for i, core := range m.Cores() {
+			if int(core) != i || !m.ValidCore(core) {
+				return false
 			}
+			perSocket[m.socket(core)]++
 		}
-		// ByDistance covers every other core exactly once.
-		for _, a := range m.Cores() {
-			seen := map[CoreID]bool{a: true}
-			for _, o := range m.ByDistance(a) {
-				if seen[o] {
-					return false
-				}
-				seen[o] = true
-			}
-			if len(seen) != m.NumCores() {
+		for _, n := range perSocket {
+			if n != m.CoresPerSocket {
 				return false
 			}
 		}
-		return true
+		return !m.ValidCore(CoreID(m.NumCores()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

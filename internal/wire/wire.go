@@ -34,7 +34,7 @@ const (
 	PktRTS                       // rendezvous request-to-send handshake
 	PktCTS                       // rendezvous clear-to-send acknowledgement
 	PktData                      // rendezvous zero-copy payload
-	PktCtrl                      // control (barrier, shutdown, tests)
+	PktCtrl                      // control: transport tests only; the engine drops it
 	PktAggr                      // aggregated eager packs (optimizer strategy)
 	PktDataAck                   // rendezvous data acknowledgement (self-healing replay)
 	PktPing                      // rail health probe (probation liveness check)
@@ -90,9 +90,6 @@ type Packet struct {
 	// arriveAt is when the packet becomes visible at the destination.
 	arriveAt time.Time
 }
-
-// ArriveAt exposes the modeled arrival time (for tests and tracing).
-func (p *Packet) ArriveAt() time.Time { return p.arriveAt }
 
 // LinkParams describes one direction of a point-to-point link.
 type LinkParams struct {
@@ -326,12 +323,6 @@ func (f *Fabric) Poll(dst int) *Packet {
 // but with one lock round trip per run.
 func (f *Fabric) PollBatch(dst int, into []*Packet) int {
 	return f.inboxes[dst].popRun(time.Now(), into)
-}
-
-// PendingAt reports whether any packet (arrived or in flight) is queued for
-// node dst, and the arrival time of the earliest one.
-func (f *Fabric) PendingAt(dst int) (time.Time, bool) {
-	return f.inboxes[dst].earliest()
 }
 
 // LinkBacklog returns how far into the future the src→dst link's

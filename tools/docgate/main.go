@@ -1,7 +1,7 @@
-// Command docgate runs the repo's godoc-coverage gate (see
-// internal/docgate) over package directories given as arguments,
-// printing one line per exported identifier missing a doc comment and
-// exiting nonzero when any gated package fails:
+// Command docgate runs the repo's two API gates (see internal/docgate)
+// from the module root: the godoc-coverage gate over package directories
+// given as arguments, and the unused-export gate over the whole module.
+// It prints one line per finding and exits nonzero when any gate fails:
 //
 //	go run ./tools/docgate internal/fabric internal/nic internal/mpi
 //
@@ -20,25 +20,25 @@ import (
 func main() {
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
-		for _, d := range docgate.GatedDirsFromRoot() {
-			dirs = append(dirs, d)
-		}
+		dirs = docgate.GatedDirsFromRoot()
 	}
 	failed := false
-	for _, dir := range dirs {
-		missing, err := docgate.Missing(filepath.Clean(dir))
+	report := func(findings []string, err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			failed = true
-			continue
 		}
-		for _, m := range missing {
+		for _, m := range findings {
 			fmt.Println(m)
 			failed = true
 		}
 	}
+	for _, dir := range dirs {
+		report(docgate.Missing(filepath.Clean(dir)))
+	}
+	report(docgate.Unused(".", docgate.UnusedAllowlist))
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("docgate: %d packages fully documented\n", len(dirs))
+	fmt.Printf("docgate: %d packages fully documented, no unused exports under internal/\n", len(dirs))
 }
