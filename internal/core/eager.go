@@ -105,8 +105,10 @@ func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 		// stream state and collide with its successor's sequence numbers.
 		e.nDropped.Add(1)
 	case ev.seq < next && !ev.isRTS:
-		e.qlock.Unlock()
-		panic("core: duplicate sequence number in sender stream")
+		// An eager frame whose sequence number the stream already
+		// consumed: nothing in the engine re-sends eager data, so this is
+		// outside input, dropped and counted.
+		e.nDropped.Add(1)
 	case ev.seq < next:
 		// A replayed RTS already advanced the stream past this sequence
 		// (the replay machinery races slow originals by design); the late
@@ -139,6 +141,65 @@ func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 	if ev != nil {
 		ev.release()
 	}
+}
+
+// trainHold bounds how many entries matchTrain matches under one qlock
+// hold. A train carries up to an MTU of entries — over a thousand empty
+// ones on a 32 KiB rail — and a hold must stay at list-manipulation
+// granularity however small they are.
+const trainHold = 64
+
+// trainMatch is one train entry matchTrain matched under qlock, waiting
+// for its payload copy and completion.
+type trainMatch struct {
+	r    *RecvReq
+	tag  int
+	data []byte
+}
+
+// matchTrain delivers the in-order, expected prefix of an aggregated
+// train validAggr accepted and returns the entries after it, which the
+// caller routes through handleMatchable one by one; caller holds
+// pollLock. The prefix costs one qlock hold per trainHold entries, where
+// the per-entry path pays three holds and an arrival round trip per
+// entry: under the hold, each entry whose sequence number is the
+// stream's next and which a posted receive matches (AnySource and AnyTag
+// included) advances lastSeq and is recorded in matchBuf; the payload
+// copies and completions run after the unlock, as handleEager's do. The
+// walk stops at the first entry that is out of order or unexpected, and
+// does not start while the peer is dead or its stash holds arrivals —
+// the per-entry path drops the first and drains the second in order.
+func (e *Engine) matchTrain(core topo.CoreID, src int, train []byte) (rest []byte) {
+	p := &e.peers[src]
+	for len(train) > 0 {
+		matched := e.matchBuf[:0]
+		e.qlock.Lock()
+		if !p.dead.Load() && len(p.stash) == 0 {
+			for len(train) > 0 && len(matched) < trainHold {
+				tag, seq, data, next := splitAggr(train)
+				if seq != p.lastSeq+1 {
+					break
+				}
+				r := e.matchPostedLocked(src, tag)
+				if r == nil {
+					break
+				}
+				p.lastSeq = seq
+				matched = append(matched, trainMatch{r: r, tag: tag, data: data})
+				train = next
+			}
+		}
+		e.qlock.Unlock()
+		for i, m := range matched {
+			matched[i] = trainMatch{}
+			e.deliverEager(core, m.r, src, m.tag, m.data)
+		}
+		e.matchBuf = matched
+		if len(matched) < trainHold {
+			break
+		}
+	}
+	return train
 }
 
 // processMatchable dispatches an in-order arrival and reports whether a

@@ -155,8 +155,10 @@ type Stats struct {
 	ReqsFailed uint64
 	// FramesDropped counts inbound frames discarded unprocessed: a source
 	// rank outside the world, a control frame (nothing in the engine
-	// consumes one), or a matchable frame from a rank currently declared
-	// dead.
+	// consumes one), a frame of unknown kind, an aggregated train that
+	// fails validAggr, a matchable frame from a rank currently declared
+	// dead, or an eager frame whose sequence number its sender's stream
+	// already consumed (counted per train entry).
 	FramesDropped uint64
 }
 
@@ -180,8 +182,12 @@ type Stats struct {
 // neither of the other two held. qlock and wokenMu are the two blocking
 // leaves: neither is held while acquiring any other lock, and nothing
 // that can block or run long (a rail send, a payload copy, a request
-// completion, which wakes threads) happens under them. The atomics read without any
-// lock are named where they are declared.
+// completion, which wakes threads) happens under them. The longest qlock
+// hold on the eager path is matchTrain's, taken under pollLock: it
+// matches up to trainHold entries of one aggregated train, each a
+// sequence check and a posted-list scan, and defers their copies and
+// completions past the unlock. The atomics read without any lock are
+// named where they are declared.
 type Engine struct {
 	node  int
 	cfg   Config
@@ -232,6 +238,9 @@ type Engine struct {
 	// construction and never grown, which keeps the batched drain off the
 	// allocator entirely.
 	pollBuf []*wire.Packet
+	// matchBuf is matchTrain's reusable list of the train entries one
+	// qlock hold matched. Guarded by pollLock, like every train walk.
+	matchBuf []trainMatch
 
 	// woken hands packets from BlockingWait's watcher to the batched
 	// delivery path: the watcher never blocks on pollLock (a concurrent

@@ -98,9 +98,12 @@ func TestRespawnedRankRestartsStreams(t *testing.T) {
 // naming a source outside [0, Nodes) is dropped and counted before it can
 // index a peer, a matchable frame from a dead rank is dropped instead of
 // advancing the zeroed stream, a control frame — which nothing in the
-// engine sends or consumes — is dropped from any rank, posts naming an out-of-range rank panic
-// with the rank and the world size, and the liveness calls keep ignoring
-// out-of-range ranks.
+// engine sends or consumes — is dropped from any rank, posts naming an
+// out-of-range rank panic with the rank and the world size, and the
+// liveness calls keep ignoring out-of-range ranks. Malformed input that
+// used to panic the engine — a corrupted aggregated train, an unknown
+// packet kind, an eager frame replaying a consumed sequence number — is
+// a counted drop instead, and the engine goes on exchanging normally.
 func TestRankValidation(t *testing.T) {
 	frame := func(kind wire.PacketKind, src int) func(*Engine) {
 		return func(e *Engine) {
@@ -112,6 +115,9 @@ func TestRankValidation(t *testing.T) {
 		do          func(e *Engine)
 		wantPanic   string // substring; empty means must not panic
 		wantDropped uint64
+		// thenExchange runs a normal exchange both ways between ranks 0
+		// and 1 after the checks: the drop left the engine healthy.
+		thenExchange bool
 	}{
 		{name: "eager frame src=-1", do: frame(wire.PktEager, -1), wantDropped: 1},
 		{name: "eager frame src=Nodes", do: frame(wire.PktEager, 3), wantDropped: 1},
@@ -129,6 +135,15 @@ func TestRankValidation(t *testing.T) {
 			}
 		}, wantDropped: 1},
 		{name: "in-range frame is processed", do: frame(wire.PktEager, 2)},
+		{name: "corrupted aggregated train", do: frame(wire.PktAggr, 2), wantDropped: 1, thenExchange: true},
+		{name: "unknown packet kind", do: frame(wire.PacketKind(200), 2), wantDropped: 1, thenExchange: true},
+		{name: "duplicate sequence number", do: func(e *Engine) {
+			frame(wire.PktEager, 2)(e)
+			frame(wire.PktEager, 2)(e)
+			if got := e.peers[2].lastSeq; got != 1 {
+				panic(fmt.Sprintf("duplicate moved lastSeq to %d", got))
+			}
+		}, wantDropped: 1, thenExchange: true},
 		{name: "Isend dst=-1", do: func(e *Engine) { e.Isend(-1, 1, nil) }, wantPanic: "rank -1 outside the world of 3 ranks"},
 		{name: "Isend dst=Nodes", do: func(e *Engine) { e.Isend(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
 		{name: "Irecv src=Nodes", do: func(e *Engine) { e.Irecv(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
@@ -151,7 +166,8 @@ func TestRankValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Sequential mode: nothing progresses in the background, so the
 			// test's direct handlePacket calls own the polling path.
-			e := newCluster(t, 3, withMode(Sequential)).Nodes[0].Eng
+			c := newCluster(t, 3, withMode(Sequential))
+			e := c.Nodes[0].Eng
 			defer func() {
 				msg := fmt.Sprint(recover())
 				switch {
@@ -162,6 +178,10 @@ func TestRankValidation(t *testing.T) {
 				}
 				if got := e.Stats().FramesDropped; got != tc.wantDropped {
 					t.Errorf("FramesDropped = %d, want %d", got, tc.wantDropped)
+				}
+				if tc.thenExchange {
+					exchange(t, c, 1, 0, 9, 64)
+					exchange(t, c, 0, 1, 9, 64)
 				}
 			}()
 			tc.do(e)

@@ -303,15 +303,19 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 //
 // A control frame is outside input the engine has no use for — nothing
 // in this engine sends one — so it is dropped and counted like a frame
-// from outside the world.
+// from outside the world. So is a frame of a kind the engine does not
+// know, and an aggregated train whose entries do not tile its payload
+// exactly (validAggr).
 //
 // Packet ownership ends here: an eager frame rides its arrival and is
 // released once that is processed (possibly later, out of the stash);
 // every other frame, an aggregated train included, is released as soon
-// as its handler returns. A train's entries are walked in place and
-// their sub-arrivals borrow the frame only while it is handled: one that
-// a list keeps (the stash, the unexpected pool) first copies its bytes
-// into pooled staging (arrival.own).
+// as its handler returns. A train's entries are walked in place:
+// matchTrain delivers its in-order, expected prefix straight from the
+// frame, and the entries after it become sub-arrivals that borrow the
+// frame only while it is handled — one that a list keeps (the stash, the
+// unexpected pool) first copies its bytes into pooled staging
+// (arrival.own).
 func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "%v from %d", p.Kind, p.Src)
@@ -338,9 +342,10 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 		return
 	case wire.PktAggr:
 		if !validAggr(p.Payload) {
-			panic("core: corrupted aggregated train")
+			e.nDropped.Add(1)
+			break
 		}
-		for rest := p.Payload; len(rest) > 0; {
+		for rest := e.matchTrain(core, p.Src, p.Payload); len(rest) > 0; {
 			tag, seq, data, next := splitAggr(rest)
 			ev := newArrival(rail, p.Src, tag, seq)
 			ev.payload = data
@@ -360,7 +365,7 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 	case wire.PktPong:
 		e.handlePong(rail, p)
 	default:
-		panic("core: unknown packet kind " + p.Kind.String())
+		e.nDropped.Add(1)
 	}
 	fabric.ReleasePacket(p)
 }

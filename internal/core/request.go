@@ -24,17 +24,6 @@ var (
 	recvReqPool = sync.Pool{New: func() any { return new(RecvReq) }}
 )
 
-// recycleWait spins until the request's completion flag has settled: a
-// waiter can observe completion while the completing core is still
-// inside the flag's wakeup (a few instructions behind), and recycling
-// the struct under it would hand those instructions another request's
-// memory. The window is nanoseconds; Gosched keeps the spin polite.
-func recycleWait(req *piom.Request) {
-	for !req.Flag().Settled() {
-		runtime.Gosched()
-	}
-}
-
 // SendReq is an asynchronous send request. An eager send completes when
 // its payload has been submitted to the NIC (copied out of the
 // application buffer). A rendezvous send completes when the receiver's
@@ -129,7 +118,6 @@ func (r *SendReq) Release() {
 	if !r.req.Completed() {
 		panic("core: Release of an incomplete SendReq")
 	}
-	recycleWait(&r.req)
 	*r = SendReq{}
 	sendReqPool.Put(r)
 }
@@ -189,7 +177,6 @@ func (r *RecvReq) Release() {
 	if !r.req.Completed() {
 		panic("core: Release of an incomplete RecvReq")
 	}
-	recycleWait(&r.req)
 	*r = RecvReq{}
 	recvReqPool.Put(r)
 }

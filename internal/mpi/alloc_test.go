@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"pioman/internal/core"
 	"pioman/internal/fabric"
@@ -12,6 +13,7 @@ import (
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
 	"pioman/internal/testenv"
+	"pioman/internal/topo"
 )
 
 // sequentialWorld opens a two-rank Sequential world over the named real
@@ -242,5 +244,93 @@ func TestEngineAggregatedWindowAllocs(t *testing.T) {
 				t.Errorf("aggregated window over %s allocates %.4f/msg, budget %.2f", rail, perMsg, budget)
 			}
 		})
+	}
+}
+
+// TestEngineBlockingWaitAllocs pins the wait that outlives its spin
+// budget — overlap_rdv_tcp's shape, where the peer computes longer than
+// the waiter spins — at zero allocations per blocked wait, in
+// testing.AllocsPerRun's integer sense: the waiter's thread blocks on
+// the request's completion flag through a pooled parker, where the flag
+// used to make a channel per blocking wait (one allocation each). The
+// world is the multithreaded real-transport configuration nmperf runs.
+// Rank 0 sends a go-ahead and waits for the reply, which rank 1 sends
+// only after computing twice the longest spin budget, so every one of
+// rank 0's waits blocks; rank 1's wait for the next go-ahead may block
+// too. Each blocked wait re-acquires a core, so the two schedulers count
+// them, and the budget is per blocked wait. What remains under it is
+// sync.Pool refills, when a buffer released on one processor is wanted
+// on another.
+func TestEngineBlockingWaitAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		warm    = 100
+		meas    = 500
+		tagGo   = 5
+		tagRep  = 6
+		compute = 600 * time.Microsecond
+		budget  = 0.1
+	)
+	f, err := shmfab.NewLocal(2, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := nic.ShmParams()
+	w := mpi.NewWorld(mpi.Config{
+		Nodes:          2,
+		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
+		Mode:           core.Multithreaded,
+		OffloadEager:   true,
+		EnableBlocking: true,
+		NoIdlePolling:  true,
+		MX:             params,
+		Fabrics:        map[string]fabric.Fabric{params.Name: f},
+	})
+	defer w.Close()
+	if spin := w.Node(0).Srv.WaitSpin(); 2*spin > compute {
+		t.Fatalf("compute %v does not outlive twice the %v spin budget", compute, spin)
+	}
+	grants := func() uint64 {
+		return w.Node(0).Sch.Stats().ThreadsRun + w.Node(1).Sch.Stats().ThreadsRun
+	}
+	var mallocs, blocked uint64
+	w.RunAll(func(p *mpi.Proc) {
+		msg := make([]byte, 64)
+		buf := make([]byte, 64)
+		p.Barrier()
+		var m0, m1 runtime.MemStats
+		var g0 uint64
+		for it := 0; it < warm+meas; it++ {
+			if p.Rank() == 1 {
+				p.Recv(0, tagGo, buf)
+				p.Compute(compute)
+				p.Send(0, tagRep, msg)
+				continue
+			}
+			if it == warm {
+				g0 = grants()
+				runtime.ReadMemStats(&m0)
+			}
+			p.Send(1, tagGo, msg)
+			p.Recv(1, tagRep, buf)
+		}
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			mallocs, blocked = m1.Mallocs-m0.Mallocs, grants()-g0
+		}
+		p.Barrier()
+	})
+	// A host stall longer than the compute can let one of rank 0's waits
+	// finish inside its spin; half is still plenty of signal.
+	if blocked < meas/2 {
+		t.Fatalf("only %d blocked waits in %d exchanges: rank 0's waits did not block", blocked, meas)
+	}
+	perWait := float64(mallocs) / float64(blocked)
+	t.Logf("blocking 64 B exchanges over shm: %d allocs over %d blocked waits in %d exchanges (%.3f per blocked wait, budget %.1f)",
+		mallocs, blocked, meas, perWait, budget)
+	if perWait > budget {
+		t.Errorf("a blocked wait allocates %.3f times, budget %.1f", perWait, budget)
 	}
 }

@@ -146,9 +146,11 @@ type Server struct {
 	// construction.
 	waitSpin, watchCadence time.Duration
 
-	sch   *sched.Scheduler
-	mu    sync2.SpinLock
-	srcs  []Source
+	sch *sched.Scheduler
+	// srcs is copy-on-write: Register publishes a fresh slice, so Poll —
+	// the body of every idle spin and every wait's spin — reads it with
+	// one atomic load instead of a lock round trip.
+	srcs  atomic.Pointer[[]Source]
 	tl    *sched.Tasklet
 	stop  chan struct{}
 	done  atomic.Bool
@@ -161,6 +163,7 @@ type Server struct {
 // triggers according to cfg.
 func NewServer(sch *sched.Scheduler, cfg Config) *Server {
 	s := &Server{cfg: cfg, sch: sch, stop: make(chan struct{})}
+	s.srcs.Store(new([]Source))
 	s.waitSpin, s.watchCadence = hostTimings(cfg.EnableIdleHook)
 	s.tl = sched.NewTasklet("piom.progress", func(core topo.CoreID) {
 		s.Poll(core)
@@ -176,9 +179,13 @@ func NewServer(sch *sched.Scheduler, cfg Config) *Server {
 // picked up on the next pass but do not get a dedicated blocking watcher;
 // register all sources before calling Start.
 func (s *Server) Register(src Source) {
-	s.mu.Lock()
-	s.srcs = append(s.srcs, src)
-	s.mu.Unlock()
+	for {
+		old := s.srcs.Load()
+		next := append((*old)[:len(*old):len(*old)], src)
+		if s.srcs.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // Start launches the blocking watchers (if enabled).
@@ -186,10 +193,7 @@ func (s *Server) Start() {
 	if !s.cfg.EnableBlocking {
 		return
 	}
-	s.mu.Lock()
-	srcs := append([]Source(nil), s.srcs...)
-	s.mu.Unlock()
-	for _, src := range srcs {
+	for _, src := range *s.srcs.Load() {
 		go s.watch(src)
 	}
 }
@@ -208,12 +212,9 @@ func (s *Server) Stop() {
 // returning whether any source did work. It is the body of the idle hook,
 // of the timer tasklet, and of inline wait polling.
 func (s *Server) Poll(core topo.CoreID) bool {
-	s.mu.Lock()
-	srcs := s.srcs
-	s.mu.Unlock()
 	s.polls.Add(1)
 	worked := false
-	for _, src := range srcs {
+	for _, src := range *s.srcs.Load() {
 		if src.Progress(core) {
 			worked = true
 		}

@@ -1,8 +1,9 @@
 // Package sync2 provides the light synchronization primitives the paper's
 // event-driven design relies on: spinlocks ("as the communication
 // processing runs for a very short period of time, the synchronization can
-// be achieved by using light primitives such as spinlocks", §2.1), one-shot
-// event flags used to wake waiting threads, and counting semaphores.
+// be achieved by using light primitives such as spinlocks", §2.1), and the
+// one-shot event flag that wakes waiting threads: one atomic word, so
+// completing a request nobody blocked on is a single swap.
 package sync2
 
 import (

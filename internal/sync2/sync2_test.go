@@ -1,10 +1,23 @@
 package sync2
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
+
+// spinWait busy-waits up to spin for f before blocking in Wait — the
+// spin-then-block shape of the engine's wait loop, minus the polling.
+func spinWait(f *Flag, spin time.Duration) {
+	deadline := time.Now().Add(spin)
+	for time.Now().Before(deadline) {
+		if f.IsSet() {
+			return
+		}
+	}
+	f.Wait()
+}
 
 func TestSpinLockMutualExclusion(t *testing.T) {
 	var l SpinLock
@@ -103,7 +116,7 @@ func TestFlagSpinWaitFastPath(t *testing.T) {
 	var f Flag
 	f.Set()
 	start := time.Now()
-	f.spinWait(time.Second)
+	spinWait(&f, time.Second)
 	if el := time.Since(start); el > 10*time.Millisecond {
 		t.Fatalf("SpinWait on set flag took %v", el)
 	}
@@ -115,7 +128,7 @@ func TestFlagSpinWaitFallsBackToBlock(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		f.Set()
 	}()
-	f.spinWait(100 * time.Microsecond) // spin expires, must block then wake
+	spinWait(&f, 100*time.Microsecond) // spin expires, must block then wake
 	if !f.IsSet() {
 		t.Fatal("returned without flag set")
 	}
@@ -131,7 +144,7 @@ func TestFlagManyWaiters(t *testing.T) {
 			if i%2 == 0 {
 				f.Wait()
 			} else {
-				f.spinWait(time.Microsecond)
+				spinWait(&f, time.Microsecond)
 			}
 		}(i)
 	}
@@ -143,5 +156,52 @@ func TestFlagManyWaiters(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiters did not all wake")
+	}
+}
+
+// TestFlagReuseAfterWake is the request freelist's pattern: the waiter
+// zeroes the flag for its next use the moment Wait returns, while the
+// setter may still be walking the waiter stack it swapped out. Under the
+// race detector this fails if Set touches the flag after its swap.
+func TestFlagReuseAfterWake(t *testing.T) {
+	var f Flag
+	for i := 0; i < 500; i++ {
+		go f.Set()
+		f.Wait()
+		f = Flag{}
+	}
+}
+
+// parked spins until f's waiter stack is non-empty: a waiter has pushed
+// its parker and is about to sleep on it.
+func parked(f *Flag) {
+	for p := f.state.Load(); p == nil || p == flagDone; p = f.state.Load() {
+		runtime.Gosched()
+	}
+}
+
+// TestFlagBlockingWaitAllocs pins a steady-state block/wake cycle at zero
+// allocations: the parker comes from the pool, not a fresh channel.
+func TestFlagBlockingWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	var f Flag
+	next := make(chan *Flag)
+	defer close(next)
+	go func() {
+		for f := range next {
+			parked(f)
+			f.Set()
+		}
+	}()
+	cycle := func() {
+		f = Flag{}
+		next <- &f
+		f.Wait()
+	}
+	cycle() // warm the parker pool
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("block/wake cycle allocates %.2f times, want 0", allocs)
 	}
 }
