@@ -34,7 +34,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 // tagPhase carries phase-control markers from rank 0 to the echoing
@@ -104,10 +103,8 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
-		NoIdlePolling:  true,
 		Strategy:       "multirail",
 		MultirailMin:   bondedStripeMin,
-		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 		Metrics:        metrics,
 	}, []mpi.Rail{
 		{Params: tcpRail, Ep: tep},

@@ -98,7 +98,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 func main() {
@@ -305,12 +304,7 @@ func runReal(listen, connect, shmDir, udpAddr string, cfgRank int, quick bool, m
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
-		// Real transports progress through the §3.2 blocking fallback:
-		// active polling would only steal CPU from the kernel (TCP) or
-		// the peer process (shm) on small hosts.
-		NoIdlePolling: true,
-		Machine:       topo.Machine{Sockets: 1, CoresPerSocket: 2},
-		Metrics:       metrics,
+		Metrics:        metrics,
 	}, rail, ep)
 	defer w.Close()
 

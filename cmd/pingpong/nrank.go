@@ -20,7 +20,6 @@ import (
 	"pioman/internal/core"
 	"pioman/internal/mpi"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 // nrankSize is the pairwise exchange payload: the eager-class 4 KiB
@@ -49,8 +48,6 @@ func runNrank(dur time.Duration, quick bool, metrics *telemetry.Registry) int {
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
-		NoIdlePolling:  true,
-		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 		Metrics:        metrics,
 	})
 	if err != nil {

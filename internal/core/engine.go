@@ -157,8 +157,9 @@ type Stats struct {
 	// rank outside the world, a control frame (nothing in the engine
 	// consumes one), a frame of unknown kind, an aggregated train that
 	// fails validAggr, a matchable frame from a rank currently declared
-	// dead, or an eager frame whose sequence number its sender's stream
-	// already consumed (counted per train entry).
+	// dead, an eager frame whose sequence number its sender's stream
+	// already consumed (counted per train entry), or a rendezvous DATA
+	// chunk outside its reception's announced length.
 	FramesDropped uint64
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,22 @@ func TestRankValidation(t *testing.T) {
 				panic(fmt.Sprintf("duplicate moved lastSeq to %d", got))
 			}
 		}, wantDropped: 1, thenExchange: true},
+		{name: "data chunk outside its reception", do: func(e *Engine) {
+			// A live reception: a posted receive answers rank 2's RTS
+			// announcing 64 bytes. Chunks before or past it are dropped;
+			// an in-range one still completes it.
+			r := e.Irecv(2, 1, make([]byte, 64))
+			rts := make([]byte, 16)
+			rts[0] = 64
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktRTS, Src: 2, Dst: 0, Tag: 1, Seq: 1, MsgID: 7, Payload: rts})
+			for _, off := range []int{-8, 60, math.MaxInt} {
+				e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktData, Src: 2, Dst: 0, Tag: 1, MsgID: 7, Offset: off, Payload: make([]byte, 8)})
+			}
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktData, Src: 2, Dst: 0, Tag: 1, MsgID: 7, Payload: make([]byte, 64)})
+			if !r.Req().Completed() {
+				panic("the reception did not complete after the hostile chunks")
+			}
+		}, wantDropped: 3, thenExchange: true},
 		{name: "Isend dst=-1", do: func(e *Engine) { e.Isend(-1, 1, nil) }, wantPanic: "rank -1 outside the world of 3 ranks"},
 		{name: "Isend dst=Nodes", do: func(e *Engine) { e.Isend(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
 		{name: "Irecv src=Nodes", do: func(e *Engine) { e.Irecv(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},

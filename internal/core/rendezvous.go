@@ -471,8 +471,9 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 	st := src.recving[p.MsgID]
 	done := st == nil && src.done.has(p.MsgID)
 	var buf []byte
+	var msgLen int
 	if st != nil {
-		buf = st.req.buf
+		buf, msgLen = st.req.buf, st.msgLen
 	}
 	e.qlock.Unlock()
 	if st == nil {
@@ -481,6 +482,13 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 		} else if e.tracing() {
 			e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "late data msgid=%d", p.MsgID)
 		}
+		return
+	}
+	// Offset and length are outside input: a chunk that does not lie
+	// inside the announced message would slice the buffer out of range
+	// (a negative offset) or count bytes the message does not have.
+	if p.Offset < 0 || uint64(p.Offset)+uint64(len(p.Payload)) > uint64(msgLen) {
+		e.nDropped.Add(1)
 		return
 	}
 	// The copy runs outside qlock; the state does not. st is embedded in

@@ -25,7 +25,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 	"pioman/internal/wire"
 )
 
@@ -624,7 +623,6 @@ func runFailover(t *testing.T, open OpenFabric, drop float64, seed int64, msgByt
 	lossy := NewChaos(open(t, 2), ChaosConfig{Seed: seed, Drop: drop})
 	w := mpi.NewWorld(mpi.Config{
 		Nodes:          2,
-		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
@@ -703,7 +701,6 @@ func RunTelemetrySnapshot(t *testing.T, open OpenFabric) {
 		reg := telemetry.NewRegistry()
 		w := mpi.NewWorld(mpi.Config{
 			Nodes:          2,
-			Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 			Mode:           core.Multithreaded,
 			OffloadEager:   true,
 			EnableBlocking: true,

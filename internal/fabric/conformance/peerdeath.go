@@ -10,7 +10,6 @@ import (
 	"pioman/internal/core"
 	"pioman/internal/mpi"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 // RunPeerDeath runs the bounded-failure contract against the backend: a
@@ -35,8 +34,6 @@ func RunPeerDeath(t *testing.T, open OpenFabric) {
 				Mode:           core.Multithreaded,
 				OffloadEager:   true,
 				EnableBlocking: true,
-				NoIdlePolling:  true,
-				Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 				PeerDeadline:   peerDeadline,
 				Metrics:        reg,
 			}, failoverParams("rail"), mustEp(t, f, rank))

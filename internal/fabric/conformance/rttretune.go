@@ -10,7 +10,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 // RunRTTRetune runs the latency-penalty regression against the backend:
@@ -38,7 +37,6 @@ func RunRTTRetune(t *testing.T, open OpenFabric) {
 		reg := telemetry.NewRegistry()
 		w := mpi.NewWorld(mpi.Config{
 			Nodes:             2,
-			Machine:           topo.Machine{Sockets: 1, CoresPerSocket: 2},
 			Mode:              core.Multithreaded,
 			OffloadEager:      true,
 			EnableBlocking:    true,

@@ -10,7 +10,6 @@ import (
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
-	"pioman/internal/topo"
 )
 
 // Self-healing suites: the today-hangs case (a rail dies *between* span
@@ -44,7 +43,6 @@ func RunSelfHealing(t *testing.T, open OpenFabric) {
 		reg := telemetry.NewRegistry()
 		w := mpi.NewWorld(mpi.Config{
 			Nodes:          2,
-			Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 			Mode:           core.Multithreaded,
 			OffloadEager:   true,
 			EnableBlocking: true,
@@ -112,7 +110,6 @@ func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 		reg := telemetry.NewRegistry()
 		w := mpi.NewWorld(mpi.Config{
 			Nodes:             2,
-			Machine:           topo.Machine{Sockets: 1, CoresPerSocket: 2},
 			Mode:              core.Multithreaded,
 			OffloadEager:      true,
 			EnableBlocking:    true,

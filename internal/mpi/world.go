@@ -9,6 +9,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pioman/internal/core"
@@ -29,7 +30,9 @@ import (
 type Config struct {
 	// Nodes is the number of cluster nodes (default 2, the testbed).
 	Nodes int
-	// Machine is each node's core topology (default dual quad-core Xeon).
+	// Machine is each node's core topology in a simulated world (default
+	// dual quad-core Xeon). A world whose rails are all real ignores it:
+	// its nodes take the host's shape (hostMachine).
 	Machine topo.Machine
 	// Mode selects the engine mode for every node.
 	Mode core.Mode
@@ -65,11 +68,10 @@ type Config struct {
 	Fabrics map[string]fabric.Fabric
 	// EnableBlocking starts the blocking-call fallback watchers.
 	EnableBlocking bool
-	// NoIdlePolling keeps idle cores out of the active-polling loop, so
-	// progress rides on explicit waits, timer tasklets and the blocking
-	// watchers alone. The right mode for real transports on hosts
-	// without cores to burn: busy-polling against a socket only starves
-	// the kernel of the CPU it needs to deliver the packet.
+	// NoIdlePolling has no effect. Idle cores busy-poll the event server
+	// in a simulated world; in a world whose rails are all real they park,
+	// and progress rides on explicit waits, tasklets and the blocking
+	// watchers.
 	NoIdlePolling bool
 	// TimerPeriod drives the scheduler timer trigger (0 disables).
 	TimerPeriod time.Duration
@@ -123,6 +125,17 @@ type World struct {
 	size  int
 	nodes []*Node // indexed by rank; remote ranks are nil
 	fabs  []fabric.Fabric
+	// host is every local node's shape when all rails are real; zero in
+	// a simulated world, whose nodes take Config.Machine and poll on idle
+	// cores.
+	host topo.Machine
+}
+
+// hostMachine is the node shape of a world whose rails are all real: one
+// socket of GOMAXPROCS ÷ ranks cores, at least one, so a core stands for a
+// processor the rank may use. ranks counts this process's ranks only.
+func hostMachine(ranks int) topo.Machine {
+	return topo.Machine{Sockets: 1, CoresPerSocket: max(1, runtime.GOMAXPROCS(0)/ranks)}
 }
 
 // railSet resolves the configured rail parameter list.
@@ -144,6 +157,7 @@ func NewWorld(cfg Config) *World {
 	}
 	railParams := railSet(&cfg)
 	fabrics := make(map[string]fabric.Fabric, len(railParams))
+	simulated := false
 	for _, rp := range railParams {
 		if _, dup := fabrics[rp.Name]; dup {
 			panic(fmt.Sprintf("mpi: duplicate rail name %q", rp.Name))
@@ -155,6 +169,7 @@ func NewWorld(cfg Config) *World {
 			fabrics[rp.Name] = f
 		} else {
 			fabrics[rp.Name] = simfab.New(wire.NewFabric(cfg.Nodes, rp.Link))
+			simulated = true
 		}
 	}
 
@@ -168,6 +183,9 @@ func NewWorld(cfg Config) *World {
 	}
 
 	w := &World{cfg: cfg, size: cfg.Nodes, nodes: make([]*Node, cfg.Nodes)}
+	if !simulated {
+		w.host = hostMachine(cfg.Nodes)
+	}
 	for _, rp := range railParams {
 		w.fabs = append(w.fabs, fabrics[rp.Name])
 	}
@@ -243,7 +261,7 @@ func NewDistributedBonded(cfg Config, rails []Rail) *World {
 	cfg.MX = rails[0].Params
 	cfg.SHM = nic.Params{}
 	cfg.ExtraRails = nil
-	w := &World{cfg: cfg, size: nodes, nodes: make([]*Node, nodes)}
+	w := &World{cfg: cfg, size: nodes, nodes: make([]*Node, nodes), host: hostMachine(1)}
 	drivers := make([]*nic.Driver, 0, len(rails))
 	for _, r := range rails {
 		drivers = append(drivers, nic.New(r.Params, r.Ep))
@@ -253,20 +271,25 @@ func NewDistributedBonded(cfg Config, rails []Rail) *World {
 }
 
 // startNode assembles and starts one node: Marcel scheduler, PIOMan event
-// server (Multithreaded mode), NewMadeleine engine over rails.
+// server (Multithreaded mode), NewMadeleine engine over rails. A
+// simulated node models the paper's machine and busy-polls on idle cores;
+// a node whose rails are all real has the host's shape and parks idle
+// cores, because a spinning core there takes a processor from the kernel
+// or the peer rank that would deliver the packet.
 func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 	cfg := &w.cfg
-	if cfg.Machine.NumCores() == 0 {
-		cfg.Machine = topo.DualQuadXeon()
+	machine, idleHook := w.host, false
+	if machine.NumCores() == 0 {
+		machine, idleHook = cfg.Machine, true
 	}
 	sch := sched.New(sched.Config{
-		Machine:     cfg.Machine,
+		Machine:     machine,
 		TimerPeriod: cfg.TimerPeriod,
 	})
 	var srv *piom.Server
 	if cfg.Mode == core.Multithreaded {
 		srv = piom.NewServer(sch, piom.Config{
-			EnableIdleHook: !cfg.NoIdlePolling,
+			EnableIdleHook: idleHook,
 			EnableBlocking: cfg.EnableBlocking,
 		})
 	}

@@ -15,6 +15,9 @@
 //     time a core is idle, leaving a core idle will boil down to a busy
 //     waiting until PIOMan wakes up a thread".
 //
+// A core with no idle hook parks until a thread or a tasklet arrives, so
+// an idle node costs no CPU and no timer wake-ups.
+//
 // A timer goroutine periodically schedules a registered tasklet even when
 // every core is busy, modeling Marcel's timer-interrupt trigger.
 package sched
@@ -65,6 +68,9 @@ type Scheduler struct {
 	taskletHead int
 
 	runq chan *Thread
+	// bell wakes cores parked with no idle hook: enqueueTasklet and
+	// SetIdleHook raise it with sync2.Notify.
+	bell chan struct{}
 
 	idleHook atomic.Pointer[IdleHook]
 	timerT   atomic.Pointer[Tasklet]
@@ -93,6 +99,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		machine: cfg.Machine,
 		runq:    make(chan *Thread, 4096),
+		bell:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
 	for _, c := range s.machine.Cores() {
@@ -126,12 +133,14 @@ func (s *Scheduler) IdleCores() int {
 }
 
 // SetIdleHook installs the function idle cores run; nil clears it.
+// Parked cores wake to run a new hook.
 func (s *Scheduler) SetIdleHook(h IdleHook) {
 	if h == nil {
 		s.idleHook.Store(nil)
 		return
 	}
 	s.idleHook.Store(&h)
+	sync2.Notify(s.bell)
 }
 
 // SetTimerTasklet installs the tasklet scheduled on every timer tick.
@@ -157,6 +166,7 @@ func (s *Scheduler) enqueueTasklet(t *Tasklet) {
 	s.tasklets, s.taskletHead = sync2.CompactQueue(s.tasklets, s.taskletHead)
 	s.tasklets = append(s.tasklets, t)
 	s.taskletMu.Unlock()
+	sync2.Notify(s.bell)
 }
 
 func (s *Scheduler) popTasklet() *Tasklet {
@@ -175,14 +185,6 @@ func (s *Scheduler) popTasklet() *Tasklet {
 
 // worker is the per-core loop.
 func (s *Scheduler) worker(core topo.CoreID) {
-	// One reusable timer per worker for idlePhase's timed waits: a
-	// time.After there would allocate a fresh timer every 100µs on
-	// every idle core, a steady background churn the zero-allocation
-	// hot path would drown in.
-	idleTimer := time.NewTimer(time.Hour)
-	if !idleTimer.Stop() {
-		<-idleTimer.C
-	}
 	defer s.wg.Done()
 	for {
 		select {
@@ -206,17 +208,16 @@ func (s *Scheduler) worker(core topo.CoreID) {
 		// 2. Runnable application threads.
 		select {
 		case th := <-s.runq:
-			s.nThreads.Add(1)
-			s.busyCores.Add(1)
-			th.runOn(core)
-			s.busyCores.Add(-1)
+			s.runThread(core, th)
 			continue
 		default:
 		}
 
-		// 3. Idle: run the PIOMan hook (busy wait), else back off.
-		worked := s.idlePhase(core, idleTimer)
-		if !worked {
+		// 3. Idle: run the PIOMan hook (busy wait), else park.
+		hp := s.idleHook.Load()
+		if hp == nil {
+			s.park(core)
+		} else if !s.idlePhase(core, *hp) {
 			// Nothing to do at all: yield so the host isn't saturated
 			// when the engine is quiescent.
 			runtime.Gosched()
@@ -224,40 +225,35 @@ func (s *Scheduler) worker(core topo.CoreID) {
 	}
 }
 
+// runThread lends core to th until th releases it.
+func (s *Scheduler) runThread(core topo.CoreID, th *Thread) {
+	s.nThreads.Add(1)
+	s.busyCores.Add(1)
+	th.runOn(core)
+	s.busyCores.Add(-1)
+}
+
+// park blocks a core that has no idle hook until a thread, a ring of the
+// bell or shutdown; nothing wakes it on a timer. A tasklet enqueued
+// between the worker's queue check and this select still finds the bell
+// raised. One ring wakes one core, so a core woken to a newly installed
+// hook passes the ring on: every parked core must start polling.
+func (s *Scheduler) park(core topo.CoreID) {
+	select {
+	case th := <-s.runq:
+		s.runThread(core, th)
+	case <-s.bell:
+		if s.idleHook.Load() != nil {
+			sync2.Notify(s.bell)
+		}
+	case <-s.stop:
+	}
+}
+
 // idlePhase busy-polls the idle hook for up to idleSpin, returning
 // early if a tasklet or thread shows up. Reports whether any hook call did
-// work. idleTimer is the worker's reusable timer; idlePhase leaves it
-// stopped and drained.
-func (s *Scheduler) idlePhase(core topo.CoreID, idleTimer *time.Timer) bool {
-	hp := s.idleHook.Load()
-	if hp == nil {
-		// No hook (sequential mode): wait for work without burning CPU.
-		idleTimer.Reset(100 * time.Microsecond)
-		defer func() {
-			// The timer is owned by this goroutine, so a stop plus
-			// non-blocking drain leaves it clean for the next Reset
-			// whether or not it fired during the select.
-			if !idleTimer.Stop() {
-				select {
-				case <-idleTimer.C:
-				default:
-				}
-			}
-		}()
-		select {
-		case th := <-s.runq:
-			s.nThreads.Add(1)
-			s.busyCores.Add(1)
-			th.runOn(core)
-			s.busyCores.Add(-1)
-			return true
-		case <-s.stop:
-			return true
-		case <-idleTimer.C:
-			return true // timed poll of the queues counts as progress
-		}
-	}
-	hook := *hp
+// work.
+func (s *Scheduler) idlePhase(core topo.CoreID, hook IdleHook) bool {
 	deadline := time.Now().Add(idleSpin)
 	worked := false
 	for {

@@ -269,21 +269,45 @@ func TestComputeWithoutCorePanics(t *testing.T) {
 	th.Compute(time.Microsecond)
 }
 
+// TestIdleHookRunsOnIdleCores installs the hook after the cores have
+// parked: every core must wake and poll, not only the first the bell
+// reaches.
 func TestIdleHookRunsOnIdleCores(t *testing.T) {
 	s := testSched(t, 2)
-	var polls atomic.Int64
+	time.Sleep(5 * time.Millisecond) // let both cores park
+	var polled [2]atomic.Bool
 	s.SetIdleHook(func(core topo.CoreID) bool {
-		polls.Add(1)
+		polled[core].Store(true)
 		return false
 	})
-	deadline := time.Now().Add(time.Second)
-	for polls.Load() == 0 && time.Now().Before(deadline) {
+	deadline := time.Now().Add(5 * time.Second)
+	for !(polled[0].Load() && polled[1].Load()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if polls.Load() == 0 {
-		t.Fatal("idle hook never ran")
+	if !polled[0].Load() || !polled[1].Load() {
+		t.Fatalf("idle hook ran on cores %v, want both", []bool{polled[0].Load(), polled[1].Load()})
 	}
 	s.SetIdleHook(nil)
+}
+
+// TestParkedCoresWakeForTasklets: with no idle hook every core parks, and
+// a tasklet scheduled from a foreign goroutine must still run. Then
+// back-to-back schedule/complete cycles race the park; a lost wake-up
+// hangs the test, so there is no clock in it.
+func TestParkedCoresWakeForTasklets(t *testing.T) {
+	for _, cores := range []int{1, 4} {
+		s := testSched(t, cores)
+		time.Sleep(5 * time.Millisecond) // let every core park
+		ran := make(chan struct{})
+		tl := NewTasklet("t", func(topo.CoreID) { ran <- struct{}{} })
+		for i := 0; i < 10000; i++ {
+			s.Schedule(tl)
+			<-ran
+		}
+		if n := s.Stats().IdlePolls; n != 0 {
+			t.Errorf("%d cores: %d idle polls without a hook", cores, n)
+		}
+	}
 }
 
 func TestIdleHookPreemptedByThread(t *testing.T) {

@@ -30,11 +30,14 @@ func GetTimer(d time.Duration) *time.Timer {
 // user time out instantly. When the caller did not consume the tick
 // and Stop reports the timer already fired, the drain waits for it;
 // the wait is bounded rather than open-ended because under Go ≥1.23
-// semantics (activated by a future go.mod bump) Stop guarantees the
+// semantics Stop guarantees the
 // tick will never arrive, and a bare receive would deadlock — the
 // bound turns that into a bounded stall on an already-rare race path,
-// and the drain itself becomes unnecessary there (Reset flushes). The
-// caller must own t exclusively and not touch it afterwards.
+// and the drain itself becomes unnecessary there (Reset flushes). Those
+// semantics follow the go line of the program's main module, not of this
+// one: nmperf's main module is benchmark/go.mod, so the drain can go only
+// once both go.mod files say go 1.23. The caller must own t exclusively
+// and not touch it afterwards.
 func PutTimer(t *time.Timer, fired bool) {
 	if !t.Stop() && !fired {
 		guard := time.NewTimer(10 * time.Millisecond)
