@@ -172,22 +172,23 @@ type Stats struct {
 // posted and unexpected lists stay engine-wide because an AnySource
 // receive matches across every rank.
 //
-// Lock order, for the six spinlocks below:
+// Lock order, for the four spinlocks below:
 //
-//	biglock → pollLock → submitLock → maintLock → { qlock | wokenMu }
+//	biglock → pollLock → submitLock → qlock
 //
 // biglock (Sequential mode only) wraps whole library calls and is the
-// outermost. pollLock, submitLock and maintLock are only ever TryLocked
-// — a contending core moves on instead of waiting — so they cannot
-// deadlock whatever the nesting; in practice maintLock is tried with
-// neither of the other two held. qlock and wokenMu are the two blocking
-// leaves: neither is held while acquiring any other lock, and nothing
-// that can block or run long (a rail send, a payload copy, a request
-// completion, which wakes threads) happens under them. The longest qlock
-// hold on the eager path is matchTrain's, taken under pollLock: it
-// matches up to trainHold entries of one aggregated train, each a
-// sequence check and a posted-list scan, and defers their copies and
-// completions past the unlock. The atomics read without any lock are
+// outermost. pollLock and submitLock are only ever TryLocked — a
+// contending core moves on instead of waiting — so they cannot deadlock
+// whatever the nesting. qlock is the one blocking leaf: it is never held
+// while acquiring another lock, and nothing that can block or run long
+// (a rail send, a payload copy, a request completion, which wakes
+// threads) happens under it. The longest qlock hold on the eager path is
+// matchTrain's, taken under pollLock: it matches up to trainHold entries
+// of one aggregated train, each a sequence check and a posted-list scan,
+// and defers their copies and completions past the unlock. Two jobs that
+// need no lock are one atomic word each: the blocking watcher hands its
+// packet over through the woken slot, and the maintenance scan is
+// claimed by CASing nextMaint. The atomics read without any lock are
 // named where they are declared.
 type Engine struct {
 	node  int
@@ -243,16 +244,14 @@ type Engine struct {
 	// qlock hold matched. Guarded by pollLock, like every train walk.
 	matchBuf []trainMatch
 
-	// woken hands packets from BlockingWait's watcher to the batched
-	// delivery path: the watcher never blocks on pollLock (a concurrent
-	// poller would stall it for a whole drain otherwise) — it enqueues
-	// the packet it woke on here and lets whichever pass next wins
-	// pollLock deliver it. wokenLen keeps the hot path's emptiness check
-	// off the lock.
-	wokenMu    sync2.SpinLock
-	woken      []wokenPkt
-	wokenSpare []wokenPkt
-	wokenLen   atomic.Int32
+	// woken hands the packet BlockingWait's watcher woke on to the
+	// batched delivery path: the watcher never blocks on pollLock (a
+	// concurrent poller would stall it for a whole drain otherwise) — it
+	// CASes the packet into this empty slot and lets whichever pass next
+	// wins pollLock swap it out and deliver it. One slot suffices: the
+	// watcher only parks on the default rail, piom starts one watcher per
+	// source, and BlockingWait refuses to park while the slot is full.
+	woken atomic.Pointer[wire.Packet]
 
 	// trainBuf is the reusable slice dequeueReady builds submission
 	// trains in; every user holds submitLock, so one buffer serves the
@@ -284,11 +283,11 @@ type Engine struct {
 	// timer scan entirely while it is zero.
 	pendingRdv atomic.Int64
 	// nextMaint is the unix-nanos time before which maybeMaint does
-	// nothing; CAS-advanced so exactly one core pays each maintenance
-	// scan. maintLock serializes the scan body; maintBuf and maintDone
-	// are its reusable work lists (maintLock-owned).
+	// nothing. A scan is claimed by CASing it to maintRunning, so exactly
+	// one core runs each maintenance scan and none starts another until
+	// the winner stores the next due time; maintBuf and maintDone are the
+	// scan's reusable work lists, owned by the CAS winner.
 	nextMaint atomic.Int64
-	maintLock sync2.SpinLock
 	maintBuf  []*SendReq
 	maintDone []*SendReq
 

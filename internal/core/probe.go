@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"pioman/internal/piom"
@@ -47,35 +48,16 @@ func (e *Engine) Iprobe(src, tag int) (ProbeInfo, bool) {
 	return ProbeInfo{}, false
 }
 
-// pollStep makes one progress step appropriate to the engine mode and
-// periodically yields the thread's core so that polling loops never starve
-// sibling threads on a fully-loaded node. It returns the refreshed yield
-// deadline.
-func (e *Engine) pollStep(th *sched.Thread, yieldAt time.Time) time.Time {
-	if e.cfg.Mode == Sequential || e.srv == nil {
-		e.biglock.Lock()
-		e.progress(th.Core(), true)
-		e.biglock.Unlock()
-	} else {
-		e.pollUncounted(th.Core())
-	}
-	if time.Now().After(yieldAt) {
-		th.Yield()
-		return time.Now().Add(sequentialYieldQuantum)
-	}
-	return yieldAt
-}
-
 // Probe blocks the calling thread until a matching message is pending and
 // returns its description.
 func (e *Engine) Probe(src, tag int, th *sched.Thread) ProbeInfo {
-	yieldAt := time.Now().Add(sequentialYieldQuantum)
-	for {
-		if info, ok := e.Iprobe(src, tag); ok {
-			return info
-		}
-		yieldAt = e.pollStep(th, yieldAt)
-	}
+	var info ProbeInfo
+	e.pollUntil(th, time.Time{}, func() bool {
+		var ok bool
+		info, ok = e.Iprobe(src, tag)
+		return ok
+	})
+	return info
 }
 
 // WaitAny blocks until at least one of reqs completes and returns the
@@ -84,29 +66,21 @@ func (e *Engine) WaitAny(th *sched.Thread, reqs ...*piom.Request) int {
 	if len(reqs) == 0 {
 		panic("core: WaitAny on empty request set")
 	}
-	yieldAt := time.Now().Add(sequentialYieldQuantum)
-	for {
-		for i, r := range reqs {
-			if r.Completed() {
-				return i
-			}
-		}
-		yieldAt = e.pollStep(th, yieldAt)
-	}
+	idx := -1
+	e.pollUntil(th, time.Time{}, func() bool {
+		idx = slices.IndexFunc(reqs, (*piom.Request).Completed)
+		return idx >= 0
+	})
+	return idx
 }
 
 // WaitAllTimeout waits for every request or gives up after d; it reports
 // whether all completed. Useful for failure-injection tests and watchdogs.
 func (e *Engine) WaitAllTimeout(th *sched.Thread, d time.Duration, reqs ...*piom.Request) bool {
-	deadline := time.Now().Add(d)
-	yieldAt := time.Now().Add(sequentialYieldQuantum)
-	for _, r := range reqs {
-		for !r.Completed() {
-			if time.Now().After(deadline) {
-				return false
-			}
-			yieldAt = e.pollStep(th, yieldAt)
+	return e.pollUntil(th, time.Now().Add(d), func() bool {
+		for len(reqs) > 0 && reqs[0].Completed() {
+			reqs = reqs[1:]
 		}
-	}
-	return true
+		return len(reqs) == 0
+	})
 }

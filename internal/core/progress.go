@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"pioman/internal/fabric"
@@ -17,52 +18,17 @@ import (
 // of the library-wide lock — stays bounded.
 const pollBatchSize = 64
 
-// wokenPkt is one packet BlockingWait pulled off a rail's blocking
-// receive, queued for delivery by the next holder of pollLock.
-type wokenPkt struct {
-	rail *nic.Driver
-	pkt  *wire.Packet
-}
-
-// enqueueWoken queues a blocking-receive arrival for the batched
-// delivery path and is the only woken-queue producer. The length
-// mirror is written under the lock, so it exactly matches the queue at
-// every lock boundary.
-func (e *Engine) enqueueWoken(rail *nic.Driver, p *wire.Packet) {
-	e.wokenMu.Lock()
-	e.woken = append(e.woken, wokenPkt{rail: rail, pkt: p})
-	e.wokenLen.Store(int32(len(e.woken)))
-	e.wokenMu.Unlock()
-}
-
-// drainWoken delivers every queued blocking-receive arrival; caller
-// holds pollLock, which serializes drains. The queue swaps against a
-// spare — both sides of the swap under one lock hold, so the two
-// slices can never alias the same array — and the steady state
-// recycles the two small arrays. The unlocked atomic length check
-// keeps the common empty case to one load on the polling hot path; a
-// racing producer it misses is picked up by that producer's own
-// trailing Progress pass.
+// drainWoken delivers the packet BlockingWait left in the woken slot, if
+// any; caller holds pollLock, which serializes drains. The unlocked load
+// keeps the common empty case to one read on the polling hot path; a
+// packet it misses is picked up by its producer's own trailing Progress
+// pass.
 func (e *Engine) drainWoken(core topo.CoreID) bool {
-	if e.wokenLen.Load() == 0 {
+	if e.woken.Load() == nil {
 		return false
 	}
-	e.wokenMu.Lock()
-	batch := e.woken
-	e.woken = e.wokenSpare[:0]
-	e.wokenSpare = batch[:0]
-	e.wokenLen.Store(0)
-	e.wokenMu.Unlock()
-	// batch's array is now the spare: producers only ever append to
-	// e.woken, and the next swap is serialized behind pollLock, so this
-	// iteration owns the array until it returns.
-	worked := false
-	for i, w := range batch {
-		batch[i] = wokenPkt{}
-		e.handlePacket(w.rail, core, w.pkt)
-		worked = true
-	}
-	return worked
+	e.handlePacket(e.defaultRail(), core, e.woken.Swap(nil))
+	return true
 }
 
 // drainRail runs batched drains of one rail and handles every frame they
@@ -151,21 +117,19 @@ func (e *Engine) progress(core topo.CoreID, bounded bool) bool {
 // gap that made bonded rendezvous hang before multirail went real.
 //
 // The woken packet rides the same batched delivery path as every polled
-// arrival: it enters the woken queue and the trailing Progress pass
-// delivers it under pollLock. Historically this path took a *blocking*
-// pollLock.Lock — the one asymmetric acquisition in the engine — so a
-// concurrent poller mid-drain could stall the watcher thread for a whole
-// pass; now the watcher never waits on a lock. If a concurrent poller
-// holds pollLock when the trailing pass runs, the packet stays queued —
-// and the guard below keeps the watcher from parking on the rail while
-// it waits: BlockingWait returns immediately, so its caller loops
-// straight back into progress passes until whoever owns the lock (or a
-// later pass here) delivers it.
+// arrival: it goes into the woken slot and the trailing Progress pass
+// delivers it under pollLock, so the watcher never waits on a lock. If a
+// concurrent poller holds pollLock when the trailing pass runs, the
+// packet stays in the slot — and the guard below keeps the watcher from
+// parking on the rail while it waits: BlockingWait returns at once, so
+// its caller loops straight back into progress passes until whoever owns
+// the lock (or a later pass here) delivers it. A second concurrent
+// caller that finds the slot taken runs passes until it empties.
 func (e *Engine) BlockingWait(timeout time.Duration) bool {
 	if e.Progress(-1) {
 		return true
 	}
-	if e.wokenLen.Load() != 0 {
+	if e.woken.Load() != nil {
 		// A woken packet from a lost pollLock race is still undelivered
 		// — possibly the very arrival a blocking receive is waiting on.
 		// Parking on the rail now would strand it for a whole timeout;
@@ -191,7 +155,11 @@ func (e *Engine) BlockingWait(timeout time.Duration) bool {
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindBlockingCall, -1, p.Tag, len(p.Payload), "woke on %v", p.Kind)
 	}
-	e.enqueueWoken(rail, p)
+	for !e.woken.CompareAndSwap(nil, p) {
+		if !e.Progress(-1) {
+			runtime.Gosched()
+		}
+	}
 	e.Progress(-1)
 	return true
 }
@@ -220,17 +188,12 @@ func (e *Engine) submitPending(core topo.CoreID, fromApp, bounded bool) bool {
 }
 
 // submitInline makes the calling (application) thread drive submission
-// until r has left the waiting list — the no-offload path: a classical
-// engine's non-blocking send returns only once the packet has been handed
-// to the NIC, spinning if the NIC is still busy.
+// until r completes, which for an eager send is the moment submitTrain
+// hands it to the NIC — the no-offload path: a classical engine's
+// non-blocking send returns only once the packet has been handed to the
+// NIC, spinning if the NIC is still busy.
 func (e *Engine) submitInline(r *SendReq) {
-	for {
-		e.qlock.Lock()
-		done := r.submitted
-		e.qlock.Unlock()
-		if done {
-			return
-		}
+	for !r.req.Completed() {
 		e.submitPending(-1, true, false)
 	}
 }
@@ -286,11 +249,6 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 			e.cfg.Trace.Recordf(trace.KindSubmit, int(core), -1, len(payload), "dst=%d aggregated=%d", r0.dst, len(train))
 		}
 	}
-	e.qlock.Lock()
-	for _, r := range train {
-		r.submitted = true
-	}
-	e.qlock.Unlock()
 	for _, r := range train {
 		r.req.Complete()
 	}

@@ -46,7 +46,7 @@ const (
 // slice parallel to rails. Fields crossed by the polling path
 // (demotion from stripeData, re-admission from handlePong) and the
 // maintenance tick are atomics; the EWMA bookkeeping is touched only
-// under maintLock.
+// by the maintenance scan's owner (maybeMaint's CAS winner).
 //
 // demotedAt is the whole lifecycle state in one word — zero while the
 // rail is active, the demotion's unix-nanos stamp while it is on
@@ -63,7 +63,7 @@ type railHealth struct {
 	nextRTT   atomic.Int64  // unix nanos of the next RTT probe (active rails)
 	rttNanos  atomic.Int64  // EWMA probe round-trip time, 0 = not yet measured
 
-	// EWMA bookkeeping, maintLock-owned.
+	// EWMA bookkeeping, owned by the maintenance scan.
 	lastBytes uint64
 	lastSent  uint64
 	lastLost  uint64
@@ -110,7 +110,7 @@ func (e *Engine) demoteRail(r *nic.Driver, dst int) {
 
 // railMaint runs the rail-lifecycle half of the maintenance tick:
 // asynchronous-loss demotions, due probation probes, then the online
-// weight retune; caller holds maintLock.
+// weight retune; caller owns the maintenance scan.
 //
 // The demotion scan catches what submission-time detection cannot: a
 // stream that dies moments *after* its span was accepted surfaces the
@@ -174,11 +174,11 @@ func (e *Engine) railMaint(now int64) {
 }
 
 // rttProbes sends a timestamped health ping on each active striping rail
-// once per weightPeriod; caller holds maintLock. The pong echoes the
-// stamp (handlePong) and the EWMA round-trip time feeds the latency
-// penalty in retuneWeights — queueing delay that a goodput window cannot
-// see. Probes go to a fixed representative peer (rank 0, or 1 when we
-// are rank 0), skipping it once it is declared dead.
+// once per weightPeriod; caller owns the maintenance scan. The pong
+// echoes the stamp (handlePong) and the EWMA round-trip time feeds the
+// latency penalty in retuneWeights — queueing delay that a goodput
+// window cannot see. Probes go to a fixed representative peer (rank 0,
+// or 1 when we are rank 0), skipping it once it is declared dead.
 func (e *Engine) rttProbes(now int64) {
 	dst := 0
 	if e.node == 0 {
@@ -259,9 +259,9 @@ func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 }
 
 // retuneWeights folds each rail's measured goodput into its live stripe
-// weight as an EWMA; caller holds maintLock. Goodput is bytes moved per
-// microsecond over the window, discounted by the window's loss ratio and
-// by the rail's probe RTT relative to the best rail's, so a
+// weight as an EWMA; caller owns the maintenance scan. Goodput is bytes
+// moved per microsecond over the window, discounted by the window's loss
+// ratio and by the rail's probe RTT relative to the best rail's, so a
 // degraded-but-alive rail (delivering, but slowly, lossily, or behind a
 // deep queue) sheds stripe share continuously instead of stalling tails
 // at full share. The RTT penalty is what catches latency a goodput

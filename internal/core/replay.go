@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -38,6 +39,10 @@ const (
 	// maintPeriod is the minimum spacing between maintenance scans; the
 	// CAS gate in maybeMaint makes one core pay each scan.
 	maintPeriod = 5 * time.Millisecond
+	// maintRunning is nextMaint while a scan runs: a due time no clock
+	// reaches, so every other core's gate check fails until the scan's
+	// owner stores the next real one.
+	maintRunning = math.MaxInt64
 	// maintPassMask gates the maintenance clock read to 1 pass in 16, so
 	// a spin-polling core is not serialized on time.Now.
 	maintPassMask = 15
@@ -78,17 +83,16 @@ func (e *Engine) maybeMaint(n uint64) {
 	}
 	now := time.Now().UnixNano()
 	next := e.nextMaint.Load()
-	if now < next || !e.nextMaint.CompareAndSwap(next, now+int64(maintPeriod)) {
+	if now < next || !e.nextMaint.CompareAndSwap(next, maintRunning) {
 		return
 	}
-	if !e.maintLock.TryLock() {
-		return
-	}
-	defer e.maintLock.Unlock()
+	// The CAS winner owns the scan — maintBuf, maintDone and the rails'
+	// EWMA fields — until it stores the next due time.
 	if e.pendingRdv.Load() > 0 {
 		e.replayDue(now)
 	}
 	e.railMaint(now)
+	e.nextMaint.Store(now + int64(maintPeriod))
 }
 
 // replayDue re-posts every rendezvous send whose resend deadline passed,

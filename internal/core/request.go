@@ -39,9 +39,6 @@ type SendReq struct {
 	msgID uint64 // rendezvous only
 	data  []byte
 	rdv   bool
-	// submitted flags that an eager send left the send queue; guarded
-	// by the engine's qlock.
-	submitted bool
 	// phase is where a rendezvous send in its peer's unacked window
 	// stands (RTS posted, or CTS seen and DATA posted); guarded by qlock.
 	phase rdvPhase
@@ -315,67 +312,110 @@ func (e *Engine) kick() {
 // would deadlock a fully-loaded node: every core would sit in a blocked
 // thread with nobody left to poll.
 //
-// On a goroutine-fed rail (fabric.GoroutineFed: tcpfab, udpfab) both
-// loops follow a pass that did no work with runtime.Gosched: the frame
-// being waited for is read off its socket by a goroutine of the
-// endpoint, and a waiter that never leaves its processor keeps that
-// goroutine queued until the spin budget runs out. Rails whose poll
-// moves the frames itself are exempt (docs/PERF.md, "Cooperative waits").
+// Both loops run pollStep, which follows a pass that did no work on a
+// goroutine-fed rail with runtime.Gosched (docs/PERF.md, "Cooperative
+// waits").
 func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 	if req.Completed() {
 		return
 	}
-	core := th.Core()
 	if e.cfg.Mode == Sequential || e.srv == nil {
 		// Each progress step holds the library-wide mutex, as the
 		// baseline's thread-safety model dictates; the lock is released
 		// between single-event steps so other threads' library calls
-		// interleave at event granularity. The thread periodically yields
-		// its core so sibling threads are not starved on oversubscribed
-		// nodes.
-		yieldAt := time.Now().Add(sequentialYieldQuantum)
-		for !req.Completed() {
-			e.biglock.Lock()
-			worked := e.progress(core, true)
-			e.biglock.Unlock()
-			if !worked && e.goroutineFed {
-				runtime.Gosched()
-			}
-			if time.Now().After(yieldAt) {
-				th.Yield()
-				core = th.Core()
-				yieldAt = time.Now().Add(sequentialYieldQuantum)
-			}
-		}
+		// interleave at event granularity.
+		e.pollUntil(th, time.Time{}, req.Completed)
 		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindWakeup, int(core), -1, 0, "inline")
+			e.cfg.Trace.Recordf(trace.KindWakeup, int(th.Core()), -1, 0, "inline")
 		}
 		return
 	}
+	core := th.Core()
 	deadline := time.Now().Add(e.srv.WaitSpin())
-	for !req.Completed() {
-		worked := e.pollUncounted(core)
-		if req.Completed() {
-			break
-		}
-		if time.Now().After(deadline) {
-			th.Block(req.Flag())
-			break
-		}
-		if !worked && e.goroutineFed {
-			// The pass found nothing because the frame is still in a
-			// kernel buffer, and the goroutine that reads it may be
-			// queued behind this one: hand it the processor instead of
-			// polling an inbox nobody can fill.
-			runtime.Gosched()
-		}
+	// The budget check rides the step's done check, ahead of its yield,
+	// and the completion check also leads each step: a frame delivered
+	// while the waiter yielded ends the wait at once, without one more
+	// pass, and one found by that pass is not left to th.Block.
+	spent := func() bool { return req.Completed() || time.Now().After(deadline) }
+	for !req.Completed() && !e.pollStep(core, spent) {
+	}
+	if !req.Completed() {
+		th.Block(req.Flag())
 	}
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindWakeup, int(core), -1, 0, "event")
 	}
 }
 
-// sequentialYieldQuantum bounds how long a sequential wait monopolizes a
+// pollStep is the one polling step every wait loop runs: a progress
+// pass for the engine mode — the Sequential baseline's bounded pass
+// under the library-wide mutex, or one event-server poll — and then a
+// done check. It reports whether done holds. Otherwise, after a pass
+// that did no work on a goroutine-fed rail (fabric.GoroutineFed:
+// tcpfab, udpfab), it hands the processor over with runtime.Gosched:
+// the frame being waited for is read off its socket by a goroutine of
+// the endpoint, and a waiter that never leaves its processor keeps that
+// goroutine queued until Go's preemption tick. Rails whose poll moves
+// the frames itself are exempt.
+func (e *Engine) pollStep(core topo.CoreID, done func() bool) bool {
+	var worked bool
+	if e.cfg.Mode == Sequential || e.srv == nil {
+		e.biglock.Lock()
+		worked = e.progress(core, true)
+		e.biglock.Unlock()
+	} else {
+		worked = e.pollUncounted(core)
+	}
+	if done() {
+		return true
+	}
+	if !worked && e.goroutineFed {
+		runtime.Gosched()
+	}
+	return false
+}
+
+// pollUntil runs pollStep on th until done holds, or until deadline
+// passes when it is nonzero, and reports whether done held. Every
+// sequentialYieldQuantum the thread yields its core, so a polling loop
+// never starves sibling threads on a fully-loaded node.
+//
+// On a goroutine-fed rail a Multithreaded loop spins like Wait, for the
+// server's WaitSpin budget, and then parks in BlockingWait for up to
+// that budget per step. Yielding alone is not enough there:
+// runtime.Gosched hands the processor to runnable goroutines only, and
+// a transport goroutine parked in Go's netpoller is woken by an idle
+// processor or by the runtime's 10 ms monitor — so at GOMAXPROCS=1 a
+// loop that only ever yields leaves each frame to the monitor.
+func (e *Engine) pollUntil(th *sched.Thread, deadline time.Time, done func() bool) bool {
+	if done() {
+		return true
+	}
+	yieldAt := time.Now().Add(sequentialYieldQuantum)
+	var parkAt time.Time
+	if e.goroutineFed && e.cfg.Mode == Multithreaded && e.srv != nil {
+		parkAt = time.Now().Add(e.srv.WaitSpin())
+	}
+	for {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return false
+		}
+		if !parkAt.IsZero() && time.Now().After(parkAt) {
+			e.BlockingWait(e.srv.WaitSpin())
+			if done() {
+				return true
+			}
+		} else if e.pollStep(th.Core(), done) {
+			return true
+		}
+		if time.Now().After(yieldAt) {
+			th.Yield()
+			yieldAt = time.Now().Add(sequentialYieldQuantum)
+		}
+	}
+}
+
+// sequentialYieldQuantum bounds how long a polling wait monopolizes a
 // core before letting other runnable threads in.
 const sequentialYieldQuantum = 100 * time.Microsecond
 
