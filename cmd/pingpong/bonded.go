@@ -6,17 +6,18 @@ package main
 // shmfab rail — which is the reproduction's analog of the paper's
 // multirail MX + shared-memory configuration, §4.3, on real fabrics.
 //
-// The run sweeps the rendezvous sizes three times: data forced over the
-// TCP rail alone, then over the shm rail alone, then striped across both
-// by the multirail strategy. The two single-rail phases double as
-// calibration: each rail's measured bandwidth reseeds the engine's
-// striping weights (Driver.SetStripeWeight) before the multirail phase,
-// so the split matches this host's actual rails rather than the preset
-// seeds. Rank 0 finally prints the three bandwidths side by side and how
-// many DATA packets each rail carried during the multirail phases — the
-// causal evidence that striping used both rails, exact on any host,
-// where "multirail beats the best single rail" is a wall-clock race that
-// only a host with cores to drive both rails at once can win.
+// The run sweeps the rendezvous sizes three times: data over the TCP rail
+// alone, then over the shm rail alone — the other rail's stripe weight
+// set to zero, which takes it out of striping — then striped across both.
+// The two single-rail phases double as calibration: each rail's measured
+// bandwidth becomes its striping weight (Driver.SetStripeWeight) for the
+// multirail phase, so the split matches this host's actual rails rather
+// than the preset seeds. Rank 0 finally prints the three bandwidths side
+// by side and how many DATA packets each rail carried during the
+// multirail phases — the causal evidence that striping used both rails,
+// exact on any host, where "multirail beats the best single rail" is a
+// wall-clock race that only a host with cores to drive both rails at
+// once can win.
 
 import (
 	"bytes"
@@ -37,17 +38,13 @@ import (
 )
 
 // tagPhase carries phase-control markers from rank 0 to the echoing
-// rank: which rail (if any) rendezvous data is forced onto, and the
-// measured striping weights.
+// rank: the two rails' striping weights for the next phase.
 const tagPhase = 5
-
-// bondedStripeMin is the multirail threshold of the bonded world; the
-// 256 KiB+ sweep sizes stripe, everything below rides one rail.
-const bondedStripeMin = 128 << 10
 
 // bondedSizes are the rendezvous sizes the single-rail and multirail
 // phases are compared at: the sweep's large-message regime (the biggest
-// size the single-transport sweeps run, well above bondedStripeMin).
+// size the single-transport sweeps run, above the engine's 128 KiB
+// striping threshold; everything smaller rides the tcp rail).
 var bondedSizes = []int{256 << 10}
 
 // bondedRounds repeats the phase cycle and keeps each cell's best p50:
@@ -103,8 +100,6 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
-		Strategy:       "multirail",
-		MultirailMin:   bondedStripeMin,
 		Metrics:        metrics,
 	}, []mpi.Rail{
 		{Params: tcpRail, Ep: tep},
@@ -119,8 +114,7 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 				if tag != tagPhase {
 					return false
 				}
-				filter, wTCP, wSHM := parsePhaseMarker(string(payload))
-				applyPhase(p.Node.Eng, filter, wTCP, wSHM)
+				applyPhase(p.Node.Eng, parsePhaseMarker(string(payload)))
 				return true
 			})
 		})
@@ -131,12 +125,14 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 }
 
 // phaseRTT holds one phase's best-of-rounds median round trip per size.
+// Phases are named by the rail that carries the data alone; "" is the
+// striped phase.
 type phaseRTT map[int]time.Duration
 
 // runBondedSweep drives rank 0: the eager warm-up sizes, then the
 // calibrate/stripe/compare cycle over the rendezvous sizes.
 func runBondedSweep(w *mpi.World, iters int) int {
-	results := map[string]phaseRTT{"tcp": {}, "shm": {}, "multirail": {}}
+	results := map[string]phaseRTT{"tcp": {}, "shm": {}, "": {}}
 	// DATA packets each rail sent from this rank while striping was on.
 	striped := map[string]uint64{}
 	code := 0
@@ -167,13 +163,17 @@ func runBondedSweep(w *mpi.World, iters int) int {
 				proto, size, measured, bondedBW(size, measured))
 		}
 
+		// The striping weights: the presets' seeds until the first
+		// calibration.
+		weights := map[string]float64{"tcp": nic.RealParams().StripeWeight, "shm": nic.ShmParams().StripeWeight}
 		for round := 0; round < bondedRounds; round++ {
-			for _, phase := range []string{"tcp", "shm", "multirail"} {
-				filter := phase
-				if phase == "multirail" {
-					filter = ""
+			for _, phase := range []string{"tcp", "shm", ""} {
+				if phase != "" {
+					// A solo phase: the other rail's weight is zero.
+					solo := map[string]float64{"tcp": 0, "shm": 0}
+					solo[phase] = weights[phase]
+					bondedSetPhase(p, solo)
 				}
-				bondedSetPhase(p, filter, 0, 0)
 				before := railDataSent(p.Node.Eng)
 				for _, size := range bondedSizes {
 					measured, err := bondedTimeSize(p, size, iters)
@@ -185,10 +185,9 @@ func runBondedSweep(w *mpi.World, iters int) int {
 					if best, seen := results[phase][size]; !seen || measured < best {
 						results[phase][size] = measured
 					}
-					fmt.Printf("pingpong: %-10s %8d B  rtt p50 %10v  %8.1f MB/s\n",
-						phaseLabel(phase), size, measured, bondedBW(size, measured))
+					printPhaseRow(phase, size, measured)
 				}
-				if phase == "multirail" {
+				if phase == "" {
 					for name, sent := range railDataSent(p.Node.Eng) {
 						striped[name] += sent - before[name]
 					}
@@ -198,10 +197,10 @@ func runBondedSweep(w *mpi.World, iters int) int {
 					// weights from the bandwidths just measured, on both
 					// ranks, before the multirail phase.
 					top := bondedSizes[len(bondedSizes)-1]
-					wTCP := bondedBW(top, results["tcp"][top])
-					wSHM := bondedBW(top, results["shm"][top])
-					bondedSetPhase(p, "", wTCP, wSHM)
-					fmt.Printf("pingpong: measured rail weights  tcp %.0f MB/s  shm %.0f MB/s\n", wTCP, wSHM)
+					weights["tcp"] = bondedBW(top, results["tcp"][top])
+					weights["shm"] = bondedBW(top, results["shm"][top])
+					bondedSetPhase(p, weights)
+					fmt.Printf("pingpong: measured rail weights  tcp %.0f MB/s  shm %.0f MB/s\n", weights["tcp"], weights["shm"])
 				}
 			}
 		}
@@ -212,7 +211,7 @@ func runBondedSweep(w *mpi.World, iters int) int {
 
 	for _, size := range bondedSizes {
 		fmt.Printf("pingpong: bonded %8d B: multirail %.1f MB/s, tcp-only %.1f MB/s, shm-only %.1f MB/s\n",
-			size, bondedBW(size, results["multirail"][size]),
+			size, bondedBW(size, results[""][size]),
 			bondedBW(size, results["tcp"][size]), bondedBW(size, results["shm"][size]))
 	}
 	fmt.Printf("pingpong: multirail DATA packets sent  tcp %d  shm %d\n", striped["tcp"], striped["shm"])
@@ -229,12 +228,14 @@ func railDataSent(eng *core.Engine) map[string]uint64 {
 	return sent
 }
 
-// phaseLabel names a phase in the sweep output.
-func phaseLabel(phase string) string {
-	if phase == "multirail" {
-		return "multirail"
+// printPhaseRow prints one phase's round trip at one size, labelled
+// "<rail>-only" for a solo phase and multirail for the striped one.
+func printPhaseRow(phase string, size int, rtt time.Duration) {
+	if phase == "" {
+		fmt.Printf("pingpong: multirail  %8d B  rtt p50 %10v  %8.1f MB/s\n", size, rtt, bondedBW(size, rtt))
+		return
 	}
-	return phase + "-only"
+	fmt.Printf("pingpong: %-10s %8d B  rtt p50 %10v  %8.1f MB/s\n", phase+"-only", size, rtt, bondedBW(size, rtt))
 }
 
 // bondedBW converts an echo round trip into MB/s of payload bandwidth
@@ -267,47 +268,33 @@ func bondedTimeSize(p *mpi.Proc, size, iters int) (time.Duration, error) {
 	return samples[iters/2], nil
 }
 
-// bondedSetPhase applies a phase switch on both ranks: rendezvous data
-// forced onto the named rail ("" restores multirail striping) and, when
-// positive, remeasured striping weights. The local engine switches
-// immediately; the peer switches when the marker reaches the front of
-// its echo loop, which is ordered before every later ping.
-func bondedSetPhase(p *mpi.Proc, filter string, wTCP, wSHM float64) {
-	applyPhase(p.Node.Eng, filter, wTCP, wSHM)
-	marker := fmt.Sprintf("filter=%s;wtcp=%g;wshm=%g", filter, wTCP, wSHM)
+// bondedSetPhase applies a phase switch on both ranks: each rail's
+// striping weight by name, zero taking the rail out of striping. The
+// local engine switches immediately; the peer switches when the marker
+// reaches the front of its echo loop, which is ordered before every
+// later ping.
+func bondedSetPhase(p *mpi.Proc, weights map[string]float64) {
+	applyPhase(p.Node.Eng, weights)
+	marker := fmt.Sprintf("tcp=%g;shm=%g", weights["tcp"], weights["shm"])
 	p.Send(1, tagPhase, []byte(marker))
 }
 
-// applyPhase applies a phase marker to an engine.
-func applyPhase(eng *core.Engine, filter string, wTCP, wSHM float64) {
-	eng.ForceDataRail(filter)
-	if wTCP > 0 || wSHM > 0 {
-		for _, rail := range eng.Rails() {
-			switch rail.Name() {
-			case "tcp":
-				rail.SetStripeWeight(wTCP)
-			case "shm":
-				rail.SetStripeWeight(wSHM)
-			}
+// applyPhase sets an engine's rail weights by rail name.
+func applyPhase(eng *core.Engine, weights map[string]float64) {
+	for _, rail := range eng.Rails() {
+		if w, ok := weights[rail.Name()]; ok {
+			rail.SetStripeWeight(w)
 		}
 	}
 }
 
-// parsePhaseMarker decodes a tagPhase payload.
-func parsePhaseMarker(s string) (filter string, wTCP, wSHM float64) {
+// parsePhaseMarker decodes a tagPhase payload into weights by rail name.
+func parsePhaseMarker(s string) map[string]float64 {
+	weights := map[string]float64{}
 	for _, kv := range strings.Split(s, ";") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		switch key {
-		case "filter":
-			filter = val
-		case "wtcp":
-			wTCP, _ = strconv.ParseFloat(val, 64)
-		case "wshm":
-			wSHM, _ = strconv.ParseFloat(val, 64)
+		if name, val, ok := strings.Cut(kv, "="); ok {
+			weights[name], _ = strconv.ParseFloat(val, 64)
 		}
 	}
-	return filter, wTCP, wSHM
+	return weights
 }

@@ -52,10 +52,10 @@
 //
 // Combining the TCP flags with -shm bonds BOTH real transports into one
 // world — the paper's multirail configuration, MX + shared memory, with
-// real fabrics standing in — and runs the sweep three times: data forced
-// over the TCP rail alone, over the shm rail alone (these two measure
-// each rail's actual bandwidth and reseed the striping weights), then
-// striped across both by the multirail strategy. Rank 0 prints each
+// real fabrics standing in — and runs the sweep three times: data over
+// the TCP rail alone, over the shm rail alone (the other rail at stripe
+// weight zero; these two measure each rail's actual bandwidth and
+// reseed the striping weights), then striped across both. Rank 0 prints each
 // phase's bandwidth and how many DATA packets each rail carried while
 // striping:
 //

@@ -2,8 +2,9 @@
 // the paper extends with PIOMan. It implements the three-layer design of
 // Fig. 3 — the application enqueues packs and returns to computing; the
 // optimizer/scheduler picks packs when a rail is free (strategies: FIFO,
-// aggregation, multirail); drivers submit to the wire — plus the two
-// protocols the evaluation exercises:
+// aggregation; large rendezvous stripe across every weighted rail);
+// drivers submit to the wire — plus the two protocols the evaluation
+// exercises:
 //
 //   - eager transfers (≤ the rail's rendezvous threshold): payload is
 //     copied into a registered buffer and PIO/DMA'd; the copy is the
@@ -72,11 +73,11 @@ type Config struct {
 	// it submits inline, since deferral would only postpone the work to
 	// the wait. Only meaningful in Multithreaded mode with OffloadEager.
 	AdaptiveOffload bool
-	// Strategy picks the optimizer: "aggreg" (default: a run of ready
-	// eager sends to one destination leaves as one aggregated frame up
-	// to the rail MTU, a lone one as a plain eager frame), "fifo" (one
-	// frame per send, the ablation's reference), "multirail" (FIFO eager
-	// submission plus rendezvous striping across bonded rails).
+	// Strategy picks the eager optimizer: "aggreg" (default: a run of
+	// ready eager sends to one destination leaves as one aggregated
+	// frame up to the rail MTU, a lone one as a plain eager frame) or
+	// "fifo" (one frame per send, the ablation's reference). It has no
+	// say in striping, which follows the rails' stripe weights.
 	Strategy string
 	// AutoStripeWeights enables online stripe-weight tuning: the engine's
 	// maintenance tick measures each rail's goodput (bytes moved per
@@ -84,12 +85,9 @@ type Config struct {
 	// folds it into the live stripe weight as an EWMA, so a
 	// degraded-but-alive rail sheds load mid-run instead of stalling
 	// stripe tails. Off by default: benchmarks that sweep rails solo
-	// (ForceDataRail phases) must not have their measured weights
-	// re-tuned underneath them.
+	// (a zero weight on every other rail) must not have their measured
+	// weights re-tuned underneath them.
 	AutoStripeWeights bool
-	// MultirailMin is the smallest rendezvous payload the multirail
-	// strategy splits across rails.
-	MultirailMin int
 	// maxPendingRdvPerPeer caps how many rendezvous sends to one
 	// destination may sit in the unacked replay window (RTS posted or
 	// data in flight) at once. The self-healing sublayer retains every
@@ -196,10 +194,11 @@ type Engine struct {
 	sch   *sched.Scheduler
 	srv   *piom.Server
 	rails []*nic.Driver
-	// aggregate and stripe are Config.Strategy, resolved once by
-	// parseStrategy: whether a submission train takes the same-destination
-	// run at the send queue's head, and whether large rendezvous payloads
-	// stripe across rails.
+	// aggregate is Config.Strategy, resolved once by parseStrategy:
+	// whether a submission train takes the same-destination run at the
+	// send queue's head. stripe is set when at least two rails declare a
+	// positive stripe weight at construction: rendezvous payloads of
+	// stripeMin bytes or more then split across the weighted rails.
 	aggregate, stripe bool
 	// goroutineFed is set when any rail's arrivals are read by a
 	// goroutine of its endpoint (nic.Driver.GoroutineFed): a Wait loop
@@ -264,11 +263,6 @@ type Engine struct {
 	// so concurrent threads of one node contend on it. Unused in
 	// Multithreaded mode.
 	biglock sync2.SpinLock
-
-	// railFilter, when non-empty, restricts rendezvous data placement to
-	// the named rail (ForceDataRail) — a measurement hook, not a routing
-	// policy.
-	railFilter atomic.Pointer[string]
 
 	// health tracks per-rail lifecycle state, indexed parallel to rails.
 	// The slice is sized once at construction and its elements are only
@@ -335,8 +329,8 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		}
 		world = max(world, r.Endpoint().Nodes())
 	}
-	if cfg.MultirailMin <= 0 {
-		cfg.MultirailMin = 128 << 10
+	if len(rails) > maxRails {
+		panic(fmt.Sprintf("core: %d rails, at most %d", len(rails), maxRails))
 	}
 	if cfg.maxPendingRdvPerPeer <= 0 {
 		cfg.maxPendingRdvPerPeer = defaultMaxPendingRdv
@@ -365,10 +359,14 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 			e.peers[i].lastHeard.Store(now)
 		}
 	}
+	weighted := 0
 	for _, r := range rails {
 		e.goroutineFed = e.goroutineFed || r.GoroutineFed()
+		if r.StripeWeight() > 0 {
+			weighted++
+		}
 	}
-	e.aggregate, e.stripe = parseStrategy(cfg.Strategy)
+	e.aggregate, e.stripe = parseStrategy(cfg.Strategy), weighted >= 2
 	if cfg.Metrics != nil {
 		e.tel = newEngineTelemetry(cfg.Metrics, e)
 		e.registerRails(cfg.Metrics)
@@ -403,19 +401,6 @@ func (e *Engine) defaultRail() *nic.Driver { return e.rails[0] }
 // per-rail stats and retune striping weights (Driver.SetStripeWeight)
 // without the engine re-exporting every driver knob.
 func (e *Engine) Rails() []*nic.Driver { return e.rails }
-
-// ForceDataRail restricts rendezvous data placement to the named rail
-// until reset with an empty name. It is a measurement hook: a bonded
-// world can sweep each rail's solo bandwidth — and seed the striping
-// weights from what it measured — without tearing the transports down
-// between phases. A name matching no rail leaves placement unchanged.
-func (e *Engine) ForceDataRail(name string) {
-	if name == "" {
-		e.railFilter.Store(nil)
-		return
-	}
-	e.railFilter.Store(&name)
-}
 
 // railFor picks the rail for traffic to dst: self traffic prefers a
 // shared-memory rail when one is configured.

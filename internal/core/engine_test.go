@@ -453,16 +453,11 @@ func TestAggregationStrategy(t *testing.T) {
 	}
 }
 
-func TestMultirailSplitsLargeData(t *testing.T) {
-	rails := func(int) []nic.Params {
-		a := fastRail()
-		b := fastRail()
-		b.Name = "tcp2"
-		return []nic.Params{a, b}
-	}
-	c := newCluster(t, 2, withStrategy("multirail"), withRails(rails))
-	const size = 512 << 10
-	data := payload(size, 6)
+// bigTransfer sends size patterned bytes from rank 0 to rank 1 and
+// fails the test unless they arrive intact.
+func bigTransfer(t *testing.T, c *testCluster, size int, seed byte) {
+	t.Helper()
+	data := payload(size, seed)
 	buf := make([]byte, size)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -482,8 +477,21 @@ func TestMultirailSplitsLargeData(t *testing.T) {
 	}()
 	wg.Wait()
 	if !bytes.Equal(buf, data) {
-		t.Fatal("multirail payload corrupted")
+		t.Fatalf("%d-byte transfer corrupted", size)
 	}
+}
+
+// twoFastRails is a world of two equally weighted inter-node rails.
+func twoFastRails(int) []nic.Params {
+	a := fastRail()
+	b := fastRail()
+	b.Name = "tcp2"
+	return []nic.Params{a, b}
+}
+
+func TestMultirailSplitsLargeData(t *testing.T) {
+	c := newCluster(t, 2, withRails(twoFastRails))
+	bigTransfer(t, c, 512<<10, 6)
 	// Both rails must have carried data chunks.
 	for i, rail := range c.Nodes[0].Eng.rails {
 		if rail.Stats().DataSent == 0 {
@@ -492,24 +500,33 @@ func TestMultirailSplitsLargeData(t *testing.T) {
 	}
 }
 
-// TestMultirailIsNotFifoAlias pins the bugfix for the strategy table:
-// "multirail" used to resolve to a renamed fifo policy, silently running
-// every multirail experiment on FIFO placement. It must engage striping
-// (and fifo must not), and names the table does not know must stay a
-// hard error rather than degrade to some default.
-func TestMultirailIsNotFifoAlias(t *testing.T) {
-	if _, stripe := parseStrategy("multirail"); !stripe {
-		t.Fatal("parseStrategy(\"multirail\") does not stripe")
+// TestStripingFollowsRails pins who decides striping: the rails. Two
+// rails declaring a stripe weight stripe under either eager strategy;
+// one weighted rail beside the zero-weight simulated SHM channel does
+// not; and "multirail", once the strategy that turned striping on, is
+// an unknown name that must fail loudly like any other.
+func TestStripingFollowsRails(t *testing.T) {
+	for _, strat := range []string{"fifo", "aggreg"} {
+		t.Run(strat, func(t *testing.T) {
+			c := newCluster(t, 2, withStrategy(strat), withRails(twoFastRails))
+			bigTransfer(t, c, 512<<10, 7)
+			for i, rail := range c.Nodes[0].Eng.rails {
+				if rail.Stats().DataSent == 0 {
+					t.Errorf("two weighted rails under %q: rail %d carried no data chunks", strat, i)
+				}
+			}
+		})
 	}
-	if _, stripe := parseStrategy("fifo"); stripe {
-		t.Fatal("parseStrategy(\"fifo\") stripes")
+	oneWeighted := newCluster(t, 2, withRails(func(int) []nic.Params { return []nic.Params{fastRail(), nic.SHMParams()} }))
+	if oneWeighted.Nodes[0].Eng.stripe {
+		t.Error("a world with one weighted rail stripes")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unknown strategy name did not panic")
+			t.Fatal(`parseStrategy("multirail") did not panic`)
 		}
 	}()
-	parseStrategy("multi-rail") // a plausible typo must fail loudly
+	parseStrategy("multirail")
 }
 
 // TestMultirailWeightProportion: striping must follow the rails' declared
@@ -524,30 +541,9 @@ func TestMultirailWeightProportion(t *testing.T) {
 		b.StripeWeight = 1000
 		return []nic.Params{a, b}
 	}
-	c := newCluster(t, 2, withStrategy("multirail"), withRails(rails))
+	c := newCluster(t, 2, withRails(rails))
 	const size = 512 << 10
-	data := payload(size, 9)
-	buf := make([]byte, size)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		c.run(0, func(th *sched.Thread) {
-			s := c.Nodes[0].Eng.Isend(1, 1, data)
-			c.Nodes[0].Eng.WaitSend(s, th)
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		c.run(1, func(th *sched.Thread) {
-			r := c.Nodes[1].Eng.Irecv(0, 1, buf)
-			c.Nodes[1].Eng.WaitRecv(r, th)
-		})
-	}()
-	wg.Wait()
-	if !bytes.Equal(buf, data) {
-		t.Fatal("weighted multirail payload corrupted")
-	}
+	bigTransfer(t, c, size, 9)
 	a := c.Nodes[0].Eng.rails[0].Stats().DataBytes
 	b := c.Nodes[0].Eng.rails[1].Stats().DataBytes
 	if a+b != size {
@@ -564,36 +560,8 @@ func TestMultirailWeightProportion(t *testing.T) {
 // MTU-bounded DATA packets, not one arbitrarily large frame — real
 // transports refuse frames above their ceiling.
 func TestMultirailChunksRespectMTU(t *testing.T) {
-	rails := func(int) []nic.Params {
-		a := fastRail()
-		b := fastRail()
-		b.Name = "tcp2"
-		return []nic.Params{a, b}
-	}
-	c := newCluster(t, 2, withStrategy("multirail"), withRails(rails))
-	const size = 512 << 10 // 256 KiB per rail at equal weights, MTU 32 KiB
-	data := payload(size, 4)
-	buf := make([]byte, size)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		c.run(0, func(th *sched.Thread) {
-			s := c.Nodes[0].Eng.Isend(1, 1, data)
-			c.Nodes[0].Eng.WaitSend(s, th)
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		c.run(1, func(th *sched.Thread) {
-			r := c.Nodes[1].Eng.Irecv(0, 1, buf)
-			c.Nodes[1].Eng.WaitRecv(r, th)
-		})
-	}()
-	wg.Wait()
-	if !bytes.Equal(buf, data) {
-		t.Fatal("multirail payload corrupted")
-	}
+	c := newCluster(t, 2, withRails(twoFastRails))
+	bigTransfer(t, c, 512<<10, 4) // 256 KiB per rail at equal weights, MTU 32 KiB
 	for i, rail := range c.Nodes[0].Eng.rails {
 		st := rail.Stats()
 		if st.DataSent == 0 {
@@ -612,37 +580,34 @@ func TestMultirailChunksRespectMTU(t *testing.T) {
 	}
 }
 
-// TestMultirailExcludesZeroWeightRails: a rail with no stripe weight —
-// the simulated intra-node SHM channel — must never carry cross-node
-// rendezvous chunks, even under the multirail strategy.
+// TestMultirailExcludesZeroWeightRails: a rail with no stripe weight
+// never carries cross-node rendezvous chunks — neither one declaring
+// none (the simulated intra-node SHM channel) nor one of a striping
+// world retuned to zero with SetStripeWeight. Then the whole payload
+// goes out on the weighted rail, in MTU-sized chunks when the world
+// stripes, and the transfer completes.
 func TestMultirailExcludesZeroWeightRails(t *testing.T) {
-	rails := func(int) []nic.Params { return []nic.Params{fastRail(), nic.SHMParams()} }
-	c := newCluster(t, 2, withStrategy("multirail"), withRails(rails))
 	const size = 512 << 10
-	data := payload(size, 3)
-	buf := make([]byte, size)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		c.run(0, func(th *sched.Thread) {
-			s := c.Nodes[0].Eng.Isend(1, 1, data)
-			c.Nodes[0].Eng.WaitSend(s, th)
+	for _, tc := range []struct {
+		name   string
+		rails  func(int) []nic.Params
+		chunks int // DATA chunks the weighted rail sends
+	}{
+		{"declared", func(int) []nic.Params { return []nic.Params{fastRail(), nic.SHMParams()} }, 1},
+		{"retuned", twoFastRails, size / fastRail().MTU},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2, withRails(tc.rails))
+			rails := c.Nodes[0].Eng.rails
+			rails[1].SetStripeWeight(0)
+			bigTransfer(t, c, size, 3)
+			if got := rails[1].Stats().DataSent; got != 0 {
+				t.Fatalf("zero-weight rail carried %d cross-node data chunks", got)
+			}
+			if st := rails[0].Stats(); st.DataBytes != size || st.DataSent != uint64(tc.chunks) {
+				t.Fatalf("weighted rail carried %d bytes in %d chunks, want %d bytes in %d", st.DataBytes, st.DataSent, size, tc.chunks)
+			}
 		})
-	}()
-	go func() {
-		defer wg.Done()
-		c.run(1, func(th *sched.Thread) {
-			r := c.Nodes[1].Eng.Irecv(0, 1, buf)
-			c.Nodes[1].Eng.WaitRecv(r, th)
-		})
-	}()
-	wg.Wait()
-	if !bytes.Equal(buf, data) {
-		t.Fatal("multirail payload corrupted")
-	}
-	if got := c.Nodes[0].Eng.rails[1].Stats().DataSent; got != 0 {
-		t.Fatalf("zero-weight shm rail carried %d cross-node data chunks", got)
 	}
 }
 
@@ -1039,20 +1004,12 @@ func TestDecodeAggrCorruption(t *testing.T) {
 	}
 }
 
-// TestStrategyNames pins the name → policy table parseStrategy resolves
-// once at construction.
+// TestStrategyNames pins the name → eager policy table parseStrategy
+// resolves once at construction.
 func TestStrategyNames(t *testing.T) {
-	type policy struct{ aggregate, stripe bool }
-	for name, want := range map[string]policy{
-		"":          {aggregate: true},
-		"aggreg":    {aggregate: true},
-		"fifo":      {},
-		"multirail": {stripe: true},
-	} {
-		var got policy
-		got.aggregate, got.stripe = parseStrategy(name)
-		if got != want {
-			t.Errorf("parseStrategy(%q) = %+v, want %+v", name, got, want)
+	for name, want := range map[string]bool{"": true, "aggreg": true, "fifo": false} {
+		if got := parseStrategy(name); got != want {
+			t.Errorf("parseStrategy(%q) aggregates = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -161,6 +161,34 @@ func TestRankValidation(t *testing.T) {
 				panic("the reception did not complete after the hostile chunks")
 			}
 		}, wantDropped: 3, thenExchange: true},
+		{name: "rts announcing a negative length", do: func(e *Engine) {
+			// Eight 0xff bytes announce length -1; the empty chunk after
+			// it would complete the reception at that length.
+			r := e.Irecv(2, 1, make([]byte, 64))
+			rts := bytes.Repeat([]byte{0xff}, 16)
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktRTS, Src: 2, Dst: 0, Tag: 1, Seq: 1, MsgID: 7, Payload: rts})
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktData, Src: 2, Dst: 0, Tag: 1, MsgID: 7, Payload: []byte{}})
+			if r.Req().Completed() {
+				panic(fmt.Sprintf("the receive completed with Len() = %d", r.Len()))
+			}
+		}, wantDropped: 1, thenExchange: true},
+		{name: "rts with a short payload", do: func(e *Engine) {
+			// A 1-byte payload is no RTS: the posted receive must stay
+			// posted, with no reception opened, for the real RTS of the
+			// same sequence number, whose chunk then completes it.
+			r := e.Irecv(2, 1, make([]byte, 64))
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktRTS, Src: 2, Dst: 0, Tag: 1, Seq: 1, MsgID: 7, Payload: []byte{64}})
+			if n := len(e.peers[2].recving); n != 0 {
+				panic(fmt.Sprintf("the short RTS opened %d receptions", n))
+			}
+			rts := make([]byte, 16)
+			rts[0] = 64
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktRTS, Src: 2, Dst: 0, Tag: 1, Seq: 1, MsgID: 8, Payload: rts})
+			e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktData, Src: 2, Dst: 0, Tag: 1, MsgID: 8, Payload: make([]byte, 64)})
+			if !r.Req().Completed() || r.Len() != 64 {
+				panic("the well-formed RTS after the short one did not complete the receive")
+			}
+		}, wantDropped: 1, thenExchange: true},
 		{name: "Isend dst=-1", do: func(e *Engine) { e.Isend(-1, 1, nil) }, wantPanic: "rank -1 outside the world of 3 ranks"},
 		{name: "Isend dst=Nodes", do: func(e *Engine) { e.Isend(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
 		{name: "Irecv src=Nodes", do: func(e *Engine) { e.Irecv(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},

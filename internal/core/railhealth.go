@@ -101,7 +101,7 @@ func (e *Engine) demoteRail(r *nic.Driver, dst int) {
 	h.probeDst.Store(int32(dst))
 	h.probeGap.Store(int64(probeGapInit))
 	h.nextProbe.Store(now)
-	h.errsBase.Store(r.Stats().SendErrs + r.LostFrames())
+	h.errsBase.Store(r.Losses())
 	e.probationCount.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRailProbation, -1, -1, 0, "rail %s -> probation", r.Name())
@@ -124,7 +124,7 @@ func (e *Engine) railMaint(now int64) {
 		if !h.active() {
 			continue
 		}
-		cur := r.Stats().SendErrs + r.LostFrames()
+		cur := r.Losses()
 		if cur > h.errsSeen.Load() {
 			h.errsSeen.Store(cur)
 			// No failed destination in hand; probe toward any peer the
@@ -157,8 +157,8 @@ func (e *Engine) railMaint(now int64) {
 			// retune. demoteRail sets nextProbe to its demotion stamp, so
 			// a probe gated on it postdates the demotion; one that raced
 			// that store carries an older stamp and is merely ignored.
-			h.errsBase.Store(r.Stats().SendErrs + r.LostFrames())
-			r.SendPing(nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
+			h.errsBase.Store(r.Losses())
+			r.SendControl(wire.PktPing, nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
 			gap := h.probeGap.Load()
 			h.nextProbe.Store(now + gap)
 			if gap *= 2; gap > int64(probeGapMax) {
@@ -196,7 +196,7 @@ func (e *Engine) rttProbes(now int64) {
 			continue
 		}
 		h.nextRTT.Store(now + int64(weightPeriod))
-		r.SendPing(nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
+		r.SendControl(wire.PktPing, nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
 	}
 }
 
@@ -204,7 +204,7 @@ func (e *Engine) rttProbes(now int64) {
 // on — the round trip is the health evidence, so the reply must not be
 // rerouted.
 func (e *Engine) handlePing(rail *nic.Driver, p *wire.Packet) {
-	rail.SendPong(nic.Header{Src: e.node, Dst: p.Src, Tag: -1, Seq: p.Seq})
+	rail.SendControl(wire.PktPong, nic.Header{Src: e.node, Dst: p.Src, Tag: -1, Seq: p.Seq})
 }
 
 // handlePong judges a probation rail's probe reply: the echo of a ping
@@ -239,7 +239,7 @@ func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 	if demoted == 0 || int64(p.Seq) <= demoted {
 		return
 	}
-	cur := rail.Stats().SendErrs + rail.LostFrames()
+	cur := rail.Losses()
 	if cur != h.errsBase.Load() {
 		return
 	}
@@ -296,7 +296,7 @@ func (e *Engine) retuneWeights(now int64) {
 		st := r.Stats()
 		bytes := st.DataBytes + st.EagerBytes
 		sent := st.DataSent + st.EagerSent
-		lost := st.SendErrs + r.LostFrames()
+		lost := r.Losses()
 		dBytes, dSent, dLost := bytes-h.lastBytes, sent-h.lastSent, lost-h.lastLost
 		dt := now - h.lastAt
 		h.lastBytes, h.lastSent, h.lastLost, h.lastAt = bytes, sent, lost, now

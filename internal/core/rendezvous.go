@@ -10,8 +10,8 @@ import (
 )
 
 // The rendezvous protocol on its no-loss path: RTS → CTS → DATA →
-// DATA-ack, with multirail striping of the DATA phase. What happens when
-// any of those frames goes missing is replay.go.
+// DATA-ack, with the DATA phase striped across weighted rails. What
+// happens when any of those frames goes missing is replay.go.
 
 // rdvPhase is where a rendezvous send in its peer's unacked window stands.
 type rdvPhase uint8
@@ -26,7 +26,7 @@ const (
 )
 
 // rdvRecvState tracks an in-flight rendezvous reception — the receive
-// half of the multirail completion barrier. Chunks may arrive out of
+// half of the striping completion barrier. Chunks may arrive out of
 // order and over different rails, and the sender's rail-failure fallback
 // may re-stripe a span whose loss was only suspected (loss counters are
 // an upper bound), so progress is tracked as covered byte intervals, not
@@ -47,7 +47,7 @@ type rdvRecvState struct {
 }
 
 // chunkSpan is one contiguous byte range [off, end) of a rendezvous
-// payload — a unit of multirail striping and reassembly.
+// payload — a unit of striping and reassembly.
 type chunkSpan struct {
 	off, end int
 }
@@ -183,7 +183,16 @@ func (e *Engine) sendRTS(r *SendReq) {
 // replay whose original never arrived is processed in its place. The
 // frame is the caller's to release: nothing aliases it once the
 // announced length is decoded.
+//
+// The payload is outside input. One that is not exactly an RTS payload,
+// or that announces a negative length, is dropped and counted: it
+// would otherwise use up a posted receive for a message no chunk can
+// fill, or complete one with a negative length.
 func (e *Engine) handleRTSFrame(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
+	if len(p.Payload) != nic.RTSBytes || nic.DecodeLen(p.Payload) < 0 {
+		e.nDropped.Add(1)
+		return
+	}
 	e.noteSession(p.Src, nic.DecodeRTSSession(p.Payload), p.Seq)
 	if p.Offset == 1 && e.answerReplay(rail, p) {
 		return
@@ -230,7 +239,7 @@ func (e *Engine) expectData(r *RecvReq, ev *arrival) {
 
 // sendCTS answers an accepted RTS on the rail it arrived on.
 func (e *Engine) sendCTS(core topo.CoreID, ev *arrival) {
-	ev.rail.SendCTS(railHeader(e.node, ev.src, ev.tag, ev.seq, ev.msgID))
+	ev.rail.SendControl(wire.PktCTS, railHeader(e.node, ev.src, ev.tag, ev.seq, ev.msgID))
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindCTS, int(core), ev.tag, ev.msgLen, "msgid=%d", ev.msgID)
 	}
@@ -270,112 +279,91 @@ func (e *Engine) handleCTS(core topo.CoreID, p *wire.Packet) {
 	}
 }
 
-// sendRdvData posts the DATA transfer, striped across rails when the
-// multirail strategy applies.
+// stripeMin is the smallest rendezvous payload a striping engine splits
+// across rails; smaller ones ride the destination's rail alone.
+const stripeMin = 128 << 10
+
+// maxRails bounds an engine's rail count so stripeData can track the
+// rails that failed a span in one word.
+const maxRails = 64
+
+// sendRdvData posts the DATA transfer, striped across the weighted rails
+// when the engine stripes (Engine.stripe) and the payload reaches
+// stripeMin.
 func (e *Engine) sendRdvData(core topo.CoreID, s *SendReq) {
 	h := railHeader(e.node, s.dst, s.tag, s.seq, s.msgID)
-	rails := e.dataRails(s.dst, s.Len())
+	var buf [4]*nic.Driver // a world with more rails stripes onto the heap
+	rails := e.dataRails(buf[:0], s.dst, s.Len())
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindData, int(core), s.tag, s.Len(), "msgid=%d rails=%d", s.msgID, len(rails))
 	}
-	if len(rails) > 1 {
-		e.stripeData(h, s.data, rails)
-		return
-	}
-	lim := rails[0].MaxFrame()
-	if !e.stripe && (lim <= 0 || s.Len() <= lim) {
-		// Single-rail strategies model the classical single-DMA
+	if lim := rails[0].MaxFrame(); len(rails) == 1 && !e.stripe && (lim <= 0 || s.Len() <= lim) {
+		// A single-rail world models the classical single-DMA
 		// submission; the simulator's wire does its own fragmenting.
 		rails[0].SendData(h, 0, s.data)
 		return
 	}
-	// Chunk at the rail MTU. Either a collapsed stripe set (one weighted
-	// rail left, or a ForceDataRail phase) keeping multirail's MTU
-	// discipline — a single frame above the rail MTU is exactly what a
-	// real transport's ceiling would refuse — or a transport that refuses
-	// single frames this large outright (udpfab's one-datagram frame
-	// ceiling). The receive side reassembles chunks by offset under every
-	// strategy, so only the submission shape changes.
-	if !e.sendSpan(rails[0], h, s.data, chunkSpan{off: 0, end: s.Len()}) {
-		// No survivor to re-stripe onto; probation + the acked-replay
-		// timer carry the transfer once the rail (or another) heals.
-		e.demoteRail(rails[0], h.Dst)
-	}
+	// Chunk at the rail MTU: a striped transfer, a striping engine's
+	// transfer collapsed onto one rail (below stripeMin, or one weighted
+	// rail left), or a transport that refuses single frames this large
+	// outright (udpfab's one-datagram frame ceiling). The receive side
+	// reassembles chunks by offset in every case.
+	e.stripeData(h, s.data, rails)
 }
 
-// stripeData is the multirail data placement: the payload splits into
-// one contiguous span per rail, sized proportionally to the rails' live
+// stripeData places a rendezvous payload on rails: it splits into one
+// contiguous span per rail, sized proportionally to the rails' live
 // stripe weights, and each span goes out as MTU-bounded DATA chunks on
-// its rail. A rail whose loss counters (SendErrs, LostFrames) moved
-// while its span was submitted is declared failed, and its span is
-// re-striped onto the surviving rails — the failure fallback that keeps
-// a bonded rendezvous completing when one rail dies mid-transfer. With
-// no survivor left the loss simply stays visible in the counters, like
-// any dead-transport send.
+// its rail. A rail whose loss signal (nic.Driver.Losses) moved while its
+// span was submitted is demoted, and the span goes at once to the
+// heaviest rail that has not failed — the fallback that keeps a bonded
+// rendezvous completing when one rail dies mid-transfer. With no rail
+// left the loss stays visible in the counters, every failed rail is on
+// probation, and the acked-replay timer re-sends once one heals.
 func (e *Engine) stripeData(h nic.Header, data []byte, rails []*nic.Driver) {
-	weights := make([]float64, len(rails))
 	total := 0.0
-	for i, r := range rails {
-		weights[i] = r.StripeWeight()
-		total += weights[i]
+	for _, r := range rails {
+		total += r.StripeWeight()
 	}
-	if total <= 0 {
-		// No proportions exist — either dataRails fell back to rails
-		// that declare no weight (hand-rolled Params), or every weight
-		// was retuned to zero between selection and here (SetStripeWeight
-		// is a live knob). Split equally rather than collapsing to one
-		// rail: an equal split is what unweighted multirail always meant.
-		for i := range weights {
-			weights[i] = 1
+	var failed uint64 // bit i: rails[i] lost a span of this transfer
+	// survivor is rails[i] unless it failed, else the heaviest rail that
+	// has not, or -1.
+	survivor := func(i int) int {
+		if failed&(1<<i) == 0 {
+			return i
 		}
-		total = float64(len(rails))
-	}
-	spans := make([]chunkSpan, len(rails))
-	off := 0
-	for i := range rails {
-		end := off + int(float64(len(data))*(weights[i]/total))
-		if i == len(rails)-1 || end > len(data) {
-			end = len(data)
-		}
-		spans[i] = chunkSpan{off: off, end: end}
-		off = end
-	}
-	alive := make([]bool, len(rails))
-	var failed []chunkSpan
-	for i, r := range rails {
-		alive[i] = e.sendSpan(r, h, data, spans[i])
-		if !alive[i] {
-			failed = append(failed, spans[i])
-			e.demoteRail(r, h.Dst)
-		}
-	}
-	// Each retry either lands the span or retires another rail, so the
-	// loop is bounded by len(rails) failures.
-	for len(failed) > 0 {
 		best := -1
-		for i, r := range rails {
-			if alive[i] && (best < 0 || r.StripeWeight() > rails[best].StripeWeight()) {
-				best = i
+		for j, r := range rails {
+			if failed&(1<<j) == 0 && (best < 0 || r.StripeWeight() > rails[best].StripeWeight()) {
+				best = j
 			}
 		}
-		if best < 0 {
-			// Every rail failed its span. The loss stays visible in the
-			// counters, every failed rail is on probation, and the
-			// acked-replay timer re-stripes once one heals.
-			return
+		return best
+	}
+	off := 0
+	for i, r := range rails {
+		// Weights are live (SetStripeWeight, the online retune), so the
+		// last span takes whatever the rounding or a retune left.
+		end := len(data)
+		if i < len(rails)-1 && total > 0 {
+			end = min(off+int(float64(len(data))*r.StripeWeight()/total), len(data))
 		}
-		sp := failed[len(failed)-1]
-		failed = failed[:len(failed)-1]
-		if !e.sendSpan(rails[best], h, data, sp) {
-			alive[best] = false
-			e.demoteRail(rails[best], h.Dst)
-			failed = append(failed, sp)
+		sp := chunkSpan{off: off, end: end}
+		off = end
+		// Each failed try retires a rail, so the loop ends within
+		// len(rails) failures.
+		for j := survivor(i); j >= 0; j = survivor(j) {
+			if e.sendSpan(rails[j], h, data, sp) {
+				break
+			}
+			failed |= 1 << j
+			e.demoteRail(rails[j], h.Dst)
 		}
 	}
 }
 
 // sendSpan submits one contiguous span as MTU-bounded DATA chunks on r
-// and reports whether the rail's loss counters stayed quiet across the
+// and reports whether the rail's loss signal stayed quiet across the
 // submission. Detection is necessarily synchronous-best-effort: a real
 // stream can still fail after the frames were accepted, which the
 // counters surface asynchronously (docs/FABRIC.md).
@@ -383,72 +371,50 @@ func (e *Engine) sendSpan(r *nic.Driver, h nic.Header, data []byte, sp chunkSpan
 	if sp.end <= sp.off {
 		return true
 	}
-	before := r.Stats().SendErrs + r.LostFrames()
+	before := r.Losses()
 	mtu := r.MTU()
 	for off := sp.off; off < sp.end; off += mtu {
 		end := min(off+mtu, sp.end)
 		r.SendData(h, off, data[off:end])
 	}
-	return r.Stats().SendErrs+r.LostFrames() == before
+	return r.Losses() == before
 }
 
-// dataRails selects the rails carrying a rendezvous payload to dst:
-// normally the destination's single rail; under the multirail strategy,
-// every rail declaring a positive stripe weight once the payload reaches
-// MultirailMin. Weight-gating is what keeps rails that only serve a
-// subset of peers — the simulated intra-node SHM channel — out of
-// cross-node striping, while a real shared-memory rail (nic.ShmParams),
-// whose rings span every rank of the world, participates. A single-rail
-// answer is a capacity-clamped view of e.rails, so the per-message path
-// allocates nothing and no caller can append into the engine's table.
-func (e *Engine) dataRails(dst, size int) []*nic.Driver {
-	if f := e.railFilter.Load(); f != nil {
-		for i, r := range e.rails {
-			if r.Name() == *f {
-				return e.rails[i : i+1 : i+1]
-			}
-		}
+// dataRails appends to into the rails carrying a rendezvous payload to
+// dst and returns the result: the destination's single rail, unless the
+// engine stripes and the payload reaches stripeMin — then every rail
+// declaring a positive stripe weight. Weight-gating is what keeps rails
+// that only serve a subset of peers — the simulated intra-node SHM
+// channel — out of cross-node striping, while a real shared-memory rail
+// (nic.ShmParams), whose rings span every rank of the world,
+// participates; and SetStripeWeight(0) takes a rail out. Rails on
+// probation are skipped unless every weighted rail is. The caller owns
+// into, so the per-message path allocates nothing.
+func (e *Engine) dataRails(into []*nic.Driver, dst, size int) []*nic.Driver {
+	if !e.stripe || size < stripeMin || dst == e.node {
+		return append(into, e.railFor(dst))
 	}
-	if !e.stripe || size < e.cfg.MultirailMin || dst == e.node {
-		i := e.railIndex(e.railFor(dst))
-		return e.rails[i : i+1 : i+1]
-	}
-	var out []*nic.Driver
 	onProbation := e.probationCount.Load() > 0
 	for i, r := range e.rails {
-		if onProbation && !e.health[i].active() {
-			continue
-		}
-		if r.StripeWeight() > 0 {
-			out = append(out, r)
+		if r.StripeWeight() > 0 && (!onProbation || e.health[i].active()) {
+			into = append(into, r)
 		}
 	}
-	if len(out) == 0 && onProbation {
+	if len(into) == 0 && onProbation {
 		// Every weighted rail is on probation: stripe across them anyway
 		// rather than across nothing — a possibly-dead rail plus the
 		// replay timer beats a guaranteed drop.
 		for _, r := range e.rails {
 			if r.StripeWeight() > 0 {
-				out = append(out, r)
+				into = append(into, r)
 			}
 		}
 	}
-	if len(out) == 0 {
-		// No rail declares a weight at all — hand-rolled Params predating
-		// StripeWeight. Keep the historic behavior (equal-split striping
-		// across the inter-node rails; stripeData treats an all-zero set
-		// as equal weights) instead of silently collapsing the multirail
-		// experiment onto a single rail.
-		for _, r := range e.rails {
-			if r.Name() != "shm" {
-				out = append(out, r)
-			}
-		}
+	if len(into) == 0 {
+		// Every weight was retuned to zero.
+		into = append(into, e.railFor(dst))
 	}
-	if len(out) == 0 {
-		out = append(out, e.railFor(dst))
-	}
-	return out
+	return into
 }
 
 // handleData consumes a rendezvous payload chunk: it lands directly in the
@@ -478,7 +444,7 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 	e.qlock.Unlock()
 	if st == nil {
 		if done {
-			rail.SendDataAck(h)
+			rail.SendControl(wire.PktDataAck, h)
 		} else if e.tracing() {
 			e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "late data msgid=%d", p.MsgID)
 		}
@@ -515,7 +481,7 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 	src.done.add(p.MsgID)
 	r, n, from := st.req, st.msgLen, st.src
 	e.qlock.Unlock()
-	rail.SendDataAck(h)
+	rail.SendControl(wire.PktDataAck, h)
 	if n > len(r.buf) {
 		r.truncated = true
 		n = len(r.buf)

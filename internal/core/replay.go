@@ -224,14 +224,14 @@ func (e *Engine) answerReplay(rail *nic.Driver, p *wire.Packet) bool {
 	h := railHeader(e.node, p.Src, p.Tag, p.Seq, p.MsgID)
 	switch {
 	case done:
-		rail.SendDataAck(h)
+		rail.SendControl(wire.PktDataAck, h)
 	case live:
-		rail.SendCTS(h)
+		rail.SendControl(wire.PktCTS, h)
 	case queued:
 	case past:
 		// No trace of the rendezvous remains: it completed long enough ago
 		// to age out of the done-ring. Re-ack so the sender stops replaying.
-		rail.SendDataAck(h)
+		rail.SendControl(wire.PktDataAck, h)
 	default:
 		return false
 	}

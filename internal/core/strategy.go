@@ -8,33 +8,25 @@ import (
 	"pioman/internal/sync2"
 )
 
-// parseStrategy resolves Config.Strategy, once, into the two policies the
-// optimizer of Fig. 3 applies:
+// parseStrategy resolves Config.Strategy, once, into the optimizer's
+// eager policy (Fig. 3): whether to aggregate. A train leaving the send
+// queue is then the contiguous same-destination run at its head, up to
+// the rail MTU — the data-aggregation optimization of [2] — so a window
+// of ready small sends to one peer leaves as one frame (a lone send
+// still leaves as a plain eager frame). Without it every send is its
+// own train.
 //
-//   - aggregate: a train leaving the send queue is the contiguous
-//     same-destination run at its head, up to the rail MTU — the
-//     data-aggregation optimization of [2] — so a window of ready small
-//     sends to one peer leaves as one frame (a lone send still leaves as
-//     a plain eager frame). Without it every send is its own train.
-//   - stripe: rendezvous payloads at or above Config.MultirailMin are
-//     split across every rail with a positive stripe weight,
-//     proportionally to those weights, in MTU-sized chunks
-//     (Engine.sendRdvData / stripeData).
-//
-// "" and "aggreg" aggregate (the default), "fifo" does neither (the
-// reference row of the strategy ablation), "multirail" stripes and keeps
-// FIFO eager submission (small messages do not benefit from splitting —
-// the per-rail handshakes would dominate). Anything else is a hard error:
-// a misspelled strategy must fail loudly at engine construction, not run
+// "" and "aggreg" aggregate (the default), "fifo" does not (the
+// reference row of the strategy ablation). Striping is no strategy: the
+// rails decide it (see Engine.stripe). Anything else is a hard error: a
+// misspelled strategy must fail loudly at engine construction, not run
 // the whole experiment on a silently substituted policy.
-func parseStrategy(name string) (aggregate, stripe bool) {
+func parseStrategy(name string) (aggregate bool) {
 	switch name {
 	case "fifo":
-		return false, false
-	case "", "aggreg", "aggregation":
-		return true, false
-	case "multirail":
-		return false, true
+		return false
+	case "", "aggreg":
+		return true
 	default:
 		panic(fmt.Sprintf("core: unknown strategy %q", name))
 	}

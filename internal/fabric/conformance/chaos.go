@@ -33,8 +33,8 @@ import (
 // the reliable-delivery contract the engine assumes (a transfer
 // hangs), Duplicate trips the engine's duplicate-sequence panic, and
 // Corrupt hands the consumer a mutated payload — those three are for
-// raw-endpoint tests, for rails the multirail failover strategy is
-// expected to abandon, and for transports with their own reliability
+// raw-endpoint tests, for rails striping's failover is expected to
+// abandon, and for transports with their own reliability
 // sublayer tested below the frame level (see udpfab.ChaosParams).
 type ChaosConfig struct {
 	// Seed drives every endpoint's random source.

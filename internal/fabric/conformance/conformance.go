@@ -613,11 +613,11 @@ func failoverParams(name string) nic.Params {
 
 // runFailover drives one rail-failure scenario: a two-rank world bonded
 // over two rails of the backend under test, the secondary wrapped in a
-// Chaos with the given drop rate. The multirail strategy stripes the
-// rendezvous payload across both rails; the engine must observe the
-// chaotic rail's loss counter move, re-stripe the lost spans onto the
-// surviving rail, and complete the transfer intact — with the loss left
-// visible in LostFrames.
+// Chaos with the given drop rate. Both rails declare a stripe weight, so
+// the engine stripes the rendezvous payload across them; it must observe
+// the chaotic rail's loss counter move, re-stripe the lost spans onto
+// the surviving rail, and complete the transfer intact — with the loss
+// left visible in LostFrames.
 func runFailover(t *testing.T, open OpenFabric, drop float64, seed int64, msgBytes int) {
 	good := open(t, 2)
 	lossy := NewChaos(open(t, 2), ChaosConfig{Seed: seed, Drop: drop})
@@ -626,8 +626,6 @@ func runFailover(t *testing.T, open OpenFabric, drop float64, seed int64, msgByt
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
-		Strategy:       "multirail",
-		MultirailMin:   64 << 10,
 		MX:             failoverParams("railA"),
 		ExtraRails:     []nic.Params{failoverParams("railB")},
 		Fabrics:        map[string]fabric.Fabric{"railA": good, "railB": lossy},
@@ -704,8 +702,6 @@ func RunTelemetrySnapshot(t *testing.T, open OpenFabric) {
 			Mode:           core.Multithreaded,
 			OffloadEager:   true,
 			EnableBlocking: true,
-			Strategy:       "multirail",
-			MultirailMin:   64 << 10,
 			MX:             failoverParams("railA"),
 			ExtraRails:     []nic.Params{failoverParams("railB")},
 			Fabrics:        map[string]fabric.Fabric{"railA": good, "railB": lossy},

@@ -40,8 +40,6 @@ func RunRTTRetune(t *testing.T, open OpenFabric) {
 			Mode:              core.Multithreaded,
 			OffloadEager:      true,
 			EnableBlocking:    true,
-			Strategy:          "multirail",
-			MultirailMin:      64 << 10,
 			AutoStripeWeights: true,
 			MX:                failoverParams("railA"),
 			ExtraRails:        []nic.Params{failoverParams("railB")},

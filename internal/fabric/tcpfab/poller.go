@@ -32,6 +32,23 @@ const readBudgetBytes = 256 << 10
 // nothing.
 const spinPasses = 96
 
+// napFirst and napCount shape the timed naps that open a quiet phase. A
+// parked poller is woken by the Go netpoller, which the scheduler only
+// consults once a P runs out of runnable goroutines (or from sysmon,
+// every 10 ms). While every P stays busy — at GOMAXPROCS=1 one waiter
+// yielding in a loop, or another poller spinning, is enough — a frame
+// landing on a parked poller's socket waits for that, and so does the
+// whole conversation, whose next frame cannot be sent before this one
+// is read. A timer, unlike the netpoller, fires on any scheduling pass.
+// So the first napCount parks after a spin phase carry a deadline,
+// doubling from napFirst: a reply that lands just after the poller
+// parked is read within one nap however busy the Ps are, and after
+// ~10 ms, where sysmon's netpoll takes over, the poller parks untimed.
+const (
+	napFirst = 20 * time.Microsecond
+	napCount = 10
+)
+
 // spinPollerMax disables spinning entirely once the process carries
 // more live pollers than this. Spinning buys single-digit-µs latency
 // for the handful of streams a real rank converses over; with hundreds
@@ -276,9 +293,11 @@ func (pl *poller) wakeLocked() {
 // Go netpoller, which watches epfd like any socket, so it holds no P
 // while parked.
 func (pl *poller) park(wait time.Duration) (int, error) {
+	var deadline time.Time
 	if wait > 0 {
-		pl.epf.SetReadDeadline(time.Now().Add(wait))
+		deadline = time.Now().Add(wait)
 	}
+	pl.epf.SetReadDeadline(deadline)
 	pl.parkN, pl.parkErr = 0, nil
 	err := pl.epc.Read(pl.parkFn)
 	if err == nil {
@@ -299,6 +318,7 @@ func (pl *poller) loop() {
 	var drain [64]byte
 	var run []*wire.Packet
 	idle := 0
+	naps := 0 // parks since the last worked pass
 	// With an idle timeout every park is bounded, so the reaper at the
 	// bottom of the loop still gets its turns.
 	var parkFor time.Duration
@@ -325,8 +345,15 @@ func (pl *poller) loop() {
 		var n int
 		var err error
 		if park {
-			e.parks.Add(1)
-			n, err = pl.park(parkFor)
+			wait := parkFor
+			if naps == 0 {
+				e.parks.Add(1)
+			}
+			if nap := napFirst << naps; naps < napCount && livePollers.Load() <= spinPollerMax && (wait == 0 || nap < wait) {
+				wait = nap
+			}
+			naps++
+			n, err = pl.park(wait)
 		} else {
 			n, err = syscall.EpollWait(pl.epfd, events, 0)
 		}
@@ -410,7 +437,7 @@ func (pl *poller) loop() {
 			pl.reap()
 		}
 		if worked {
-			idle = 0
+			idle, naps = 0, 0
 		} else {
 			idle++
 		}

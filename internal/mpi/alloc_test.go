@@ -17,32 +17,37 @@ import (
 )
 
 // sequentialWorld opens a two-rank Sequential world over the named real
-// rail — "shm" (shared-memory rings) or "tcp" (loopback sockets).
+// rail — "shm" (shared-memory rings), "tcp" (loopback sockets), or
+// "bonded" (both in one world: tcp the default rail, shm beside it; the
+// two weighted rails stripe every rendezvous of 128 KiB or more).
 func sequentialWorld(t *testing.T, reg *telemetry.Registry, rail string) *mpi.World {
 	t.Helper()
-	var f fabric.Fabric
-	var params nic.Params
-	var err error
-	switch rail {
-	case "shm":
-		f, err = shmfab.NewLocal(2, t.TempDir())
-		params = nic.ShmParams()
-	case "tcp":
-		f, err = tcpfab.NewLocal(2)
-		params = nic.RealParams()
-	default:
+	cfg := mpi.Config{Nodes: 2, Mode: core.Sequential, Fabrics: map[string]fabric.Fabric{}, Metrics: reg}
+	if rail == "tcp" || rail == "bonded" {
+		f, err := tcpfab.NewLocal(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MX = nic.RealParams()
+		cfg.Fabrics[cfg.MX.Name] = f
+	}
+	if rail == "shm" || rail == "bonded" {
+		f, err := shmfab.NewLocal(2, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shm := nic.ShmParams()
+		if cfg.MX.Name == "" {
+			cfg.MX = shm
+		} else {
+			cfg.ExtraRails = []nic.Params{shm}
+		}
+		cfg.Fabrics[shm.Name] = f
+	}
+	if cfg.MX.Name == "" {
 		t.Fatalf("unknown rail %q", rail)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mpi.NewWorld(mpi.Config{
-		Nodes:   2,
-		Mode:    core.Sequential,
-		MX:      params,
-		Fabrics: map[string]fabric.Fabric{params.Name: f},
-		Metrics: reg,
-	})
+	return mpi.NewWorld(cfg)
 }
 
 // engineRoundTripAllocs measures the steady-state malloc count of a
@@ -150,21 +155,38 @@ func TestEngineEagerRoundTripAllocsMetered(t *testing.T) {
 
 // TestEngineRendezvousRoundTripAllocs holds a 256 KiB rendezvous round
 // trip — RTS, CTS, DATA and DATA-ack both ways — to the same budget as
-// the eager path, over loopback TCP and over shared-memory rings. Every
-// piece of per-message rendezvous state is pooled or embedded: the RTS
-// payload, the reception state (embedded in the receive request), the
-// one-rail DATA rail set, and the transports' large-frame buffers. An
-// allocation that creeps back in here is paid once per bulk message.
+// the eager path, over loopback TCP, over shared-memory rings, and over
+// both bonded in one world, where every transfer stripes. Every piece of
+// per-message rendezvous state is pooled or embedded: the RTS payload,
+// the reception state (embedded in the receive request), the DATA rail
+// set and its stripe spans (on the sender's stack), and the transports'
+// large-frame buffers. An allocation that creeps back in here is paid
+// once per bulk message.
 func TestEngineRendezvousRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	for _, rail := range []string{"tcp", "shm"} {
+	for _, rail := range []string{"tcp", "shm", "bonded"} {
 		t.Run(rail, func(t *testing.T) {
-			perOp := engineRoundTripAllocs(t, nil, rail, 256<<10)
+			// The bonded row reads its per-rail DATA counts from a
+			// registry, so the budget cannot be met by not striping.
+			var reg *telemetry.Registry
+			if rail == "bonded" {
+				reg = telemetry.NewRegistry()
+			}
+			perOp := engineRoundTripAllocs(t, reg, rail, 256<<10)
 			t.Logf("engine 256KiB rendezvous round trip over %s: %.2f allocs/op (budget %.1f)", rail, perOp, engineAllocBudget)
 			if perOp > engineAllocBudget {
 				t.Errorf("engine 256KiB rendezvous round trip over %s allocates %.2f/op, budget %.1f", rail, perOp, engineAllocBudget)
+			}
+			if reg == nil {
+				return
+			}
+			snap := reg.Snapshot()
+			for _, name := range []string{"real", "shm"} {
+				if sent := snap.Value("node0.rail." + name + ".data_sent"); sent == 0 {
+					t.Errorf("bonded rail %s carried no DATA chunks", name)
+				}
 			}
 		})
 	}

@@ -15,16 +15,14 @@ import (
 )
 
 // bondedConfig is the engine configuration both ranks of the bonded
-// tests run: multirail striping from 128 KiB up, real-transport polling
-// discipline, two cores.
+// tests run: real-transport polling discipline, two cores. Two weighted
+// rails are all striping takes.
 func bondedConfig() Config {
 	return Config{
 		Mode:           core.Multithreaded,
 		OffloadEager:   true,
 		EnableBlocking: true,
 		NoIdlePolling:  true,
-		Strategy:       "multirail",
-		MultirailMin:   128 << 10,
 		Machine:        topo.Machine{Sockets: 1, CoresPerSocket: 2},
 	}
 }

@@ -42,24 +42,21 @@ type Config struct {
 	// AdaptiveOffload mirrors core.Config.AdaptiveOffload: submit inline
 	// when no core is idle (the paper's future-work strategy).
 	AdaptiveOffload bool
-	// Strategy is the optimizer strategy name.
+	// Strategy is the eager optimizer's name (core.Config.Strategy).
 	Strategy string
-	// MultirailMin is the smallest rendezvous payload the multirail
-	// strategy stripes across bonded rails (core.Config.MultirailMin;
-	// zero selects the engine default, 128 KiB).
-	MultirailMin int
 	// AutoStripeWeights mirrors core.Config.AutoStripeWeights: each
 	// engine's maintenance tick continuously re-tunes the live stripe
 	// weights from measured per-rail goodput (EWMA over Stats deltas),
 	// so a degraded rail sheds stripe share mid-run. Leave it off for
-	// benchmarks that calibrate weights themselves (ForceDataRail
-	// sweeps).
+	// benchmarks that calibrate weights themselves (solo sweeps that
+	// zero every other rail's weight).
 	AutoStripeWeights bool
 	// MX configures the inter-node rail (zero value: nic.MXParams).
 	MX nic.Params
 	// SHM configures the intra-node rail; nil Name disables it.
 	SHM nic.Params
-	// ExtraRails adds more inter-node rails (multirail setups).
+	// ExtraRails adds more inter-node rails; with two weighted rails the
+	// engines stripe large rendezvous payloads across them.
 	ExtraRails []nic.Params
 	// Fabrics overrides the packet transport per rail name: a rail with
 	// an entry runs over that fabric (e.g. tcpfab.NewLocal for real
@@ -227,9 +224,9 @@ type Rail struct {
 // bonded over several heterogeneous real fabrics at once — the paper's
 // MX + shared-memory configuration with, e.g., rails[0] over tcpfab and
 // rails[1] over shmfab. rails[0] is the default rail (eager traffic and
-// the rendezvous handshake); with Config.Strategy "multirail" the engine
-// stripes large rendezvous payloads across every rail with a positive
-// stripe weight. All endpoints must agree on rank and cluster size, rail
+// the rendezvous handshake); with two or more rails declaring a positive
+// stripe weight the engine stripes large rendezvous payloads across
+// them. All endpoints must agree on rank and cluster size, rail
 // names must be unique, and each rail's MTU must fit its fabric's frame
 // ceiling — all validated here, at construction, instead of surfacing as
 // mid-transfer losses. The engine owns the endpoints' lifecycle from here
@@ -302,7 +299,6 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		OffloadEager:      cfg.OffloadEager,
 		AdaptiveOffload:   cfg.AdaptiveOffload,
 		Strategy:          cfg.Strategy,
-		MultirailMin:      cfg.MultirailMin,
 		AutoStripeWeights: cfg.AutoStripeWeights,
 		PeerDeadline:      cfg.PeerDeadline,
 		Trace:             rec,

@@ -368,6 +368,11 @@ func (d *Driver) LostFrames() uint64 {
 	return 0
 }
 
+// Losses is the rail's whole loss signal: SendErrs plus LostFrames,
+// read without building a Stats snapshot. The engine compares it across
+// a span submission or a probe round trip to judge the rail.
+func (d *Driver) Losses() uint64 { return d.sendErrs.Load() + d.LostFrames() }
+
 // GoroutineFed reports whether the rail's arrivals are read by a
 // goroutine of its endpoint rather than by the poll itself
 // (fabric.GoroutineFed): a thread spinning on such a rail has to yield
@@ -435,52 +440,26 @@ func (d *Driver) sendRTS(h Header, msgLen int, session uint64, offset int) {
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktRTS, h.Src, h.Dst, h.Tag
 	p.Seq, p.MsgID, p.Offset = h.Seq, h.MsgID, offset
-	p.Payload, p.Pooled = bufpool.Get(rtsBytes), true
+	p.Payload, p.Pooled = bufpool.Get(RTSBytes), true
 	putRTS(p.Payload, msgLen, session)
 	p.WireLen = HeaderBytes
 	d.send(p)
 }
 
-// SendDataAck posts a rendezvous data acknowledgement: header-only,
-// correlated by MsgID. The receiving engine sends it once a rendezvous
-// payload is fully reassembled; the sending engine retains the transfer's
-// replay state until it arrives (see docs/FABRIC.md, "Self-healing").
-func (d *Driver) SendDataAck(h Header) {
+// SendControl posts a header-only control frame of the given kind:
+// wire.PktCTS answers a rendezvous handshake, wire.PktDataAck
+// acknowledges a fully reassembled rendezvous payload (the sender keeps
+// the transfer's replay state until it arrives; docs/FABRIC.md,
+// "Self-healing"), and wire.PktPing / wire.PktPong are a rail health
+// probe and its answer, the pong echoing the probe's Seq. A CTS counts
+// in Stats.CTSSent.
+func (d *Driver) SendControl(kind wire.PacketKind, h Header) {
 	ptime.SpinFor(d.p.Cost.SubmitOverhead)
+	if kind == wire.PktCTS {
+		d.ctsSent.Add(1)
+	}
 	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktDataAck, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.WireLen = h.Seq, h.MsgID, HeaderBytes
-	d.send(p)
-}
-
-// SendPing posts a rail health probe: header-only, answered by the peer
-// engine with SendPong on the same rail. The engine's rail-lifecycle
-// maintenance probes probation rails with it and re-admits a rail whose
-// probe round-trips with quiet loss counters.
-func (d *Driver) SendPing(h Header) {
-	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktPing, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.WireLen = h.Seq, h.MsgID, HeaderBytes
-	d.send(p)
-}
-
-// SendPong answers a rail health probe, echoing the probe's Seq so the
-// prober can correlate the response with its outstanding ping.
-func (d *Driver) SendPong(h Header) {
-	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktPong, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.WireLen = h.Seq, h.MsgID, HeaderBytes
-	d.send(p)
-}
-
-// SendCTS answers a rendezvous handshake: header-only, cheap.
-func (d *Driver) SendCTS(h Header) {
-	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	d.ctsSent.Add(1)
-	p := d.outPacket()
-	p.Kind, p.Src, p.Dst, p.Tag = wire.PktCTS, h.Src, h.Dst, h.Tag
+	p.Kind, p.Src, p.Dst, p.Tag = kind, h.Src, h.Dst, h.Tag
 	p.Seq, p.MsgID, p.WireLen = h.Seq, h.MsgID, HeaderBytes
 	d.send(p)
 }
@@ -643,13 +622,11 @@ func (d *Driver) Stats() Stats {
 	}
 }
 
-// rtsBytes is the size of an RTS payload.
-const rtsBytes = 16
+// RTSBytes is the size of an RTS payload: the message length, then the
+// sender engine's session id, 8 little-endian bytes each.
+const RTSBytes = 16
 
-// putRTS writes an RTS payload into b[:rtsBytes]: the message length in
-// the first 8 bytes (little-endian, what DecodeLen reads) and the sender
-// engine's session id in the next 8. Pre-session decoders that only read
-// the length remain compatible.
+// putRTS writes an RTS payload into b[:RTSBytes].
 func putRTS(b []byte, msgLen int, session uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(msgLen >> (8 * i))
@@ -657,11 +634,10 @@ func putRTS(b []byte, msgLen int, session uint64) {
 	}
 }
 
-// DecodeLen recovers a message length from an RTS payload.
+// DecodeLen recovers the message length from an RTS payload of
+// RTSBytes bytes. The value is outside input: a hostile sender can
+// announce a negative length, which the caller must refuse.
 func DecodeLen(b []byte) int {
-	if len(b) < 8 {
-		return 0
-	}
 	n := 0
 	for i := 0; i < 8; i++ {
 		n |= int(b[i]) << (8 * i)
@@ -669,12 +645,9 @@ func DecodeLen(b []byte) int {
 	return n
 }
 
-// DecodeRTSSession recovers the sender's session id from an RTS payload,
-// or 0 for payloads predating the session field.
+// DecodeRTSSession recovers the sender's session id from an RTS payload
+// of RTSBytes bytes.
 func DecodeRTSSession(b []byte) uint64 {
-	if len(b) < 16 {
-		return 0
-	}
 	var s uint64
 	for i := 0; i < 8; i++ {
 		s |= uint64(b[8+i]) << (8 * i)

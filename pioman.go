@@ -77,15 +77,17 @@ func WithMachine(sockets, coresPerSocket int) Option {
 	}
 }
 
-// WithStrategy selects the optimizer strategy: "aggreg" (default:
+// WithStrategy selects the eager optimizer: "aggreg" (default:
 // small-message aggregation — a run of ready sends to one peer leaves as
-// one frame), "fifo" (one frame per send) or "multirail".
+// one frame) or "fifo" (one frame per send). Any other name panics.
 func WithStrategy(name string) Option {
 	return func(o *options) { o.cfg.Strategy = name }
 }
 
-// WithExtraRail adds a second inter-node rail (used with "multirail").
-// kind is "tcp" for the TCP/10GbE preset.
+// WithExtraRail adds a second inter-node rail. kind is "tcp" for the
+// TCP/10GbE preset. Like the default MX rail it declares a stripe
+// weight, so rendezvous payloads of 128 KiB and more stripe across the
+// two rails under either strategy.
 func WithExtraRail(kind string) Option {
 	return func(o *options) {
 		switch kind {

@@ -128,7 +128,7 @@ func TestTraceOption(t *testing.T) {
 
 func TestStrategyAndExtraRailOptions(t *testing.T) {
 	c := pioman.NewCluster(2,
-		pioman.WithStrategy("multirail"),
+		pioman.WithStrategy("fifo"),
 		pioman.WithExtraRail("tcp"),
 	)
 	defer c.Close()
@@ -144,7 +144,7 @@ func TestStrategyAndExtraRailOptions(t *testing.T) {
 			buf := make([]byte, size)
 			n, _ := p.Recv(0, 1, buf)
 			if n != size || !bytes.Equal(buf, data) {
-				t.Error("multirail transfer corrupted")
+				t.Error("striped transfer corrupted")
 			}
 		}
 	})
