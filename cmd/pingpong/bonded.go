@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,12 +59,6 @@ func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Re
 	if quick {
 		iters = 10
 	}
-	// See runReal: keep enough Ps that woken goroutines schedule
-	// immediately even on small hosts.
-	if runtime.GOMAXPROCS(0) < 6 {
-		runtime.GOMAXPROCS(6)
-	}
-
 	rank := 0
 	var (
 		tep *tcpfab.Endpoint

@@ -85,7 +85,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pioman/internal/core"
@@ -236,15 +235,6 @@ func runReal(listen, connect, shmDir, udpAddr string, cfgRank int, quick bool, m
 	if quick {
 		iters = 5
 	}
-	// The engine dedicates goroutines to busy-polling (that is the
-	// paper's design); with GOMAXPROCS at or below the spinner count a
-	// woken socket reader waits out the runtime's ~10ms preemption tick
-	// before it can deliver. Keep enough Ps that woken goroutines
-	// schedule immediately even on small hosts.
-	if runtime.GOMAXPROCS(0) < 6 {
-		runtime.GOMAXPROCS(6)
-	}
-
 	var (
 		ep   fabric.Endpoint
 		rail nic.Params

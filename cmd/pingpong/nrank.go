@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pioman/internal/core"
@@ -40,9 +39,6 @@ const (
 func runNrank(dur time.Duration, quick bool, metrics *telemetry.Registry) int {
 	if quick {
 		dur = dur / 2
-	}
-	if runtime.GOMAXPROCS(0) < 6 {
-		runtime.GOMAXPROCS(6)
 	}
 	cw, err := mpi.JoinCluster(mpi.Config{
 		Mode:           core.Multithreaded,

@@ -96,6 +96,7 @@ func (ev *arrival) own() {
 // released, which recycles the struct and its inbound packet buffers.
 func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 	p := &e.peers[ev.src]
+	var why dropReason
 	e.qlock.Lock()
 	next := p.lastSeq + 1
 	switch {
@@ -103,12 +104,12 @@ func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 		// Checked under qlock, which the death sweep's reset also holds:
 		// a frame of the dead incarnation cannot slip into the zeroed
 		// stream state and collide with its successor's sequence numbers.
-		e.nDropped.Add(1)
+		why = dropDeadPeer
 	case ev.seq < next && !ev.isRTS:
 		// An eager frame whose sequence number the stream already
 		// consumed: nothing in the engine re-sends eager data, so this is
 		// outside input, dropped and counted.
-		e.nDropped.Add(1)
+		why = dropConsumed
 	case ev.seq < next:
 		// A replayed RTS already advanced the stream past this sequence
 		// (the replay machinery races slow originals by design); the late
@@ -138,6 +139,9 @@ func (e *Engine) handleMatchable(core topo.CoreID, ev *arrival) {
 		}
 	}
 	e.qlock.Unlock()
+	if why != "" {
+		e.dropFrame(core, why, ev.src, ev.tag)
+	}
 	if ev != nil {
 		ev.release()
 	}

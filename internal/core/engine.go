@@ -151,13 +151,10 @@ type Stats struct {
 	// ones failed by the death sweep plus new posts refused fast.
 	PeerDead   uint64
 	ReqsFailed uint64
-	// FramesDropped counts inbound frames discarded unprocessed: a source
-	// rank outside the world, a control frame (nothing in the engine
-	// consumes one), a frame of unknown kind, an aggregated train that
-	// fails validAggr, a matchable frame from a rank currently declared
-	// dead, an eager frame whose sequence number its sender's stream
-	// already consumed (counted per train entry), or a rendezvous DATA
-	// chunk outside its reception's announced length.
+	// FramesDropped counts inbound frames discarded unprocessed, for
+	// any of the reasons the dropReason type lists (progress.go); a
+	// consumed sequence number counts per train entry. With a trace
+	// attached, each drop records its reason as a "drop" event.
 	FramesDropped uint64
 }
 

@@ -14,6 +14,7 @@ import (
 	"pioman/internal/nic"
 	"pioman/internal/piom"
 	"pioman/internal/sched"
+	"pioman/internal/telemetry"
 	"pioman/internal/topo"
 	"pioman/internal/wire"
 )
@@ -43,6 +44,7 @@ type clusterParams struct {
 	fabrics  map[string]*wire.Fabric
 	blocking bool
 	maxRdv   int
+	metrics  *telemetry.Registry
 }
 
 func withMode(m Mode) clusterOpt       { return func(p *clusterParams) { p.mode = m } }
@@ -52,6 +54,9 @@ func withNoOffload() clusterOpt        { return func(p *clusterParams) { p.offlo
 func withBlockingFallback() clusterOpt { return func(p *clusterParams) { p.blocking = true } }
 func withMaxPendingRdv(n int) clusterOpt {
 	return func(p *clusterParams) { p.maxRdv = n }
+}
+func withMetrics(reg *telemetry.Registry) clusterOpt {
+	return func(p *clusterParams) { p.metrics = reg }
 }
 func withRails(fn func(node int) []nic.Params) clusterOpt {
 	return func(p *clusterParams) { p.railsFn = fn }
@@ -106,6 +111,7 @@ func newCluster(t testing.TB, n int, opts ...clusterOpt) *testCluster {
 			AdaptiveOffload:      params.adaptive,
 			Strategy:             params.strategy,
 			maxPendingRdvPerPeer: params.maxRdv,
+			Metrics:              params.metrics,
 		})
 		if srv != nil {
 			srv.Start()

@@ -12,6 +12,7 @@ import (
 	"pioman/internal/piom"
 	"pioman/internal/sched"
 	"pioman/internal/topo"
+	"pioman/internal/trace"
 	"pioman/internal/wire"
 )
 
@@ -105,6 +106,8 @@ func TestRespawnedRankRestartsStreams(t *testing.T) {
 // used to panic the engine — a corrupted aggregated train, an unknown
 // packet kind, an eager frame replaying a consumed sequence number — is
 // a counted drop instead, and the engine goes on exchanging normally.
+// Every row names the reason of each frame it drops, in order, and the
+// drops the engine traced must carry exactly those reasons.
 func TestRankValidation(t *testing.T) {
 	frame := func(kind wire.PacketKind, src int) func(*Engine) {
 		return func(e *Engine) {
@@ -112,39 +115,40 @@ func TestRankValidation(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name        string
-		do          func(e *Engine)
-		wantPanic   string // substring; empty means must not panic
-		wantDropped uint64
+		name      string
+		do        func(e *Engine)
+		wantPanic string // substring; empty means must not panic
+		// drops lists, in order, the reason of every frame the row drops.
+		drops []dropReason
 		// thenExchange runs a normal exchange both ways between ranks 0
 		// and 1 after the checks: the drop left the engine healthy.
 		thenExchange bool
 	}{
-		{name: "eager frame src=-1", do: frame(wire.PktEager, -1), wantDropped: 1},
-		{name: "eager frame src=Nodes", do: frame(wire.PktEager, 3), wantDropped: 1},
-		{name: "rts frame src=Nodes", do: frame(wire.PktRTS, 3), wantDropped: 1},
-		{name: "cts frame src=huge", do: frame(wire.PktCTS, 1<<30), wantDropped: 1},
-		{name: "data frame src=Nodes", do: frame(wire.PktData, 3), wantDropped: 1},
-		{name: "ack frame src=-7", do: frame(wire.PktDataAck, -7), wantDropped: 1},
-		{name: "ctrl frame src=Nodes", do: frame(wire.PktCtrl, 3), wantDropped: 1},
-		{name: "ctrl frame in world", do: frame(wire.PktCtrl, 1), wantDropped: 1},
+		{name: "eager frame src=-1", do: frame(wire.PktEager, -1), drops: []dropReason{dropSource}},
+		{name: "eager frame src=Nodes", do: frame(wire.PktEager, 3), drops: []dropReason{dropSource}},
+		{name: "rts frame src=Nodes", do: frame(wire.PktRTS, 3), drops: []dropReason{dropSource}},
+		{name: "cts frame src=huge", do: frame(wire.PktCTS, 1<<30), drops: []dropReason{dropSource}},
+		{name: "data frame src=Nodes", do: frame(wire.PktData, 3), drops: []dropReason{dropSource}},
+		{name: "ack frame src=-7", do: frame(wire.PktDataAck, -7), drops: []dropReason{dropSource}},
+		{name: "ctrl frame src=Nodes", do: frame(wire.PktCtrl, 3), drops: []dropReason{dropSource}},
+		{name: "ctrl frame in world", do: frame(wire.PktCtrl, 1), drops: []dropReason{dropKind}},
 		{name: "eager frame from dead rank", do: func(e *Engine) {
 			e.MarkPeerDead(2)
 			frame(wire.PktEager, 2)(e)
 			if got := e.peers[2].lastSeq; got != 0 {
 				panic(fmt.Sprintf("dead rank's frame advanced lastSeq to %d", got))
 			}
-		}, wantDropped: 1},
+		}, drops: []dropReason{dropDeadPeer}},
 		{name: "in-range frame is processed", do: frame(wire.PktEager, 2)},
-		{name: "corrupted aggregated train", do: frame(wire.PktAggr, 2), wantDropped: 1, thenExchange: true},
-		{name: "unknown packet kind", do: frame(wire.PacketKind(200), 2), wantDropped: 1, thenExchange: true},
+		{name: "corrupted aggregated train", do: frame(wire.PktAggr, 2), drops: []dropReason{dropTrain}, thenExchange: true},
+		{name: "unknown packet kind", do: frame(wire.PacketKind(200), 2), drops: []dropReason{dropKind}, thenExchange: true},
 		{name: "duplicate sequence number", do: func(e *Engine) {
 			frame(wire.PktEager, 2)(e)
 			frame(wire.PktEager, 2)(e)
 			if got := e.peers[2].lastSeq; got != 1 {
 				panic(fmt.Sprintf("duplicate moved lastSeq to %d", got))
 			}
-		}, wantDropped: 1, thenExchange: true},
+		}, drops: []dropReason{dropConsumed}, thenExchange: true},
 		{name: "data chunk outside its reception", do: func(e *Engine) {
 			// A live reception: a posted receive answers rank 2's RTS
 			// announcing 64 bytes. Chunks before or past it are dropped;
@@ -160,7 +164,7 @@ func TestRankValidation(t *testing.T) {
 			if !r.Req().Completed() {
 				panic("the reception did not complete after the hostile chunks")
 			}
-		}, wantDropped: 3, thenExchange: true},
+		}, drops: []dropReason{dropOffset, dropPastLength, dropPastLength}, thenExchange: true},
 		{name: "rts announcing a negative length", do: func(e *Engine) {
 			// Eight 0xff bytes announce length -1; the empty chunk after
 			// it would complete the reception at that length.
@@ -171,7 +175,7 @@ func TestRankValidation(t *testing.T) {
 			if r.Req().Completed() {
 				panic(fmt.Sprintf("the receive completed with Len() = %d", r.Len()))
 			}
-		}, wantDropped: 1, thenExchange: true},
+		}, drops: []dropReason{dropRTS}, thenExchange: true},
 		{name: "rts with a short payload", do: func(e *Engine) {
 			// A 1-byte payload is no RTS: the posted receive must stay
 			// posted, with no reception opened, for the real RTS of the
@@ -188,7 +192,7 @@ func TestRankValidation(t *testing.T) {
 			if !r.Req().Completed() || r.Len() != 64 {
 				panic("the well-formed RTS after the short one did not complete the receive")
 			}
-		}, wantDropped: 1, thenExchange: true},
+		}, drops: []dropReason{dropRTS}, thenExchange: true},
 		{name: "Isend dst=-1", do: func(e *Engine) { e.Isend(-1, 1, nil) }, wantPanic: "rank -1 outside the world of 3 ranks"},
 		{name: "Isend dst=Nodes", do: func(e *Engine) { e.Isend(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
 		{name: "Irecv src=Nodes", do: func(e *Engine) { e.Irecv(3, 1, nil) }, wantPanic: "rank 3 outside the world of 3 ranks"},
@@ -213,6 +217,7 @@ func TestRankValidation(t *testing.T) {
 			// test's direct handlePacket calls own the polling path.
 			c := newCluster(t, 3, withMode(Sequential))
 			e := c.Nodes[0].Eng
+			e.cfg.Trace = trace.NewRecorder(64)
 			defer func() {
 				msg := fmt.Sprint(recover())
 				switch {
@@ -221,8 +226,22 @@ func TestRankValidation(t *testing.T) {
 				case !strings.Contains(msg, tc.wantPanic):
 					t.Fatalf("panic %q, want one naming %q", msg, tc.wantPanic)
 				}
-				if got := e.Stats().FramesDropped; got != tc.wantDropped {
-					t.Errorf("FramesDropped = %d, want %d", got, tc.wantDropped)
+				if got := e.Stats().FramesDropped; got != uint64(len(tc.drops)) {
+					t.Errorf("FramesDropped = %d, want %d", got, len(tc.drops))
+				}
+				var got []string
+				for _, ev := range e.cfg.Trace.Events() {
+					if ev.Kind == trace.KindDrop {
+						got = append(got, ev.Note)
+					}
+				}
+				if len(got) != len(tc.drops) {
+					t.Fatalf("traced drops %q, want reasons %v", got, tc.drops)
+				}
+				for i, why := range tc.drops {
+					if !strings.HasPrefix(got[i], string(why)+" from ") {
+						t.Errorf("drop %d traced %q, want reason %q", i, got[i], why)
+					}
 				}
 				if tc.thenExchange {
 					exchange(t, c, 1, 0, 9, 64)

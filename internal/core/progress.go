@@ -107,7 +107,9 @@ func (e *Engine) progress(core topo.CoreID, bounded bool) bool {
 
 // BlockingWait implements the blocking-call fallback (§3.2): it parks on
 // the default rail until a packet lands, delivers it, then runs one full
-// progress pass for any follow-up work (e.g. answering an RTS).
+// progress pass for any follow-up work (e.g. answering an RTS). Its one
+// caller is piom's blocking watcher; the engine's own waits poll and
+// yield instead (pollStep).
 //
 // Endpoints only block on their own sockets, so in a bonded world a
 // chunk can land on a secondary rail while the watcher sleeps on the
@@ -254,16 +256,67 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 	}
 }
 
+// dropReason is why the engine refused an inbound frame: the one list
+// of drop reasons, each counted in Stats.FramesDropped. The first five
+// are refused at the door (validFrame); the last three need a stream's
+// state and are refused where qlock guards it.
+type dropReason string
+
+const (
+	dropSource     dropReason = "source outside the world"
+	dropKind       dropReason = "kind not consumed" // a control frame, or a kind the engine does not know
+	dropTrain      dropReason = "malformed train"   // validAggr refuses it
+	dropRTS        dropReason = "malformed RTS"     // nic.DecodeRTS refuses it
+	dropOffset     dropReason = "negative DATA offset"
+	dropDeadPeer   dropReason = "dead source"       // a matchable frame from a rank declared dead
+	dropConsumed   dropReason = "consumed sequence" // an eager frame or train entry whose sequence number was consumed
+	dropPastLength dropReason = "DATA past length"  // a chunk past its reception's announced length
+)
+
+// validFrame is the engine's door: one check of everything about p that
+// needs no stream state, before handlePacket touches any. It returns
+// why p must be dropped, or "" to accept it; an RTS is decoded here,
+// once, and its announcement returned. Each check guards a handler
+// from outside input: a malformed RTS would use up a posted receive for
+// a message no chunk can fill (or complete one at a negative length),
+// and a negative DATA offset would slice a receive buffer out of range.
+func (e *Engine) validFrame(p *wire.Packet) (why dropReason, msgLen int, session uint64) {
+	ok := e.inWorld(p.Src)
+	if !ok {
+		return dropSource, 0, 0
+	}
+	switch p.Kind {
+	case wire.PktEager, wire.PktCTS, wire.PktDataAck, wire.PktPing, wire.PktPong:
+	case wire.PktAggr:
+		ok, why = validAggr(p.Payload), dropTrain
+	case wire.PktRTS:
+		msgLen, session, ok = nic.DecodeRTS(p.Payload)
+		why = dropRTS
+	case wire.PktData:
+		ok, why = p.Offset >= 0, dropOffset
+	default:
+		ok, why = false, dropKind
+	}
+	if ok {
+		return "", msgLen, session
+	}
+	return why, 0, 0
+}
+
+// dropFrame is the one way out for a refused frame: it counts the drop
+// and records its reason in the trace. Checks made under qlock call it
+// after the unlock, so the trace's formatting never runs under the lock.
+// No drop is on a steady-state path, so the trace call needs no
+// tracing() guard against its argument boxing.
+func (e *Engine) dropFrame(core topo.CoreID, why dropReason, src, tag int) {
+	e.nDropped.Add(1)
+	e.cfg.Trace.Recordf(trace.KindDrop, int(core), tag, 0, "%s from %d", why, src)
+}
+
 // handlePacket processes one arrived packet; caller holds pollLock,
 // which serializes all packet handling and preserves per-(src,tag) FIFO.
-// The source rank is input from outside the process: a frame naming one
-// outside the world is dropped before anything indexes a peer with it.
-//
-// A control frame is outside input the engine has no use for — nothing
-// in this engine sends one — so it is dropped and counted like a frame
-// from outside the world. So is a frame of a kind the engine does not
-// know, and an aggregated train whose entries do not tile its payload
-// exactly (validAggr).
+// A frame validFrame refuses is dropped before anything else: it does
+// not index a peer, stamp the sender's liveness or count as received.
 //
 // Packet ownership ends here: an eager frame rides its arrival and is
 // released once that is processed (possibly later, out of the stash);
@@ -278,8 +331,9 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindWireRecv, int(core), p.Tag, len(p.Payload), "%v from %d", p.Kind, p.Src)
 	}
-	if !e.inWorld(p.Src) || p.Kind == wire.PktCtrl {
-		e.nDropped.Add(1)
+	why, msgLen, session := e.validFrame(p)
+	if why != "" {
+		e.dropFrame(core, why, p.Src, p.Tag)
 		fabric.ReleasePacket(p)
 		return
 	}
@@ -299,10 +353,6 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 		e.handleMatchable(core, ev)
 		return
 	case wire.PktAggr:
-		if !validAggr(p.Payload) {
-			e.nDropped.Add(1)
-			break
-		}
 		for rest := e.matchTrain(core, p.Src, p.Payload); len(rest) > 0; {
 			tag, seq, data, next := splitAggr(rest)
 			ev := newArrival(rail, p.Src, tag, seq)
@@ -311,7 +361,7 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 			rest = next
 		}
 	case wire.PktRTS:
-		e.handleRTSFrame(rail, core, p)
+		e.handleRTSFrame(rail, core, p, msgLen, session)
 	case wire.PktCTS:
 		e.handleCTS(core, p)
 	case wire.PktData:
@@ -322,8 +372,6 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 		e.handlePing(rail, p)
 	case wire.PktPong:
 		e.handlePong(rail, p)
-	default:
-		e.nDropped.Add(1)
 	}
 	fabric.ReleasePacket(p)
 }

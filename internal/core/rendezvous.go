@@ -168,7 +168,7 @@ func (e *Engine) startRdv(r *SendReq) {
 // a receiver can tell a restarted sender's fresh stream from a replay of
 // the old one.
 func (e *Engine) sendRTS(r *SendReq) {
-	e.railFor(r.dst).SendRTS(railHeader(e.node, r.dst, r.tag, r.seq, r.msgID), r.Len(), e.session)
+	e.railFor(r.dst).SendRTS(railHeader(e.node, r.dst, r.tag, r.seq, r.msgID), r.Len(), e.session, false)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRTS, -1, r.tag, r.Len(), "msgid=%d", r.msgID)
 	}
@@ -180,25 +180,16 @@ func (e *Engine) sendRTS(r *SendReq) {
 // path. A replay travels outside the stream ordering, because the
 // original may already hold — or have consumed — the sequence number, so
 // it first gets the chance to be answered from existing state; only a
-// replay whose original never arrived is processed in its place. The
-// frame is the caller's to release: nothing aliases it once the
-// announced length is decoded.
-//
-// The payload is outside input. One that is not exactly an RTS payload,
-// or that announces a negative length, is dropped and counted: it
-// would otherwise use up a posted receive for a message no chunk can
-// fill, or complete one with a negative length.
-func (e *Engine) handleRTSFrame(rail *nic.Driver, core topo.CoreID, p *wire.Packet) {
-	if len(p.Payload) != nic.RTSBytes || nic.DecodeLen(p.Payload) < 0 {
-		e.nDropped.Add(1)
-		return
-	}
-	e.noteSession(p.Src, nic.DecodeRTSSession(p.Payload), p.Seq)
+// replay whose original never arrived is processed in its place. msgLen
+// and session are the announcement validFrame decoded; the frame is the
+// caller's to release.
+func (e *Engine) handleRTSFrame(rail *nic.Driver, core topo.CoreID, p *wire.Packet, msgLen int, session uint64) {
+	e.noteSession(p.Src, session, p.Seq)
 	if p.Offset == 1 && e.answerReplay(rail, p) {
 		return
 	}
 	ev := newArrival(rail, p.Src, p.Tag, p.Seq)
-	ev.isRTS, ev.msgID, ev.msgLen = true, p.MsgID, nic.DecodeLen(p.Payload)
+	ev.isRTS, ev.msgID, ev.msgLen = true, p.MsgID, msgLen
 	e.handleMatchable(core, ev)
 }
 
@@ -450,11 +441,11 @@ func (e *Engine) handleData(rail *nic.Driver, core topo.CoreID, p *wire.Packet) 
 		}
 		return
 	}
-	// Offset and length are outside input: a chunk that does not lie
-	// inside the announced message would slice the buffer out of range
-	// (a negative offset) or count bytes the message does not have.
-	if p.Offset < 0 || uint64(p.Offset)+uint64(len(p.Payload)) > uint64(msgLen) {
-		e.nDropped.Add(1)
+	// The length is outside input: a chunk reaching past the announced
+	// message would count bytes it does not have. (validFrame refused a
+	// negative offset.)
+	if uint64(p.Offset)+uint64(len(p.Payload)) > uint64(msgLen) {
+		e.dropFrame(core, dropPastLength, p.Src, p.Tag)
 		return
 	}
 	// The copy runs outside qlock; the state does not. st is embedded in

@@ -127,8 +127,8 @@ func (e *Engine) replayDue(nowNanos int64) {
 				buf[nrts], buf[last] = buf[last], buf[nrts]
 				nrts++
 			}
-			if deadline > 0 && e.silentPast(s.dst, s.postedAt, nowNanos, deadline) {
-				suspects = appendRank(suspects, s.dst)
+			if deadline > 0 && !slices.Contains(suspects, s.dst) && e.silentPast(s.dst, s.postedAt, nowNanos, deadline) {
+				suspects = append(suspects, s.dst)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func (e *Engine) replayDue(nowNanos int64) {
 			// No CTS yet: the RTS (or its CTS) was lost, or the receiver
 			// restarted. Replay-RTS frames bypass the receiver's stream
 			// ordering (the original may already have been processed).
-			e.railFor(s.dst).SendRTSReplay(railHeader(e.node, s.dst, s.tag, s.seq, s.msgID), s.Len(), e.session)
+			e.railFor(s.dst).SendRTS(railHeader(e.node, s.dst, s.tag, s.seq, s.msgID), s.Len(), e.session, true)
 		} else {
 			// CTS seen, ack missing: re-stripe the data from the retained
 			// buffer. dataRails skips probation rails, so the resend
@@ -184,17 +184,6 @@ func (e *Engine) replayDue(nowNanos int64) {
 		}
 	}
 	e.maintDone = done
-}
-
-// appendRank adds rank to the suspect list unless already present; the
-// list is a handful of entries at most.
-func appendRank(list []int, rank int) []int {
-	for _, r := range list {
-		if r == rank {
-			return list
-		}
-	}
-	return append(list, rank)
 }
 
 // answerReplay tries to answer a resent rendezvous request from existing

@@ -379,33 +379,16 @@ func (e *Engine) pollStep(core topo.CoreID, done func() bool) bool {
 // passes when it is nonzero, and reports whether done held. Every
 // sequentialYieldQuantum the thread yields its core, so a polling loop
 // never starves sibling threads on a fully-loaded node.
-//
-// On a goroutine-fed rail a Multithreaded loop spins like Wait, for the
-// server's WaitSpin budget, and then parks in BlockingWait for up to
-// that budget per step. Yielding alone is not enough there:
-// runtime.Gosched hands the processor to runnable goroutines only, and
-// a transport goroutine parked in Go's netpoller is woken by an idle
-// processor or by the runtime's 10 ms monitor — so at GOMAXPROCS=1 a
-// loop that only ever yields leaves each frame to the monitor.
 func (e *Engine) pollUntil(th *sched.Thread, deadline time.Time, done func() bool) bool {
 	if done() {
 		return true
 	}
 	yieldAt := time.Now().Add(sequentialYieldQuantum)
-	var parkAt time.Time
-	if e.goroutineFed && e.cfg.Mode == Multithreaded && e.srv != nil {
-		parkAt = time.Now().Add(e.srv.WaitSpin())
-	}
 	for {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
 		}
-		if !parkAt.IsZero() && time.Now().After(parkAt) {
-			e.BlockingWait(e.srv.WaitSpin())
-			if done() {
-				return true
-			}
-		} else if e.pollStep(th.Core(), done) {
+		if e.pollStep(th.Core(), done) {
 			return true
 		}
 		if time.Now().After(yieldAt) {

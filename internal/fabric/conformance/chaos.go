@@ -29,13 +29,15 @@ import (
 // injected failures are visible to whatever consumes the fabric
 // directly. Wrapping an engine world therefore only tolerates the
 // knobs the engine contract survives: Reorder and Latency (receivers
-// reorder by sequence number; delay is just a slow wire). Drop breaks
-// the reliable-delivery contract the engine assumes (a transfer
-// hangs), Duplicate trips the engine's duplicate-sequence panic, and
-// Corrupt hands the consumer a mutated payload — those three are for
-// raw-endpoint tests, for rails striping's failover is expected to
-// abandon, and for transports with their own reliability
-// sublayer tested below the frame level (see udpfab.ChaosParams).
+// reorder by sequence number; delay is just a slow wire) and
+// Duplicate (the engine drops a second copy of a frame: an eager
+// frame's consumed sequence number is a counted drop, and rendezvous
+// frames are idempotent). Drop breaks the reliable-delivery contract
+// the engine assumes (a transfer hangs) and Corrupt hands the consumer
+// a mutated payload — those two are for raw-endpoint tests, for rails
+// striping's failover is expected to abandon, and for transports with
+// their own reliability sublayer tested below the frame level (see
+// udpfab.ChaosParams).
 type ChaosConfig struct {
 	// Seed drives every endpoint's random source.
 	Seed int64

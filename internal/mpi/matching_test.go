@@ -41,7 +41,7 @@ const (
 	matchTimeout = 20 * time.Second
 )
 
-// matchSizes straddle every size boundary of the engine: empty and
+// The three size pools straddle every size boundary of the engine: empty and
 // sub-word payloads, two entries that exactly fill a 32 KiB MX train and
 // two that do not, the eager maximum (32 KiB, also the MX MTU) and one
 // byte past it, the 64 KiB TCP rail MTU, and stripeMin (128 KiB).
@@ -101,7 +101,7 @@ type matchPlan struct {
 	progs [matchRanks][matchEpochs][]matchOp
 }
 
-// fill writes message id's payload: its first four bytes spell the id,
+// matchFill writes message id's payload: its first four bytes spell the id,
 // so any payload of four bytes or more names its send.
 func matchFill(b []byte, id int) []byte {
 	for i := range b {

@@ -24,12 +24,10 @@ import (
 //
 // One row per polling wait: Wait, WaitAny, WaitAllTimeout and Probe all
 // run the engine's one polling step, so each must find its frame within
-// the same budget. The three that never block on their request also
-// rely on pollUntil parking in BlockingWait once its spin budget is
-// spent. With yielding alone a row now and then fell into a stall where
-// every leg waited for the runtime's 10 ms netpoll, and under the race
-// detector, which slows the peer, about one such row in three did (up to
-// 984 polls per exchange); with the park all four rows run there too.
+// the same budget. The three that never block on their request only
+// poll and yield: tcpfab's pollers nap with a short read deadline after
+// a spin, so a yielding waiter no longer waits out the runtime's 10 ms
+// netpoll for its frame, under the race detector too.
 func TestWaitYieldsToGoroutineFedRail(t *testing.T) {
 	rows := []struct {
 		name string

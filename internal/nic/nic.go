@@ -22,6 +22,7 @@
 package nic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -416,32 +417,27 @@ func (d *Driver) SendEager(h Header, payload []byte) {
 
 // SendRTS posts a rendezvous request-to-send: header-only, cheap. The
 // payload carries the message length plus the sender engine's session id
-// (see putRTS), so a receiver can tell a restarted sender's fresh
-// rendezvous stream from a stale incarnation's.
-func (d *Driver) SendRTS(h Header, msgLen int, session uint64) {
-	d.sendRTS(h, msgLen, session, 0)
-}
-
-// SendRTSReplay re-posts a rendezvous request-to-send for the engine's
-// acked-replay timer. It is the same wire packet as SendRTS except
-// Offset is set to 1, the replay marker: the receiver handles it outside
-// the per-sender sequence ordering (the original RTS may already have
-// been processed), answering idempotently with a fresh CTS or DATA-ack.
-func (d *Driver) SendRTSReplay(h Header, msgLen int, session uint64) {
-	d.sendRTS(h, msgLen, session, 1)
-}
-
-// sendRTS posts an RTS whose payload is a fabric buffer-pool borrow,
-// flagged Pooled: whoever releases the packet — send on a capturing
-// rail, the receiving engine over the simulator — returns the buffer.
-func (d *Driver) sendRTS(h Header, msgLen int, session uint64, offset int) {
+// (DecodeRTS reads them back), so a receiver can tell a restarted
+// sender's fresh rendezvous stream from a stale incarnation's. A replay —
+// the engine's acked-replay timer re-posting an unanswered RTS — is the
+// same packet with Offset set to 1, the replay marker: the receiver
+// handles it outside the per-sender sequence ordering (the original RTS
+// may already have been processed), answering idempotently with a fresh
+// CTS or DATA-ack. The payload is a fabric buffer-pool borrow, flagged
+// Pooled: whoever releases the packet — send on a capturing rail, the
+// receiving engine over the simulator — returns the buffer.
+func (d *Driver) SendRTS(h Header, msgLen int, session uint64, replay bool) {
 	ptime.SpinFor(d.p.Cost.SubmitOverhead)
 	d.rtsSent.Add(1)
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktRTS, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.Offset = h.Seq, h.MsgID, offset
-	p.Payload, p.Pooled = bufpool.Get(RTSBytes), true
-	putRTS(p.Payload, msgLen, session)
+	p.Seq, p.MsgID = h.Seq, h.MsgID
+	if replay {
+		p.Offset = 1
+	}
+	p.Payload, p.Pooled = bufpool.Get(rtsBytes), true
+	binary.LittleEndian.PutUint64(p.Payload, uint64(msgLen))
+	binary.LittleEndian.PutUint64(p.Payload[8:], session)
 	p.WireLen = HeaderBytes
 	d.send(p)
 }
@@ -622,35 +618,17 @@ func (d *Driver) Stats() Stats {
 	}
 }
 
-// RTSBytes is the size of an RTS payload: the message length, then the
+// rtsBytes is the size of an RTS payload: the message length, then the
 // sender engine's session id, 8 little-endian bytes each.
-const RTSBytes = 16
+const rtsBytes = 16
 
-// putRTS writes an RTS payload into b[:RTSBytes].
-func putRTS(b []byte, msgLen int, session uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(msgLen >> (8 * i))
-		b[8+i] = byte(session >> (8 * i))
+// DecodeRTS recovers the announced message length and the sender's
+// session id from an RTS payload. The payload is outside input: ok is
+// false unless it is exactly an RTS payload announcing a non-negative
+// length.
+func DecodeRTS(b []byte) (msgLen int, session uint64, ok bool) {
+	if len(b) == rtsBytes {
+		msgLen, session = int(binary.LittleEndian.Uint64(b)), binary.LittleEndian.Uint64(b[8:])
 	}
-}
-
-// DecodeLen recovers the message length from an RTS payload of
-// RTSBytes bytes. The value is outside input: a hostile sender can
-// announce a negative length, which the caller must refuse.
-func DecodeLen(b []byte) int {
-	n := 0
-	for i := 0; i < 8; i++ {
-		n |= int(b[i]) << (8 * i)
-	}
-	return n
-}
-
-// DecodeRTSSession recovers the sender's session id from an RTS payload
-// of RTSBytes bytes.
-func DecodeRTSSession(b []byte) uint64 {
-	var s uint64
-	for i := 0; i < 8; i++ {
-		s |= uint64(b[8+i]) << (8 * i)
-	}
-	return s
+	return msgLen, session, len(b) == rtsBytes && msgLen >= 0
 }

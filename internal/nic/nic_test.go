@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -103,16 +104,13 @@ func TestPIOCountsSmallMessages(t *testing.T) {
 func TestRendezvousPacketFlow(t *testing.T) {
 	a, b := pair(t, fastParams())
 	h := Header{Src: 0, Dst: 1, Tag: 9, MsgID: 77}
-	a.SendRTS(h, 128<<10, 42)
+	a.SendRTS(h, 128<<10, 42, false)
 	rts := pollUntil(t, b, time.Second)
 	if rts.Kind != wire.PktRTS || rts.MsgID != 77 {
 		t.Fatalf("bad RTS %+v", rts)
 	}
-	if got := DecodeLen(rts.Payload); got != 128<<10 {
-		t.Fatalf("DecodeLen = %d, want %d", got, 128<<10)
-	}
-	if got := DecodeRTSSession(rts.Payload); got != 42 {
-		t.Fatalf("DecodeRTSSession = %d, want 42", got)
+	if n, s, ok := DecodeRTS(rts.Payload); n != 128<<10 || s != 42 || !ok {
+		t.Fatalf("DecodeRTS = (%d, %d, %v), want (%d, 42, true)", n, s, ok, 128<<10)
 	}
 	// Every header-only control kind goes out through SendControl; only
 	// the CTS counts in Stats.CTSSent.
@@ -253,14 +251,27 @@ func TestDefaultMTU(t *testing.T) {
 	}
 }
 
-func TestLenCodecProperty(t *testing.T) {
-	f := func(n uint32, s uint64) bool {
-		b := make([]byte, RTSBytes)
-		putRTS(b, int(n), s)
-		return DecodeLen(b) == int(n) && DecodeRTSSession(b) == s
+// TestDecodeRTS holds the one RTS decoder to the payload SendRTS
+// writes: any length and session round-trip, and a payload that is not
+// exactly an RTS, or that announces a negative length, is refused.
+func TestDecodeRTS(t *testing.T) {
+	f := func(n int64, s uint64, extra uint8) bool {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(n))
+		b = binary.LittleEndian.AppendUint64(b, s)
+		gotN, gotS, ok := DecodeRTS(b)
+		if ok != (n >= 0) || ok && (gotN != int(n) || gotS != s) {
+			return false
+		}
+		_, _, ok = DecodeRTS(append(b, make([]byte, extra%8+1)...))
+		return !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	for _, b := range [][]byte{nil, {}, make([]byte, rtsBytes-1)} {
+		if _, _, ok := DecodeRTS(b); ok {
+			t.Errorf("DecodeRTS accepted a %d-byte payload", len(b))
+		}
 	}
 }
 

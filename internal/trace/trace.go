@@ -39,6 +39,7 @@ const (
 	KindBlockingCall       // fallback blocking syscall engaged
 	KindRailProbation      // rail demoted: span submission failed
 	KindRailReadmit        // probation rail's health probe answered
+	KindDrop               // inbound frame refused; the note names why
 
 	// kindCount sentinel: keep this last. The String exhaustiveness test
 	// walks [0, kindCount) against kindNames, so adding a Kind above
@@ -65,6 +66,7 @@ var kindNames = map[Kind]string{
 	KindBlockingCall:  "blocking-call",
 	KindRailProbation: "rail-probation",
 	KindRailReadmit:   "rail-readmit",
+	KindDrop:          "drop",
 }
 
 // String implements fmt.Stringer.
