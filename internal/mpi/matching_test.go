@@ -93,7 +93,6 @@ type matchOp struct {
 }
 
 type matchPlan struct {
-	seed  int64
 	msgs  []matchMsg
 	recvs []matchRecv
 	// progs[rank][epoch] is the rank's program for that epoch; the rank
@@ -131,7 +130,7 @@ func envelope(src, tag int) string {
 // genMatchPlan derives every rank's program from one seeded global plan.
 func genMatchPlan(seed int64) *matchPlan {
 	rng := rand.New(rand.NewSource(seed))
-	p := &matchPlan{seed: seed}
+	p := &matchPlan{}
 	var sends, posts [matchRanks]int
 	for ep := 0; ep < matchEpochs; ep++ {
 		first := len(p.recvs)
