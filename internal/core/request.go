@@ -289,12 +289,27 @@ func (e *Engine) Irecv(src, tag int, buf []byte) *RecvReq {
 	return r
 }
 
-// kick pokes the event server so a pending operation is noticed promptly
-// even if every core is mid-quantum.
+// kick posts the event server's tasklet so a pending operation is noticed
+// by the next core that looks, without waking a parked one: every kick
+// runs on the application thread's own library call, and that thread
+// polls in its wait or hands off before it computes (OffloadWaiting).
 func (e *Engine) kick() {
 	if e.cfg.Mode == Multithreaded && e.srv != nil {
-		e.srv.Schedule()
+		e.srv.Post()
 	}
+}
+
+// OffloadWaiting reports whether an offloaded eager send waits in the
+// send queue for a core to submit it: the case where a thread about to
+// compute should hand its processor off (sched.Thread.HandOff). Always
+// false for the Sequential baseline and with OffloadEager off.
+func (e *Engine) OffloadWaiting() bool {
+	if e.cfg.Mode != Multithreaded || !e.cfg.OffloadEager {
+		return false
+	}
+	e.qlock.Lock()
+	defer e.qlock.Unlock()
+	return e.sendq.peek() != nil
 }
 
 // Wait blocks the calling thread until req completes, driving progress

@@ -55,8 +55,16 @@ func (p *Proc) Rank() int { return p.Node.rank }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.Node.world.Size() }
 
-// Compute spins for d on the thread's core (the compute() phase).
-func (p *Proc) Compute(d time.Duration) { p.Th.Compute(d) }
+// Compute spins for d on the thread's core (the compute() phase). When an
+// offloaded eager send waits for a core, the thread first hands its
+// processor to the worker that submits it, so the send progresses during
+// the computation (Fig. 5).
+func (p *Proc) Compute(d time.Duration) {
+	if p.Node.Eng.OffloadWaiting() {
+		p.Th.HandOff()
+	}
+	p.Th.Compute(d)
+}
 
 // Isend posts an asynchronous send (nm_isend).
 func (p *Proc) Isend(dst, tag int, data []byte) *core.SendReq {

@@ -17,8 +17,9 @@ import (
 
 // TestRealRailWorldTakesHostShape pins one side of the line between the
 // two kinds of world: one whose rails are all real ignores
-// Config.Machine — each node gets GOMAXPROCS ÷ ranks cores — and its idle
-// cores park instead of polling, so a whole ping-pong runs without one
+// Config.Machine — each node gets GOMAXPROCS cores, so a computing thread
+// leaves a worker free (what AdaptiveOffload reads) — and its idle cores
+// park instead of polling, so a whole ping-pong runs without one
 // idle-hook pass.
 func TestRealRailWorldTakesHostShape(t *testing.T) {
 	f, err := tcpfab.NewLocal(2)
@@ -36,13 +37,16 @@ func TestRealRailWorldTakesHostShape(t *testing.T) {
 		Fabrics:        map[string]fabric.Fabric{rail.Name: f},
 	})
 	defer w.Close()
-	want := max(1, runtime.GOMAXPROCS(0)/2)
+	want := runtime.GOMAXPROCS(0)
 	for r := 0; r < 2; r++ {
 		if got := w.Node(r).Sch.NumCores(); got != want {
-			t.Errorf("node %d has %d cores, want GOMAXPROCS/2 = %d", r, got, want)
+			t.Errorf("node %d has %d cores, want GOMAXPROCS = %d", r, got, want)
 		}
 	}
 	w.RunAll(func(p *mpi.Proc) {
+		if idle := p.Node.Sch.IdleCores(); want >= 2 && idle < 1 {
+			t.Errorf("node %d: %d idle cores while its thread holds one of %d", p.Rank(), idle, want)
+		}
 		msg := make([]byte, 64)
 		buf := make([]byte, 64)
 		for i := 0; i < 100; i++ {

@@ -129,10 +129,10 @@ type World struct {
 }
 
 // hostMachine is the node shape of a world whose rails are all real: one
-// socket of GOMAXPROCS ÷ ranks cores, at least one, so a core stands for a
-// processor the rank may use. ranks counts this process's ranks only.
-func hostMachine(ranks int) topo.Machine {
-	return topo.Machine{Sockets: 1, CoresPerSocket: max(1, runtime.GOMAXPROCS(0)/ranks)}
+// socket of GOMAXPROCS cores, so a rank whose thread computes keeps a
+// spare worker to hand its offloaded sends to.
+func hostMachine() topo.Machine {
+	return topo.Machine{Sockets: 1, CoresPerSocket: runtime.GOMAXPROCS(0)}
 }
 
 // railSet resolves the configured rail parameter list.
@@ -181,7 +181,7 @@ func NewWorld(cfg Config) *World {
 
 	w := &World{cfg: cfg, size: cfg.Nodes, nodes: make([]*Node, cfg.Nodes)}
 	if !simulated {
-		w.host = hostMachine(cfg.Nodes)
+		w.host = hostMachine()
 	}
 	for _, rp := range railParams {
 		w.fabs = append(w.fabs, fabrics[rp.Name])
@@ -258,7 +258,7 @@ func NewDistributedBonded(cfg Config, rails []Rail) *World {
 	cfg.MX = rails[0].Params
 	cfg.SHM = nic.Params{}
 	cfg.ExtraRails = nil
-	w := &World{cfg: cfg, size: nodes, nodes: make([]*Node, nodes), host: hostMachine(1)}
+	w := &World{cfg: cfg, size: nodes, nodes: make([]*Node, nodes), host: hostMachine()}
 	drivers := make([]*nic.Driver, 0, len(rails))
 	for _, r := range rails {
 		drivers = append(drivers, nic.New(r.Params, r.Ep))

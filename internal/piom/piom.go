@@ -17,6 +17,12 @@
 //     performs a blocking receive (the specialized kernel thread of [10])
 //     so that rendezvous handshakes still progress without stealing CPU
 //     from computing threads.
+//
+// The library's own event — a request registered by Isend or Irecv — is
+// posted (Post), not rung: the progress tasklet is queued without waking
+// a parked core, because the calling thread polls in its wait anyway. A
+// thread that leaves to compute instead hands its processor to the
+// queued tasklet (sched.Thread.HandOff).
 package piom
 
 import (
@@ -229,10 +235,12 @@ func (s *Server) Poll(core topo.CoreID) bool {
 // before blocking: the host-derived budget every engine wait spends.
 func (s *Server) WaitSpin() time.Duration { return s.waitSpin }
 
-// Schedule queues the progress tasklet, e.g. right after a request is
-// registered ("the asynchronous send actually only registers the request in
-// a work list and generates an event", §2.1).
-func (s *Server) Schedule() { s.sch.Schedule(s.tl) }
+// Post queues the progress tasklet right after a request is registered
+// ("the asynchronous send actually only registers the request in a work
+// list and generates an event", §2.1). It wakes no parked core: a busy
+// or idle-polling core picks the tasklet up, or the registering thread
+// polls in its wait, or hands its processor off before it computes.
+func (s *Server) Post() { s.sch.Post(s.tl) }
 
 // watch is the blocking watcher loop for one source: engaged only while no
 // core is idle, exactly as §3.2 describes rendezvous management.

@@ -117,19 +117,29 @@ func TestNoIdleHookWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestScheduleRunsTasklet(t *testing.T) {
+// TestPostRunsTaskletOnHandOff: a posted progress tasklet wakes no parked
+// core, and runs once a thread hands its processor off.
+func TestPostRunsTaskletOnHandOff(t *testing.T) {
 	sch := newSched(t, 2)
 	srv := NewServer(sch, Config{})
 	defer srv.Stop()
 	src := newFakeSource()
 	srv.Register(src)
-	srv.Schedule()
-	deadline := time.Now().Add(time.Second)
-	for src.progressed.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	sch.Spawn("poster", func(th *sched.Thread) {
+		time.Sleep(5 * time.Millisecond) // let the spare core park
+		srv.Post()
+		time.Sleep(10 * time.Millisecond)
+		if n := src.progressed.Load(); n != 0 {
+			t.Errorf("posted tasklet polled %d times before a hand-off", n)
+		}
+		th.HandOff()
+		deadline := time.Now().Add(time.Second)
+		for src.progressed.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}).Join()
 	if src.progressed.Load() == 0 {
-		t.Fatal("scheduled tasklet never polled")
+		t.Fatal("posted tasklet never polled after the hand-off")
 	}
 }
 

@@ -15,8 +15,13 @@
 //     time a core is idle, leaving a core idle will boil down to a busy
 //     waiting until PIOMan wakes up a thread".
 //
-// A core with no idle hook parks until a thread or a tasklet arrives, so
-// an idle node costs no CPU and no timer wake-ups.
+// A core with no idle hook parks until a thread arrives or the bell
+// rings, so an idle node costs no CPU and no timer wake-ups. Schedule
+// rings the bell; Post does not, because a tasklet posted by a thread
+// that will poll in its own wait needs no second processor. A thread
+// about to compute calls HandOff instead: it rings once and yields its
+// processor, so the woken core runs the tasklet while the computation
+// continues on another processor.
 //
 // A timer goroutine periodically schedules a registered tasklet even when
 // every core is busy, modeling Marcel's timer-interrupt trigger.
@@ -146,15 +151,26 @@ func (s *Scheduler) SetIdleHook(h IdleHook) {
 // SetTimerTasklet installs the tasklet scheduled on every timer tick.
 func (s *Scheduler) SetTimerTasklet(t *Tasklet) { s.timerT.Store(t) }
 
-// Schedule marks t for execution. It is safe to call from any goroutine,
-// including tasklet bodies and idle hooks.
+// Schedule marks t for execution and rings the bell, so a parked core
+// wakes to run it. It is safe to call from any goroutine, including
+// tasklet bodies and idle hooks.
 func (s *Scheduler) Schedule(t *Tasklet) {
-	if s.stopped.Load() {
-		return
+	if s.Post(t) {
+		sync2.Notify(s.bell)
 	}
-	if t.schedule() {
-		s.enqueueTasklet(t)
+}
+
+// Post marks t for execution like Schedule but rings no bell: a parked
+// core stays asleep, and t runs when a core next looks at the queue — a
+// worker whose thread or tasklet returns, an idle hook's pass, another
+// Schedule's ring, or a thread's HandOff. It reports whether t was
+// queued.
+func (s *Scheduler) Post(t *Tasklet) bool {
+	if s.stopped.Load() || !t.schedule() {
+		return false
 	}
+	s.enqueueTasklet(t)
+	return true
 }
 
 // enqueueTasklet and popTasklet keep the tasklet queue head-indexed, like
@@ -166,7 +182,13 @@ func (s *Scheduler) enqueueTasklet(t *Tasklet) {
 	s.tasklets, s.taskletHead = sync2.CompactQueue(s.tasklets, s.taskletHead)
 	s.tasklets = append(s.tasklets, t)
 	s.taskletMu.Unlock()
-	sync2.Notify(s.bell)
+}
+
+// hasTasklet reports whether a tasklet waits in the queue.
+func (s *Scheduler) hasTasklet() bool {
+	s.taskletMu.Lock()
+	defer s.taskletMu.Unlock()
+	return len(s.tasklets) > s.taskletHead
 }
 
 func (s *Scheduler) popTasklet() *Tasklet {
@@ -199,6 +221,8 @@ func (s *Scheduler) worker(core topo.CoreID) {
 			requeue := t.execute(core)
 			s.busyCores.Add(-1)
 			if requeue {
+				// This worker pops it on its next loop: a ring would
+				// only wake another core for nothing.
 				s.enqueueTasklet(t)
 			}
 			s.nTasklets.Add(1)
@@ -233,6 +257,17 @@ func (s *Scheduler) runThread(core topo.CoreID, th *Thread) {
 	s.busyCores.Add(-1)
 }
 
+// handOff rings the bell for a thread about to compute, and reports
+// whether it rang: only with no idle hook (an idle hook's cores already
+// poll), a core free to wake, and a tasklet for it to run.
+func (s *Scheduler) handOff() bool {
+	if s.idleHook.Load() != nil || s.IdleCores() == 0 || !s.hasTasklet() {
+		return false
+	}
+	sync2.Notify(s.bell)
+	return true
+}
+
 // park blocks a core that has no idle hook until a thread, a ring of the
 // bell or shutdown; nothing wakes it on a timer. A tasklet enqueued
 // between the worker's queue check and this select still finds the bell
@@ -262,10 +297,7 @@ func (s *Scheduler) idlePhase(core topo.CoreID, hook IdleHook) bool {
 			worked = true
 		}
 		// Higher-priority work preempts the idle phase.
-		s.taskletMu.Lock()
-		hasTasklet := len(s.tasklets) > s.taskletHead
-		s.taskletMu.Unlock()
-		if hasTasklet || len(s.runq) > 0 || s.stopped.Load() {
+		if s.hasTasklet() || len(s.runq) > 0 || s.stopped.Load() {
 			return true
 		}
 		if time.Now().After(deadline) {

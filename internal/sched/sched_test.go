@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,17 +61,38 @@ func TestTaskletCoalescesWhilePending(t *testing.T) {
 	}
 }
 
+// TestTaskletRescheduleWhileRunningRunsAgain also checks that the re-run
+// is queued without a ring: a thread holds the other core, so the bell
+// has no listener but the tasklet's own worker, and the second run must
+// find it as empty as the first run left it.
 func TestTaskletRescheduleWhileRunningRunsAgain(t *testing.T) {
 	s := testSched(t, 2)
+	holding, hold := make(chan struct{}), make(chan struct{})
+	holder := s.Spawn("hold", func(*Thread) {
+		close(holding)
+		<-hold
+	})
+	defer func() {
+		close(hold)
+		holder.Join()
+	}()
+	<-holding
 	started := make(chan struct{})
 	unblock := make(chan struct{})
 	var runs atomic.Int32
+	var rang atomic.Bool
 	var tl *Tasklet
 	tl = NewTasklet("t", func(core topo.CoreID) {
 		if runs.Add(1) == 1 {
+			select {
+			case <-s.bell: // Schedule's own ring, if no core was parked
+			default:
+			}
 			close(started)
 			<-unblock
+			return
 		}
+		rang.Store(len(s.bell) > 0)
 	})
 	s.Schedule(tl)
 	<-started
@@ -84,6 +106,133 @@ func TestTaskletRescheduleWhileRunningRunsAgain(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if n := runs.Load(); n != 2 {
 		t.Fatalf("tasklet ran %d times, want 2", n)
+	}
+	if rang.Load() {
+		t.Fatal("re-queueing the tasklet rang the bell")
+	}
+}
+
+// TestPostRingsNoBell: Post queues the tasklet and leaves a parked core
+// asleep; the next ring wakes it. The scheduler is built without
+// workers, so the one parked core is the test's own.
+func TestPostRingsNoBell(t *testing.T) {
+	s := &Scheduler{
+		machine: topo.Machine{Sockets: 1, CoresPerSocket: 1},
+		runq:    make(chan *Thread, 1),
+		bell:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+	}
+	woke := make(chan struct{})
+	go func() {
+		s.park(0)
+		close(woke)
+	}()
+	if !s.Post(NewTasklet("t", func(topo.CoreID) {})) {
+		t.Fatal("Post did not queue an idle tasklet")
+	}
+	if len(s.bell) != 0 {
+		t.Fatal("Post rang the bell")
+	}
+	if !s.hasTasklet() {
+		t.Fatal("posted tasklet is not queued")
+	}
+	select {
+	case <-woke:
+		t.Fatal("Post woke the parked core")
+	default:
+	}
+	s.Schedule(NewTasklet("u", func(topo.CoreID) {}))
+	<-woke
+}
+
+// TestComputeHandOffRunsQueuedTasklet is Fig. 5 on a real host: a thread
+// posts a tasklet, hands off and computes; the tasklet must run during
+// the computation, on the spare core. A goroutine keeps the other
+// processor busy, as the peer rank does, so nothing but the hand-off
+// puts the woken worker on a processor.
+func TestComputeHandOffRunsQueuedTasklet(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2: the computation continues on another processor")
+	}
+	s := testSched(t, 2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	time.Sleep(5 * time.Millisecond) // let both cores park
+	var computing, sawComputing atomic.Bool
+	ran := make(chan struct{})
+	tl := NewTasklet("send", func(topo.CoreID) {
+		sawComputing.Store(computing.Load())
+		close(ran)
+	})
+	s.Spawn("app", func(th *Thread) {
+		computing.Store(true)
+		s.Post(tl)
+		th.HandOff()
+		th.Compute(5 * time.Millisecond)
+		computing.Store(false)
+	}).Join()
+	<-ran
+	if !sawComputing.Load() {
+		t.Fatal("the queued tasklet ran after the computation, not during it")
+	}
+}
+
+// TestHandOffDeclines: a thread hands off only with no idle hook, a free
+// core and a queued tasklet; each row takes one of the three away.
+func TestHandOffDeclines(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		cores   int
+		hook    bool
+		tasklet bool
+	}{
+		{"idle hook installed", 2, true, true},
+		{"no core free", 1, false, true},
+		{"no tasklet queued", 2, false, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := testSched(t, row.cores)
+			gate, entered := make(chan struct{}), make(chan struct{}, 1)
+			s.Spawn("app", func(th *Thread) {
+				if row.hook {
+					// The spare core blocks inside the hook, so it
+					// cannot pop the tasklet before handOff looks.
+					s.SetIdleHook(func(topo.CoreID) bool {
+						select {
+						case entered <- struct{}{}:
+						default:
+						}
+						<-gate
+						return false
+					})
+					<-entered
+				}
+				if row.tasklet {
+					s.Post(NewTasklet("t", func(topo.CoreID) {}))
+				}
+				if s.handOff() {
+					t.Error("handOff rang the bell")
+				}
+			}).Join()
+			close(gate)
+			s.SetIdleHook(nil)
+		})
 	}
 }
 

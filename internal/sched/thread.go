@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"time"
 
 	"pioman/internal/ptime"
@@ -84,9 +85,24 @@ func (th *Thread) Core() topo.CoreID {
 func (th *Thread) Name() string { return th.name }
 
 // Compute spins for d on the held core, modeling application computation.
+// It keeps its processor for the whole spin; a thread that calls HandOff
+// first lets a parked core run a posted tasklet meanwhile.
 func (th *Thread) Compute(d time.Duration) {
 	th.mustHoldCore("Compute")
 	ptime.Compute(d)
+}
+
+// HandOff lends the thread's processor to queued tasklets before it
+// computes. When the scheduler has no idle hook, a core is free and a
+// tasklet is queued, it rings the bell and yields once: the Go runtime
+// readies the woken worker on this processor, so the worker runs the
+// tasklet here and the thread resumes on another processor. The thread
+// keeps its core token throughout.
+func (th *Thread) HandOff() {
+	th.mustHoldCore("HandOff")
+	if th.sched.handOff() {
+		runtime.Gosched()
+	}
 }
 
 // Yield releases the core and immediately re-queues for one, giving
