@@ -197,9 +197,9 @@ type Engine struct {
 	// positive stripe weight at construction: rendezvous payloads of
 	// stripeMin bytes or more then split across the weighted rails.
 	aggregate, stripe bool
-	// goroutineFed is set when any rail's arrivals are read by a
-	// goroutine of its endpoint (nic.Driver.GoroutineFed): a Wait loop
-	// then follows every unworked pass with runtime.Gosched, because the
+	// goroutineFed is set when a goroutine of any rail's endpoint also
+	// moves its arrivals (nic.Driver.GoroutineFed): a Wait loop then
+	// follows every unworked pass with runtime.Gosched, because the
 	// goroutine that would deliver the awaited frame may need this very
 	// processor. Fixed at construction.
 	goroutineFed bool

@@ -368,10 +368,11 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 // done check. It reports whether done holds. Otherwise, after a pass
 // that did no work on a goroutine-fed rail (fabric.GoroutineFed:
 // tcpfab, udpfab), it hands the processor over with runtime.Gosched:
-// the frame being waited for is read off its socket by a goroutine of
-// the endpoint, and a waiter that never leaves its processor keeps that
-// goroutine queued until Go's preemption tick. Rails whose poll moves
-// the frames itself are exempt.
+// a goroutine of the endpoint also moves frames — tcpfab's pollers all
+// of them, udpfab's reader those that land while nobody polls — and a
+// waiter that never leaves its processor keeps that goroutine queued
+// until Go's preemption tick. Rails whose poll alone moves the frames
+// are exempt.
 func (e *Engine) pollStep(core topo.CoreID, done func() bool) bool {
 	var worked bool
 	if e.cfg.Mode == Sequential || e.srv == nil {

@@ -88,19 +88,20 @@ type Backlogger interface {
 }
 
 // GoroutineFed is an optional Endpoint capability: GoroutineFed reports
-// that PollBatch can only hand out what one of the endpoint's own
-// goroutines has already read — tcpfab's poller moves socket bytes into
-// the inbox, udpfab's reader does the same for datagrams — so a caller
-// that polls in a loop without ever leaving its processor can starve the
-// very goroutine that would deliver the frame it polls for. The engine
-// follows an unworked polling pass with runtime.Gosched on such rails
-// (docs/PERF.md, "Cooperative waits"). Transports whose PollBatch moves
-// the frames itself (shmfab scans its rings, simfab its modeled wire) must
-// not implement it: a poll there is the progress, and yielding between
-// polls only feeds whoever else is runnable.
+// that a goroutine of the endpoint also moves frames toward PollBatch,
+// so a caller that polls in a loop without ever leaving its processor
+// can starve the goroutine that would deliver the frame it polls for.
+// tcpfab's pollers move every socket byte into the inbox; udpfab's
+// PollBatch reads its socket itself, and its reader goroutine is only
+// the fallback for datagrams that arrive while no thread polls. The
+// engine follows an unworked polling pass with runtime.Gosched on such
+// rails (docs/PERF.md, "Cooperative waits"). Transports whose PollBatch
+// alone moves the frames (shmfab scans its rings, simfab its modeled
+// wire) must not implement it: a poll there is the progress, and
+// yielding between polls only feeds whoever else is runnable.
 type GoroutineFed interface {
-	// GoroutineFed reports whether arrivals reach PollBatch only through
-	// a goroutine the endpoint runs.
+	// GoroutineFed reports whether a goroutine the endpoint runs also
+	// moves arrivals toward PollBatch.
 	GoroutineFed() bool
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"pioman/internal/fabric"
 	"pioman/internal/telemetry"
-	"pioman/internal/testenv"
 	"pioman/internal/wire"
 )
 
@@ -172,18 +171,15 @@ func TestRejectedDatagramsCounted(t *testing.T) {
 		}(),
 	}
 	for i, b := range bad {
-		e.handleDatagram(b, from)
+		if p := e.acceptDatagram(b, from); p != nil {
+			t.Fatalf("bad datagram %d was delivered: %+v", i, p)
+		}
 		if got := reg.Snapshot().Value("node0.rail.udp.rejected_datagrams"); got != uint64(i+1) {
 			t.Fatalf("bad datagram %d: rejected_datagrams = %d, want %d", i, got, i+1)
 		}
 	}
-	pollOne := testenv.PollOne(e)
-	if p := pollOne(); p != nil {
-		t.Fatalf("a rejected datagram was delivered: %+v", p)
-	}
 	// The endpoint is still healthy: the valid datagram delivers.
-	e.handleDatagram(valid, from)
-	if p := pollOne(); p == nil || len(p.Payload) != 32 || p.Src != 1 {
+	if p := e.acceptDatagram(valid, from); p == nil || len(p.Payload) != 32 || p.Src != 1 {
 		t.Fatalf("valid datagram after rejections: %+v", p)
 	}
 	if got := reg.Snapshot().Value("node0.rail.udp.rejected_datagrams"); got != uint64(len(bad)) {

@@ -21,6 +21,12 @@
 // id, so a restarted peer's stale state can never corrupt a fresh
 // stream.
 //
+// Two readers share the socket and one acceptance path
+// (acceptDatagram): PollBatch reads datagrams itself once its inbox is
+// empty, so a polling thread never waits for the scheduler to run the
+// endpoint's reader goroutine, and that goroutine, parked in the
+// netpoller, delivers what lands while no thread polls.
+//
 // Delivery is exactly-once and complete while the process pair lives;
 // per-pair arrival order is NOT guaranteed (datagrams reorder, and
 // delivery is on arrival, not in sequence order) — exactly the portable
@@ -36,7 +42,9 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/bufpool"
@@ -206,7 +214,14 @@ type Endpoint struct {
 	rto, rtoMax time.Duration
 
 	conn    *net.UDPConn
+	raw     syscall.RawConn // conn's descriptor, for the two readers below
 	session uint64
+
+	// poller is PollBatch's reader, taken with TryLock on pollMu: a
+	// polling thread reads the socket itself instead of waiting for
+	// readLoop (which owns its own reader) to be scheduled.
+	pollMu sync.Mutex
+	poller *reader
 
 	mu        sync.Mutex
 	peers     []*peerState // indexed by rank, created on first contact
@@ -260,6 +275,11 @@ func New(cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udpfab: listen %s: %w", listen, err)
 	}
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udpfab: listen %s: %w", listen, err)
+	}
 	e := &Endpoint{
 		self:      cfg.Self,
 		nodes:     cfg.Nodes,
@@ -267,6 +287,8 @@ func New(cfg Config) (*Endpoint, error) {
 		rto:       cfg.rto,
 		rtoMax:    cfg.rtoMax,
 		conn:      conn,
+		raw:       raw,
+		poller:    newReader(),
 		peers:     make([]*peerState, cfg.Nodes),
 		peerAddrs: make(map[int]string, len(cfg.Peers)),
 		done:      make(chan struct{}),
@@ -294,7 +316,7 @@ func New(cfg Config) (*Endpoint, error) {
 		e.chaos = newChaosState(*cfg.chaos)
 	}
 	e.wg.Add(2)
-	go e.readLoop()
+	go e.readLoop(newReader())
 	go e.tickLoop()
 	return e, nil
 }
@@ -339,13 +361,42 @@ func (e *Endpoint) MaxPayload() int { return maxPayloadBytes }
 // abandoned unacknowledged by Close's bounded drain.
 func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 
-// PollBatch implements fabric.Endpoint: one inbox lock round trip hands
-// out a FIFO run of delivered packets. Only datagrams the reader has
-// already accepted and decoded count.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
+// PollBatch implements fabric.Endpoint. It pops what readLoop already
+// pushed; when that is nothing, it reads the socket itself, up to
+// len(into) datagrams without blocking, and hands every packet they
+// deliver straight to the caller. A waiting thread therefore never
+// waits for Go's netpoller to schedule readLoop, which it consults only
+// once a processor runs out of work. Concurrent callers take turns on
+// the one poll-side reader; a caller that finds it busy returns 0.
+func (e *Endpoint) PollBatch(into []*wire.Packet) int {
+	if n := e.inbox.PopRun(into); n > 0 || len(into) == 0 {
+		return n
+	}
+	if !e.pollMu.TryLock() {
+		return 0
+	}
+	defer e.pollMu.Unlock()
+	r, n := e.poller, 0
+	for range len(into) {
+		// Control, unlike Read, takes no fd read lock, which the parked
+		// readLoop holds.
+		if e.raw.Control(r.try) != nil || r.errno == syscall.EAGAIN {
+			break
+		}
+		if r.errno != 0 {
+			continue
+		}
+		if p := e.acceptDatagram(r.buf[:r.n], r.from()); p != nil {
+			into[n] = p
+			n++
+		}
+	}
+	return n
+}
 
-// GoroutineFed implements fabric.GoroutineFed: PollBatch only pops what
-// readLoop pushed, so a polling caller must let the reader run.
+// GoroutineFed implements fabric.GoroutineFed: readLoop also moves
+// datagrams (those that land while no caller reads in PollBatch), and a
+// caller that never leaves its processor keeps it queued.
 func (e *Endpoint) GoroutineFed() bool { return true }
 
 // BlockingRecv implements fabric.Endpoint.
@@ -537,30 +588,94 @@ func (e *Endpoint) transmit(b []byte, addr netip.AddrPort) {
 	e.conn.WriteToUDPAddrPort(b, addr)
 }
 
-// readLoop receives datagrams until the socket closes. One reused
-// buffer: every accepted frame is decoded straight into pooled storage
-// by handleDatagram.
-func (e *Endpoint) readLoop() {
+// readLoop is the arrival path when no thread polls: it parks in the
+// netpoller, reads until the socket would block and pushes what
+// acceptDatagram delivers. It exits only when the endpoint closes; a
+// transient errno is skipped.
+func (e *Endpoint) readLoop(r *reader) {
 	defer e.wg.Done()
-	buf := make([]byte, readBufBytes)
 	for {
-		n, from, err := e.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
+		if e.raw.Read(r.park) != nil {
 			return
 		}
-		e.handleDatagram(buf[:n], from)
+		if r.errno != 0 {
+			continue
+		}
+		if p := e.acceptDatagram(r.buf[:r.n], r.from()); p != nil {
+			e.inbox.Push(p)
+		}
 	}
 }
 
-// handleDatagram validates, acks and delivers one received datagram —
-// the whole receive path of the reliability sublayer. Rejected
+// reader is one receive context on the endpoint's socket: a datagram
+// buffer, the sender-address scratch the kernel fills, and the RawConn
+// callbacks, built once so that a receive allocates nothing. After a
+// callback ran, n and errno hold the outcome of its one recvfrom.
+type reader struct {
+	buf   []byte
+	sa    syscall.RawSockaddrAny
+	salen uint32
+	n     int
+	errno syscall.Errno
+	try   func(fd uintptr)      // RawConn.Control: one attempt
+	park  func(fd uintptr) bool // RawConn.Read: false parks until readable
+}
+
+func newReader() *reader {
+	r := &reader{buf: make([]byte, readBufBytes)}
+	r.try = func(fd uintptr) { r.recv(fd) }
+	r.park = func(fd uintptr) bool {
+		r.recv(fd)
+		return r.errno != syscall.EAGAIN
+	}
+	return r
+}
+
+// recv makes one non-blocking recvfrom into r.buf. syscall.Recvfrom
+// would allocate a Sockaddr per datagram; the raw call fills r.sa.
+func (r *reader) recv(fd uintptr) {
+	for {
+		r.salen = syscall.SizeofSockaddrAny
+		n, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd,
+			uintptr(unsafe.Pointer(&r.buf[0])), uintptr(len(r.buf)), syscall.MSG_DONTWAIT,
+			uintptr(unsafe.Pointer(&r.sa)), uintptr(unsafe.Pointer(&r.salen)))
+		if errno != syscall.EINTR {
+			r.n, r.errno = int(n), errno
+			return
+		}
+	}
+}
+
+// from decodes the sender address of the last datagram recv read. The
+// socket is IPv4 or IPv6, so no other family arrives.
+func (r *reader) from() netip.AddrPort {
+	switch r.sa.Addr.Family {
+	case syscall.AF_INET:
+		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&r.sa))
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), netPort(&sa.Port))
+	case syscall.AF_INET6:
+		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(&r.sa))
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), netPort(&sa.Port))
+	}
+	return netip.AddrPort{}
+}
+
+// netPort reads a sockaddr port, which is stored in network byte order.
+func netPort(p *uint16) uint16 {
+	b := (*[2]byte)(unsafe.Pointer(p))
+	return uint16(b[0])<<8 | uint16(b[1])
+}
+
+// acceptDatagram validates and acks one received datagram and returns
+// the packet it delivers, or nil — the whole receive path of the
+// reliability sublayer, shared by readLoop and PollBatch. Rejected
 // datagrams (truncated, corrupt, alien) cost one counter tick and
 // nothing else.
-func (e *Endpoint) handleDatagram(b []byte, from netip.AddrPort) {
+func (e *Endpoint) acceptDatagram(b []byte, from netip.AddrPort) *wire.Packet {
 	var h dgHeader
 	if !parseDatagram(b, e.self, e.nodes, &h) {
 		e.rejected.Add(1)
-		return
+		return nil
 	}
 	var deliver *wire.Packet
 	e.mu.Lock()
@@ -642,9 +757,7 @@ func (e *Endpoint) handleDatagram(b []byte, from netip.AddrPort) {
 		}
 	}
 	e.mu.Unlock()
-	if deliver != nil {
-		e.inbox.Push(deliver)
-	}
+	return deliver
 }
 
 // rtoLocked returns the retransmit timeout a fresh frame toward ps

@@ -1,6 +1,7 @@
 package udpfab_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
 	"pioman/internal/topo"
+	"pioman/internal/wire"
 )
 
 func openLocal(t *testing.T, nodes int) fabric.Fabric {
@@ -35,6 +37,47 @@ func TestEndpointConformance(t *testing.T) {
 func TestManyPeersConformance(t *testing.T) {
 	const peers = 48
 	conformance.RunManyPeers(t, openLocal, peers, false, 2*(peers+1)+32)
+}
+
+// TestPollBatchReadsSocket pins that a polling thread reads its own
+// datagrams: at GOMAXPROCS=1 the endpoint's reader goroutine cannot run
+// while this one holds the processor, so the frame a Send just put on
+// the loopback socket reaches the receiver's first PollBatch only if
+// PollBatch reads the socket itself. Without that, each frame waits for
+// the scheduler's next netpoll, which a busy processor defers to
+// sysmon's 10 ms cadence. The check counts polls; it reads no clock.
+func TestPollBatchReadsSocket(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l, err := udpfab.NewLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	tx, _ := l.Endpoint(0)
+	rx, _ := l.Endpoint(1)
+	const sends = 200
+	batch := make([]*wire.Packet, 8)
+	missed := 0
+	for i := 0; i < sends; i++ {
+		if err := tx.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(i), Payload: []byte{byte(i)}}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		n := rx.PollBatch(batch)
+		if n == 0 {
+			missed++
+			for n == 0 {
+				runtime.Gosched()
+				n = rx.PollBatch(batch)
+			}
+		}
+		if n != 1 || batch[0].Seq != uint64(i) || batch[0].Payload[0] != byte(i) {
+			t.Fatalf("send %d: polled %d packets, first %+v", i, n, batch[0])
+		}
+		fabric.ReleasePacket(batch[0])
+	}
+	if missed > 0 {
+		t.Errorf("%d of %d frames were not on the receiver's first PollBatch after Send returned", missed, sends)
+	}
 }
 
 // udpWorld builds a 2-node engine world whose inter-node rail runs over

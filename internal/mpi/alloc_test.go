@@ -9,6 +9,7 @@ import (
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/shmfab"
 	"pioman/internal/fabric/tcpfab"
+	"pioman/internal/fabric/udpfab"
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/telemetry"
@@ -17,9 +18,10 @@ import (
 )
 
 // sequentialWorld opens a two-rank Sequential world over the named real
-// rail — "shm" (shared-memory rings), "tcp" (loopback sockets), or
-// "bonded" (both in one world: tcp the default rail, shm beside it; the
-// two weighted rails stripe every rendezvous of 128 KiB or more).
+// rail — "shm" (shared-memory rings), "tcp" (loopback sockets), "udp"
+// (loopback datagrams), or "bonded" (tcp the default rail, shm beside
+// it; the two weighted rails stripe every rendezvous of 128 KiB or
+// more).
 func sequentialWorld(t *testing.T, reg *telemetry.Registry, rail string) *mpi.World {
 	t.Helper()
 	cfg := mpi.Config{Nodes: 2, Mode: core.Sequential, Fabrics: map[string]fabric.Fabric{}, Metrics: reg}
@@ -29,6 +31,14 @@ func sequentialWorld(t *testing.T, reg *telemetry.Registry, rail string) *mpi.Wo
 			t.Fatal(err)
 		}
 		cfg.MX = nic.RealParams()
+		cfg.Fabrics[cfg.MX.Name] = f
+	}
+	if rail == "udp" {
+		f, err := udpfab.NewLocal(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MX = nic.UdpParams()
 		cfg.Fabrics[cfg.MX.Name] = f
 	}
 	if rail == "shm" || rail == "bonded" {
@@ -213,7 +223,7 @@ func TestEngineAggregatedWindowAllocs(t *testing.T) {
 		tagCredit = 8
 		budget    = 0.05
 	)
-	for _, rail := range []string{"shm", "tcp"} {
+	for _, rail := range []string{"shm", "tcp", "udp"} {
 		t.Run(rail, func(t *testing.T) {
 			w := sequentialWorld(t, nil, rail)
 			defer w.Close()

@@ -17,6 +17,7 @@ import (
 	"pioman/internal/fabric/shmfab"
 	"pioman/internal/fabric/simfab"
 	"pioman/internal/fabric/tcpfab"
+	"pioman/internal/fabric/udpfab"
 	"pioman/internal/mpi"
 	"pioman/internal/nic"
 	"pioman/internal/piom"
@@ -425,8 +426,9 @@ type matchingWorld struct {
 
 // matchingWorlds lists every world the checker runs on: the simulated
 // MX rail, the same under reordering, duplication and latency, the real
-// tcp and shm transports, and two weighted simulated rails, which
-// stripe every rendezvous of stripeMin or more.
+// tcp, shm and udp transports (udp reorders on its own), and two
+// weighted simulated rails, which stripe every rendezvous of stripeMin
+// or more.
 func matchingWorlds() []matchingWorld {
 	simulated := func() mpi.Config {
 		cfg := mpi.DefaultMultithreaded(matchRanks)
@@ -460,6 +462,13 @@ func matchingWorlds() []matchingWorld {
 				t.Fatal(err)
 			}
 			return real(nic.ShmParams(), f)
+		}},
+		{"udpfab", func(t testing.TB, _ int64) *mpi.World {
+			f, err := udpfab.NewLocal(matchRanks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return real(nic.UdpParams(), f)
 		}},
 		{"striped", func(t testing.TB, _ int64) *mpi.World {
 			cfg := simulated()

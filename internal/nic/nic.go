@@ -235,7 +235,7 @@ type Driver struct {
 	// the transport models no transmit horizon (every real one).
 	backlog fabric.Backlogger
 	// goroutineFed records the endpoint's fabric.GoroutineFed capability:
-	// arrivals reach PollBatch only through a goroutine of the endpoint.
+	// a goroutine of the endpoint also moves arrivals toward PollBatch.
 	goroutineFed bool
 	// maxFrame is the endpoint's hard single-frame payload ceiling
 	// (fabric.PayloadLimiter), 0 when the transport declares none. The
@@ -374,8 +374,8 @@ func (d *Driver) LostFrames() uint64 {
 // a span submission or a probe round trip to judge the rail.
 func (d *Driver) Losses() uint64 { return d.sendErrs.Load() + d.LostFrames() }
 
-// GoroutineFed reports whether the rail's arrivals are read by a
-// goroutine of its endpoint rather than by the poll itself
+// GoroutineFed reports whether a goroutine of the rail's endpoint also
+// moves its arrivals, beside or instead of the poll
 // (fabric.GoroutineFed): a thread spinning on such a rail has to yield
 // its processor between empty polls or it starves its own delivery.
 func (d *Driver) GoroutineFed() bool { return d.goroutineFed }
