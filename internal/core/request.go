@@ -368,8 +368,8 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 // done check. It reports whether done holds. Otherwise, after a pass
 // that did no work on a goroutine-fed rail (fabric.GoroutineFed:
 // tcpfab, udpfab), it hands the processor over with runtime.Gosched:
-// a goroutine of the endpoint also moves frames — tcpfab's pollers all
-// of them, udpfab's reader those that land while nobody polls — and a
+// a goroutine of the endpoint also moves frames — tcpfab's pollers and
+// udpfab's reader those that land while nobody polls — and a
 // waiter that never leaves its processor keeps that goroutine queued
 // until Go's preemption tick. Rails whose poll alone moves the frames
 // are exempt.

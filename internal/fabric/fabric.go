@@ -91,9 +91,9 @@ type Backlogger interface {
 // that a goroutine of the endpoint also moves frames toward PollBatch,
 // so a caller that polls in a loop without ever leaving its processor
 // can starve the goroutine that would deliver the frame it polls for.
-// tcpfab's pollers move every socket byte into the inbox; udpfab's
-// PollBatch reads its socket itself, and its reader goroutine is only
-// the fallback for datagrams that arrive while no thread polls. The
+// tcpfab's and udpfab's PollBatch read their sockets themselves, and
+// the endpoint goroutines (tcpfab's pollers, udpfab's reader) are the
+// fallback for frames that arrive while no thread polls. The
 // engine follows an unworked polling pass with runtime.Gosched on such
 // rails (docs/PERF.md, "Cooperative waits"). Transports whose PollBatch
 // alone moves the frames (shmfab scans its rings, simfab its modeled

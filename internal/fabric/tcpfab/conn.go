@@ -12,7 +12,7 @@ import (
 	"pioman/internal/wire"
 )
 
-// conn is one poller-owned TCP stream. It splits cleanly into two halves:
+// conn is one poller-owned TCP stream. It splits cleanly into three parts:
 //
 //   - The producer half (qmu-guarded) is what Send touches: an unbounded
 //     buffer of serialized frames plus the dead/closing lifecycle bits.
@@ -26,9 +26,13 @@ import (
 //     grab it opportunistically to write its own frame inline — one
 //     syscall on the caller's goroutine instead of a scheduler round
 //     trip through the poller.
-//   - The read half is touched only by the owning poller goroutine: the
-//     inbound staging window and large-frame direct-read state. No lock
-//     guards it — single ownership is the synchronization.
+//   - The read half (rmu-guarded) is the inbound staging window and the
+//     large-frame direct-read state. Two readers take turns on it: the
+//     owning poller on EPOLLIN, and a thread polling in PollBatch, which
+//     reads the socket itself instead of waiting for the poller to be
+//     scheduled. Both go through read, which neither pushes to the inbox
+//     nor tears the stream down: a failure a thread sees is flagged in
+//     rerr and handed to the poller, which alone fails streams.
 //
 // The armed flag is the handoff between the producer and IO halves: a
 // producer that enqueues onto an unarmed queue flushes inline or kicks
@@ -81,9 +85,12 @@ type conn struct {
 	gone  bool // torn down; every later visit is a no-op
 	wantW bool // EPOLLOUT armed
 
-	// Poller half: read side. rbuf[ro:rn] is the staged window; pend is
+	// Read half, rmu-guarded. rbuf[ro:rn] is the staged window; pend is
 	// a large frame whose payload is being read directly into its pooled
 	// buffer, pendFill bytes so far.
+	rmu      sync.Mutex
+	rerr     bool // a read failed or a frame was malformed; the poller must fail the stream
+	rdead    bool // teardown ran: the fd is no longer readable
 	rbuf     []byte
 	ro, rn   int
 	pend     *wire.Packet
@@ -223,6 +230,120 @@ func (c *conn) flushOnce(now int64) flushStatus {
 			return flushFailed
 		}
 	}
+}
+
+// read drains c's socket into decoded packets appended to run; it is
+// the one read path of both readers, and the caller holds rmu. Small
+// frames assemble from the staging window; a frame larger than the
+// window switches the stream into direct-read mode, filling the pooled
+// payload in place with zero extra copies. At most readBudgetBytes
+// leave the socket per call. It reports false once the stream has
+// failed (EOF, a hard error, a malformed frame, or an earlier failure
+// flagged in rerr): the frames in run are whole and still owed to the
+// caller, but failing the stream is the poller's job.
+func (c *conn) read(run []*wire.Packet, now int64) ([]*wire.Packet, bool) {
+	if c.rerr {
+		return run, false
+	}
+	budget := readBudgetBytes
+	for budget > 0 {
+		var n int
+		var err error
+		if c.pend != nil {
+			n, err = syscall.Read(c.fd, c.pend.Payload[c.pendFill:])
+			if n > 0 {
+				c.pendFill += n
+				if c.pendFill == len(c.pend.Payload) {
+					p := c.pend
+					c.pend, c.pendFill = nil, 0
+					p.Src = c.rank
+					run = append(run, p)
+				}
+			}
+		} else {
+			if c.rbuf == nil {
+				c.rbuf = bufpool.Get(readBufBytes)
+			}
+			if c.ro > 0 {
+				copy(c.rbuf, c.rbuf[c.ro:c.rn])
+				c.rn -= c.ro
+				c.ro = 0
+			}
+			n, err = syscall.Read(c.fd, c.rbuf[c.rn:])
+			if n > 0 {
+				c.rn += n
+				if !c.decode(&run) {
+					c.rerr = true
+					return run, false
+				}
+			}
+		}
+		if n > 0 {
+			budget -= n
+			c.lastIn.Store(now)
+			continue
+		}
+		if err == syscall.EINTR {
+			continue
+		}
+		if err == syscall.EAGAIN {
+			break
+		}
+		// EOF or a hard error: the peer is gone.
+		c.rerr = true
+		return run, false
+	}
+	return run, true
+}
+
+// decode lifts complete frames out of the staging window; reports false
+// on a malformed frame (stream failure). Caller holds rmu.
+func (c *conn) decode(run *[]*wire.Packet) bool {
+	for {
+		avail := c.rn - c.ro
+		if avail < fabric.HeaderScratchBytes {
+			// The smallest legal frame is exactly HeaderScratchBytes, so
+			// nothing complete can be staged yet.
+			return true
+		}
+		p, _, err := fabric.DecodeHeaderPooled(c.rbuf[c.ro:c.rn])
+		if err != nil {
+			return false
+		}
+		have := avail - fabric.HeaderScratchBytes
+		if have > len(p.Payload) {
+			have = len(p.Payload)
+		}
+		copy(p.Payload[:have], c.rbuf[c.ro+fabric.HeaderScratchBytes:])
+		if have == len(p.Payload) {
+			p.Src = c.rank
+			*run = append(*run, p)
+			c.ro += fabric.HeaderScratchBytes + have
+			continue
+		}
+		// Tail of a large frame: read the rest straight into the pooled
+		// payload. The staging window is fully consumed by construction.
+		c.pend, c.pendFill = p, have
+		c.ro, c.rn = 0, 0
+		return true
+	}
+}
+
+// killRead marks the read half dead and releases its buffers. Both
+// teardown paths run it before the fd is closed, so no reader can touch
+// a closed — or already reused — descriptor.
+func (c *conn) killRead() {
+	c.rmu.Lock()
+	c.rdead = true
+	if c.pend != nil {
+		fabric.ReleasePacket(c.pend)
+		c.pend = nil
+	}
+	if c.rbuf != nil {
+		bufpool.Put(c.rbuf)
+		c.rbuf = nil
+	}
+	c.rmu.Unlock()
 }
 
 // killQueue marks the stream dead and surrenders everything still

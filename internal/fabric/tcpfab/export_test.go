@@ -2,6 +2,9 @@ package tcpfab
 
 import "time"
 
+// InlineGap is the send gap above which a Send flushes its own frame.
+const InlineGap = inlineGapNanos * time.Nanosecond
+
 // WithIdleTimeout returns cfg with idle reaping on: a connection quiet
 // in both directions for idle is closed and redialed on the next Send.
 func WithIdleTimeout(cfg Config, idle time.Duration) Config {

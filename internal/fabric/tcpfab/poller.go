@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
-	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
 )
 
@@ -107,9 +106,12 @@ func (p *pollerPool) stop() {
 }
 
 // poller owns one epoll instance and the connections registered on it.
-// All socket IO and all fd lifecycle for those connections happens on
-// the poller goroutine — producers communicate only through the mu-
-// guarded mailboxes below plus the wake pipe.
+// All fd lifecycle for those connections happens on the poller
+// goroutine, and so does every stream failure. Other goroutines touch
+// the sockets only under a stream's locks — a producer's inline flush
+// under iomu, a polling thread's read under rmu — and otherwise
+// communicate through the mu-guarded mailboxes below plus the wake
+// pipe.
 type poller struct {
 	e     *Endpoint
 	epfd  int
@@ -161,7 +163,7 @@ type poller struct {
 type mailbox struct {
 	pending []*conn // awaiting EPOLL_CTL_ADD
 	kicked  []*conn // have newly queued frames to flush
-	kills   []*conn // KillConn targets: shutdown(2) the socket
+	kills   []*conn // KillConn targets and thread-seen read failures: shutdown(2) the socket
 }
 
 func (m *mailbox) empty() bool {
@@ -264,9 +266,11 @@ func (pl *poller) kick(c *conn) {
 	pl.mu.Unlock()
 }
 
-// kill requests a forced failure of c (test hook / chaos injection).
+// kill requests a forced failure of c: a test hook, chaos injection,
+// or a polling thread handing over a read failure it flagged in rerr.
 // The poller owns the fd, so it performs the shutdown(2) itself —
-// killing from another goroutine would race fd reuse.
+// killing from another goroutine would race fd reuse — and the
+// readiness that follows brings the stream to fail.
 func (pl *poller) kill(c *conn) {
 	pl.mu.Lock()
 	if !pl.shutdown && pl.running {
@@ -518,114 +522,26 @@ func (pl *poller) wantWrite(c *conn, on bool) {
 	syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_MOD, c.fd, &ev)
 }
 
-// read drains the socket into decoded packets. Small frames assemble
-// from the staging window; a frame larger than the window switches the
-// connection into direct-read mode, filling the pooled payload in
-// place with zero extra copies. run is a reusable delivery batch.
+// read is the poller's turn on c's read half. A busy lock means a
+// thread is reading the stream in PollBatch: the poller skips it, and
+// level-triggered epoll reports whatever the thread leaves. The run is
+// pushed while the lock is still held, so a thread that takes the lock
+// next finds it in the inbox ahead of what it reads itself: per-stream
+// FIFO across both readers. run is a reusable delivery batch.
 func (pl *poller) read(c *conn, run []*wire.Packet) []*wire.Packet {
-	e := pl.e
-	run = run[:0]
-	deliver := func() {
-		if len(run) > 0 {
-			e.inbox.PushRun(run)
-			for i := range run {
-				run[i] = nil
-			}
-			run = run[:0]
-		}
-	}
-	budget := readBudgetBytes
-	for budget > 0 {
-		if c.pend != nil {
-			n, err := syscall.Read(c.fd, c.pend.Payload[c.pendFill:])
-			if n > 0 {
-				c.pendFill += n
-				budget -= n
-				c.lastIn.Store(pl.now)
-				if c.pendFill == len(c.pend.Payload) {
-					p := c.pend
-					c.pend, c.pendFill = nil, 0
-					p.Src = c.rank
-					run = append(run, p)
-				}
-				continue
-			}
-			if err == syscall.EINTR {
-				continue
-			}
-			if err == syscall.EAGAIN {
-				break
-			}
-			deliver()
-			pl.fail(c)
-			return run
-		}
-		if c.rbuf == nil {
-			c.rbuf = bufpool.Get(readBufBytes)
-		}
-		if c.ro > 0 {
-			copy(c.rbuf, c.rbuf[c.ro:c.rn])
-			c.rn -= c.ro
-			c.ro = 0
-		}
-		n, err := syscall.Read(c.fd, c.rbuf[c.rn:])
-		if n > 0 {
-			c.rn += n
-			budget -= n
-			c.lastIn.Store(pl.now)
-			if !pl.decode(c, &run) {
-				deliver()
-				pl.fail(c)
-				return run
-			}
-			continue
-		}
-		if err == syscall.EINTR {
-			continue
-		}
-		if err == syscall.EAGAIN {
-			break
-		}
-		// EOF or a hard error: the peer is gone.
-		deliver()
-		pl.fail(c)
+	if !c.rmu.TryLock() {
 		return run
 	}
-	deliver()
-	return run
-}
-
-// decode lifts complete frames out of the staging window; reports false
-// on a malformed frame (stream failure).
-func (pl *poller) decode(c *conn, run *[]*wire.Packet) bool {
-	for {
-		avail := c.rn - c.ro
-		if avail < fabric.HeaderScratchBytes {
-			// The smallest legal frame is exactly HeaderScratchBytes, so
-			// nothing complete can be staged yet.
-			return true
-		}
-		p, _, err := fabric.DecodeHeaderPooled(c.rbuf[c.ro:c.rn])
-		if err != nil {
-			return false
-		}
-		have := avail - fabric.HeaderScratchBytes
-		if have > len(p.Payload) {
-			have = len(p.Payload)
-		}
-		copy(p.Payload[:have], c.rbuf[c.ro+fabric.HeaderScratchBytes:])
-		if have == len(p.Payload) {
-			p.Src = c.rank
-			*run = append(*run, p)
-			c.ro += fabric.HeaderScratchBytes + have
-			continue
-		}
-		// Tail of a large frame: read the rest straight into the pooled
-		// payload. The staging window is fully consumed by construction.
-		c.pend, c.pendFill = p, have
-		c.ro, c.rn = 0, 0
-		return true
+	run, ok := c.read(run[:0], pl.now)
+	if len(run) > 0 {
+		pl.e.inbox.PushRun(run)
+		clear(run)
 	}
+	c.rmu.Unlock()
+	if !ok {
+		pl.fail(c)
+	}
+	return run[:0]
 }
 
 // fail handles a stream death. Frames whose bytes fully reached the
@@ -680,14 +596,7 @@ func (pl *poller) teardown(c *conn, sal stash) {
 		syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_DEL, c.fd, nil)
 		delete(pl.conns, c.fd)
 	}
-	if c.pend != nil {
-		fabric.ReleasePacket(c.pend)
-		c.pend = nil
-	}
-	if c.rbuf != nil {
-		bufpool.Put(c.rbuf)
-		c.rbuf = nil
-	}
+	c.killRead()
 	// ioDead under iomu fences out producer inline flushes for good
 	// before the fd is released below (fail already set it when there
 	// was residue to salvage).
@@ -703,6 +612,7 @@ func (pl *poller) teardown(c *conn, sal stash) {
 		delete(e.out, c.rank)
 	}
 	delete(e.conns, c)
+	e.publishConnsLocked()
 	if sal.n+tail.n > 0 {
 		if e.closed() {
 			// Close's stash sweep may already have run; count the
@@ -740,7 +650,13 @@ func (pl *poller) reap() {
 		if c.gone || c.lastIn.Load() > cut || c.lastOut.Load() > cut {
 			continue
 		}
-		if c.pend != nil || c.rn != c.ro {
+		// A contended read lock means a reader is busy on the stream.
+		if !c.rmu.TryLock() {
+			continue
+		}
+		partial := c.pend != nil || c.rn != c.ro
+		c.rmu.Unlock()
+		if partial {
 			continue
 		}
 		// The write residue lives under iomu now that producers may

@@ -17,13 +17,16 @@
 // instance per poller: the paper's central claim — many communication
 // flows progressed by a small, controlled set of threads — applied to
 // the socket layer itself. An endpoint serving N peers costs O(pool)
-// goroutines, not O(N). On the send side, frames queued for one stream
-// while the poller was busy are coalesced and flushed as a single run —
-// one write syscall when the kernel buffer has room — the send-side dual
-// of PollBatch. With an idle timeout set (a test hook: every shipped
-// endpoint runs without one), connections idle past it in both
-// directions are reaped (fds released, peer sees clean EOF); the next
-// Send redials transparently through the existing retry path.
+// goroutines, not O(N). A thread polling the endpoint reads the streams
+// itself (PollBatch), the way the paper's waiting thread polls the NIC;
+// the pollers read what lands while no thread polls. On the send side,
+// frames queued for one stream while the poller was busy are coalesced
+// and flushed as a single run — one write syscall when the kernel buffer
+// has room — the send-side dual of PollBatch. With an idle timeout set
+// (a test hook: every shipped endpoint runs without one), connections
+// idle past it in both directions are reaped (fds released, peer sees
+// clean EOF); the next Send redials transparently through the existing
+// retry path.
 //
 // Simultaneous connect (both sides of a cold pair dial at once) can leave
 // a pair with two live streams: each side may adopt the other's dialed
@@ -128,6 +131,16 @@ type Endpoint struct {
 
 	pool        *pollerPool
 	idleTimeout time.Duration
+
+	// The thread-side reader of PollBatch. readable is e.conns as a
+	// copy-on-write slice (republished under mu), so a poll walks it
+	// without taking mu. readMu admits one polling thread at a time and
+	// guards rcur, the rotating start of its visits, and rrun, its
+	// reusable run buffer.
+	readable atomic.Pointer[[]*conn]
+	readMu   sync.Mutex
+	rcur     int
+	rrun     []*wire.Packet
 
 	lost  atomic.Uint64 // frames accepted by Send, then lost with a stream
 	state atomic.Int32  // 0 open, 1 closed
@@ -239,16 +252,74 @@ func (e *Endpoint) Nodes() int { return e.nodes }
 // caller may recycle the packet struct immediately.
 func (e *Endpoint) SendCaptures() bool { return true }
 
-// PollBatch implements fabric.Endpoint: the inbox hands out a FIFO run
-// of decoded packets under one lock acquisition. Only packets a poller
-// has already decoded count: bytes still in a socket buffer are
-// invisible until their poller pushes them (and wakes BlockingRecv).
-// Per-sender order is preserved — each peer's frames enter the inbox in
-// stream order and the run pops in queue order.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.PopRun(into) }
+// pollReadConns bounds how many streams one PollBatch reads itself, so
+// an empty poll costs at most this many read syscalls however many
+// peers the endpoint carries. A rotating cursor spreads the visits, and
+// the pollers still read every stream.
+const pollReadConns = 4
 
-// GoroutineFed implements fabric.GoroutineFed: PollBatch only pops what
-// a poller goroutine pushed, so a polling caller must let pollers run.
+// PollBatch implements fabric.Endpoint. It pops what the pollers already
+// pushed to the inbox; when that is nothing, it reads the sockets
+// itself, up to pollReadConns streams without blocking, and hands the
+// frames straight to the caller: a waiting thread does not wait for a
+// poller goroutine to be scheduled. Concurrent callers take turns on
+// the one thread-side reader; a caller that finds it busy returns 0.
+// Per-stream FIFO holds across both readers: a stream's frames enter
+// the inbox or leave here only under its read lock, and a visit pops
+// the inbox before reading.
+func (e *Endpoint) PollBatch(into []*wire.Packet) int {
+	if n := e.inbox.PopRun(into); n > 0 || len(into) == 0 {
+		return n
+	}
+	cs := e.readable.Load()
+	if cs == nil || len(*cs) == 0 || !e.readMu.TryLock() {
+		return 0
+	}
+	defer e.readMu.Unlock()
+	conns := *cs
+	now := time.Now().UnixNano()
+	n, i := 0, 0
+	for ; i < min(len(conns), pollReadConns) && n < len(into); i++ {
+		n = e.readConn(conns[(e.rcur+i)%len(conns)], into, n, now)
+	}
+	e.rcur = (e.rcur + i) % len(conns)
+	return n
+}
+
+// readConn is one thread-side visit to c: it fills into[n:] and returns
+// the new count. The inbox is popped again under c's read lock, since
+// anything a poller read from c earlier waits there and must go out
+// first; frames read past into's room are pushed to the inbox before
+// the lock is released, ahead of anything c delivers later. A failure
+// is handed to the poller through the kill mailbox. Caller holds readMu.
+func (e *Endpoint) readConn(c *conn, into []*wire.Packet, n int, now int64) int {
+	c.rmu.Lock()
+	if c.rdead || c.rerr {
+		c.rmu.Unlock()
+		return n
+	}
+	if n += e.inbox.PopRun(into[n:]); n == len(into) {
+		c.rmu.Unlock()
+		return n
+	}
+	run, ok := c.read(e.rrun[:0], now)
+	k := copy(into[n:], run)
+	if k < len(run) {
+		e.inbox.PushRun(run[k:])
+	}
+	clear(run)
+	e.rrun = run[:0]
+	c.rmu.Unlock()
+	if !ok {
+		c.pl.kill(c)
+	}
+	return n + k
+}
+
+// GoroutineFed implements fabric.GoroutineFed: the pollers also move
+// frames (those that land while no thread polls) and flush what
+// producers queue, and a caller that never leaves its processor keeps
+// them queued.
 func (e *Endpoint) GoroutineFed() bool { return true }
 
 // BlockingRecv implements fabric.Endpoint.
@@ -463,20 +534,33 @@ func (e *Endpoint) registerConnLocked(nc net.Conn, rank int) (*conn, *poller, er
 		e.out[rank] = c
 	}
 	e.conns[c] = struct{}{}
+	e.publishConnsLocked()
 	e.nConns.Add(1)
 	return c, pl, nil
+}
+
+// publishConnsLocked republishes e.conns as the slice PollBatch reads.
+// Caller holds e.mu.
+func (e *Endpoint) publishConnsLocked() {
+	cs := make([]*conn, 0, len(e.conns))
+	for c := range e.conns {
+		cs = append(cs, c)
+	}
+	e.readable.Store(&cs)
 }
 
 // unregisterUnpolled backs out a conn whose poller registration failed
 // (endpoint raced Close): the stream never reached a poller, so this is
 // the one teardown path that runs off the poller goroutine.
 func (e *Endpoint) unregisterUnpolled(c *conn) {
+	c.killRead()
 	tail := c.killQueue()
 	e.mu.Lock()
 	if e.out[c.rank] == c {
 		delete(e.out, c.rank)
 	}
 	delete(e.conns, c)
+	e.publishConnsLocked()
 	if tail.n > 0 {
 		if e.closed() {
 			e.lost.Add(uint64(tail.n))

@@ -3,7 +3,11 @@ package tcpfab_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"syscall"
@@ -219,6 +223,191 @@ func TestStrictFIFO(t *testing.T) {
 		if p.Seq != uint64(i) {
 			t.Fatalf("packet %d arrived as %d: TCP stream reordered", i, p.Seq)
 		}
+	}
+}
+
+// TestStrictFIFOTwoReaders drains one stream only through PollBatch,
+// from a goroutine that spins while the receiver's poller runs, so the
+// two readers of the stream interleave. Frame sizes sweep from 8 B to
+// 200 KiB, past the staging window, so one reader starts a large frame
+// and the other finishes it. Every frame must arrive once, in send
+// order, with its bytes intact.
+func TestStrictFIFOTwoReaders(t *testing.T) {
+	l, err := tcpfab.NewLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	src, _ := l.Endpoint(0)
+	dst, _ := l.Endpoint(1)
+	const n = 300
+	size := func(i int) int {
+		if i%3 != 0 {
+			return 8 + i%200
+		}
+		return 8 + (i*i*4099)%(200<<10)
+	}
+	fill := func(b []byte, i int) {
+		for j := range b {
+			b[j] = byte(i*31 + j*7 + j>>8)
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		batch := make([]*wire.Packet, 8)
+		want := make([]byte, 200<<10+8)
+		next := 1
+		deadline := time.Now().Add(30 * time.Second)
+		for next <= n {
+			k := dst.PollBatch(batch)
+			if k == 0 {
+				if time.Now().After(deadline) {
+					errc <- fmt.Errorf("stream dried up at frame %d", next)
+					return
+				}
+				runtime.Gosched()
+				continue
+			}
+			for _, p := range batch[:k] {
+				w := want[:size(next)]
+				fill(w, next)
+				if p.Seq != uint64(next) || !bytes.Equal(p.Payload, w) {
+					errc <- fmt.Errorf("frame %d arrived as seq %d with %d bytes (want %d), or corrupted", next, p.Seq, len(p.Payload), len(w))
+					return
+				}
+				fabric.ReleasePacket(p)
+				next++
+			}
+		}
+		errc <- nil
+	}()
+	buf := make([]byte, 200<<10+8)
+	for i := 1; i <= n; i++ {
+		b := buf[:size(i)]
+		fill(b, i)
+		if err := src.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(i), Payload: b}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*wire.Packet, 8)
+	if k := dst.PollBatch(batch); k != 0 {
+		t.Fatalf("PollBatch returned %d frames past the last one sent", k)
+	}
+}
+
+// TestPollBatchReadsSocket pins that a thread polling tcpfab reads the
+// socket itself: at GOMAXPROCS=1 the receiver's poller cannot run
+// between a Send and the receiver's next PollBatch, so only a PollBatch
+// that reads the stream finds the frame on its first call. The gap
+// before each Send makes it flush inline, on the test goroutine. The
+// check counts calls and reads no clock.
+func TestPollBatchReadsSocket(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l, err := tcpfab.NewLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	tx, _ := l.Endpoint(0)
+	rx, _ := l.Endpoint(1)
+	batch := make([]*wire.Packet, 8)
+	payload := make([]byte, 64)
+	send := func(seq int) {
+		t.Helper()
+		payload[0] = byte(seq)
+		if err := tx.Send(&wire.Packet{Kind: wire.PktEager, Src: 0, Dst: 1, Seq: uint64(seq), Payload: payload}); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
+		}
+	}
+	// poll returns how many PollBatch calls it took to get frame seq.
+	poll := func(seq int) int {
+		t.Helper()
+		calls := 1
+		n := rx.PollBatch(batch)
+		for ; n == 0; calls++ {
+			runtime.Gosched()
+			n = rx.PollBatch(batch)
+		}
+		if n != 1 || batch[0].Seq != uint64(seq) || batch[0].Payload[0] != byte(seq) {
+			t.Fatalf("frame %d: polled %d packets, first %+v", seq, n, batch[0])
+		}
+		fabric.ReleasePacket(batch[0])
+		return calls
+	}
+	// Warm up: dial, handshake, and the receiver's poller adopting the
+	// stream all happen off the measured sends.
+	const warm = 5
+	for i := 0; i < warm; i++ {
+		send(i)
+		poll(i)
+	}
+	const sends = 200
+	missed := 0
+	for i := warm; i < warm+sends; i++ {
+		for start := time.Now(); time.Since(start) < 2*tcpfab.InlineGap; {
+		}
+		send(i)
+		if poll(i) > 1 {
+			missed++
+		}
+	}
+	if missed > 0 {
+		t.Errorf("%d of %d frames were not on the receiver's first PollBatch after Send returned", missed, sends)
+	}
+}
+
+// TestPolledReadFailureReachesPoller covers a malformed frame read by a
+// polling thread rather than the poller. Only the poller fails streams,
+// so the thread must hand the failure over: at GOMAXPROCS=1 the poller
+// cannot run between the peer's write and the thread's PollBatch, and
+// once the thread has drained the socket no readiness is left to bring
+// the poller to the stream by itself. The good frame ahead of the
+// garbage must arrive once, and the endpoint must drop the stream.
+func TestPolledReadFailureReachesPoller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ep, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	c, err := net.Dial("tcp", ep.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hs := make([]byte, 16)
+	for i, v := range []uint32{0x50494F4D, 1, 1, 2} { // magic, version, rank 1, 2 nodes
+		binary.LittleEndian.PutUint32(hs[4*i:], v)
+	}
+	if _, err := c.Write(hs); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the endpoint registers the stream", func() bool { return ep.OpenConns() == 1 })
+	frames := fabric.AppendPacket(nil, &wire.Packet{Kind: wire.PktCtrl, Src: 1, Dst: 0, Seq: 7, Payload: []byte("ok")})
+	frames = append(frames, bytes.Repeat([]byte{0xff}, fabric.HeaderScratchBytes)...)
+	if _, err := c.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*wire.Packet, 4)
+	n := ep.PollBatch(batch)
+	for deadline := time.Now().Add(30 * time.Second); n == 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+		n = ep.PollBatch(batch)
+	}
+	if n != 1 || batch[0].Seq != 7 || string(batch[0].Payload) != "ok" {
+		t.Fatalf("polled %d packets ahead of the malformed frame, first %+v", n, batch[0])
+	}
+	fabric.ReleasePacket(batch[0])
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the endpoint kept the stream open after a malformed frame (read: %v)", err)
+	}
+	eventually(t, "the stream is torn down", func() bool { return ep.OpenConns() == 0 })
+	if k := ep.PollBatch(batch); k != 0 {
+		t.Fatalf("PollBatch returned %d packets after the malformed frame", k)
 	}
 }
 

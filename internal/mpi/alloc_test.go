@@ -122,15 +122,21 @@ func engineRoundTripAllocs(t *testing.T, reg *telemetry.Registry, rail string, s
 const engineAllocBudget = 2.0
 
 // TestEngineEagerRoundTripAllocs asserts the end-to-end budget of the
-// zero-allocation hot path at the top of the stack, unmetered.
+// zero-allocation hot path at the top of the stack, unmetered, over
+// shared-memory rings and over loopback TCP, where the polling thread
+// reads the socket itself.
 func TestEngineEagerRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	perOp := engineRoundTripAllocs(t, nil, "shm", 4<<10)
-	t.Logf("engine 4KiB eager round trip: %.2f allocs/op (budget %.1f)", perOp, engineAllocBudget)
-	if perOp > engineAllocBudget {
-		t.Errorf("engine 4KiB eager round trip allocates %.2f/op, budget %.1f", perOp, engineAllocBudget)
+	for _, rail := range []string{"shm", "tcp"} {
+		t.Run(rail, func(t *testing.T) {
+			perOp := engineRoundTripAllocs(t, nil, rail, 4<<10)
+			t.Logf("engine 4KiB eager round trip over %s: %.2f allocs/op (budget %.1f)", rail, perOp, engineAllocBudget)
+			if perOp > engineAllocBudget {
+				t.Errorf("engine 4KiB eager round trip over %s allocates %.2f/op, budget %.1f", rail, perOp, engineAllocBudget)
+			}
+		})
 	}
 }
 
