@@ -107,9 +107,11 @@ func (e *Engine) progress(core topo.CoreID, bounded bool) bool {
 
 // BlockingWait implements the blocking-call fallback (§3.2): it parks on
 // the default rail until a packet lands, delivers it, then runs one full
-// progress pass for any follow-up work (e.g. answering an RTS). Its one
-// caller is piom's blocking watcher; the engine's own waits poll and
-// yield instead (pollStep).
+// progress pass for any follow-up work (e.g. answering an RTS). It
+// reports true only when the park handed it a packet — the wake-ups
+// piom counts — and false when a progress pass before the park did the
+// work or the park timed out. Its one caller is piom's blocking watcher;
+// the engine's own waits poll and yield instead (pollStep).
 //
 // Endpoints only block on their own sockets, so in a bonded world a
 // chunk can land on a secondary rail while the watcher sleeps on the
@@ -123,21 +125,21 @@ func (e *Engine) progress(core topo.CoreID, bounded bool) bool {
 // delivers it under pollLock, so the watcher never waits on a lock. If a
 // concurrent poller holds pollLock when the trailing pass runs, the
 // packet stays in the slot — and the guard below keeps the watcher from
-// parking on the rail while it waits: BlockingWait returns at once, so
+// parking on the rail while it waits: BlockingWait returns at once, and
 // its caller loops straight back into progress passes until whoever owns
 // the lock (or a later pass here) delivers it. A second concurrent
 // caller that finds the slot taken runs passes until it empties.
 func (e *Engine) BlockingWait(timeout time.Duration) bool {
 	if e.Progress(-1) {
-		return true
+		return false
 	}
 	if e.woken.Load() != nil {
 		// A woken packet from a lost pollLock race is still undelivered
 		// — possibly the very arrival a blocking receive is waiting on.
 		// Parking on the rail now would strand it for a whole timeout;
-		// report work pending instead so the watcher retries promptly.
+		// return instead so the watcher retries promptly.
 		e.Progress(-1)
-		return true
+		return false
 	}
 	rail := e.defaultRail()
 	var parkStart time.Time

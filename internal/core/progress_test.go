@@ -53,6 +53,30 @@ func TestBlockingWaitHandsOffUnderHeldPollLock(t *testing.T) {
 	}
 }
 
+// TestBlockingWaitLeadingPassIsNoWakeup pins what BlockingWait's result
+// counts: a park that woke on a frame, the watcher's blocking_wakeups.
+// Here the pass before the park has work — a Sequential-mode send
+// waiting for submission — so BlockingWait submits it and returns
+// without parking, and that is not a wake-up.
+func TestBlockingWaitLeadingPassIsNoWakeup(t *testing.T) {
+	c := newCluster(t, 2, withMode(Sequential))
+	e := c.Nodes[0].Eng
+	s := e.Isend(1, 7, []byte("hello"))
+	if s.req.Completed() {
+		t.Fatal("a Sequential-mode send completed before any progress pass")
+	}
+	const timeout = 10 * time.Second
+	start := time.Now()
+	woke := e.BlockingWait(timeout)
+	took := time.Since(start)
+	if woke || took >= timeout {
+		t.Fatalf("BlockingWait = %v after %v when its leading pass did the work", woke, took)
+	}
+	if !s.req.Completed() {
+		t.Fatal("the leading pass did not submit the pending send")
+	}
+}
+
 // TestBlockingWaitConcurrentCallersDeliverOnce runs two BlockingWait
 // callers on one engine while 1 000 eager frames arrive, each for its
 // own posted receive: a frame delivered twice would find no receive and

@@ -12,7 +12,8 @@ import (
 	"pioman/internal/wire"
 )
 
-// conn is one poller-owned TCP stream. It splits cleanly into three parts:
+// conn is one TCP stream, owned by its endpoint's poller. It splits
+// cleanly into three parts:
 //
 //   - The producer half (qmu-guarded) is what Send touches: an unbounded
 //     buffer of serialized frames plus the dead/closing lifecycle bits.
@@ -21,14 +22,14 @@ import (
 //     moment Send returns).
 //   - The write-IO half (iomu-guarded) is the detached batch being
 //     flushed to the socket (wbuf at offset woff) plus the write-side
-//     lifecycle bits. The owning poller holds iomu across every flush,
+//     lifecycle bits. The poller holds iomu across every flush,
 //     and a producer whose Send transitioned the queue from empty may
 //     grab it opportunistically to write its own frame inline — one
 //     syscall on the caller's goroutine instead of a scheduler round
 //     trip through the poller.
 //   - The read half (rmu-guarded) is the inbound staging window and the
 //     large-frame direct-read state. Two readers take turns on it: the
-//     owning poller on EPOLLIN, and a thread polling in PollBatch, which
+//     poller on EPOLLIN, and a thread polling in PollBatch, which
 //     reads the socket itself instead of waiting for the poller to be
 //     scheduled. Both go through read, which neither pushes to the inbox
 //     nor tears the stream down: a failure a thread sees is flagged in
@@ -52,7 +53,6 @@ import (
 // becomes that stream's sole queue.
 type conn struct {
 	e    *Endpoint
-	pl   *poller
 	f    *os.File // dup of the handshaken socket; the poller closes it
 	fd   int
 	rank int
@@ -61,10 +61,9 @@ type conn struct {
 	qmu     sync.Mutex
 	qbuf    []byte
 	qends   []int // end offset of each frame in qbuf, ascending
-	qn      int
 	lastEnq int64 // unix nanos of the previous enqueue (inline-flush gate)
 	armed   bool  // a flusher knows about queued data; no kick needed
-	dead    bool  // stream failed or reaped: enqueue must redial
+	dead    bool  // stream failed: enqueue must redial
 	closing bool  // endpoint closing: drain, then accept nothing new
 
 	// pendingFrames counts frames accepted into the queue but not yet
@@ -77,7 +76,6 @@ type conn struct {
 	ioDead bool // teardown ran: the fd is no longer writable
 	wbuf   []byte
 	wends  []int
-	wn     int
 	woff   int // bytes of wbuf already written to the kernel
 
 	// Poller half: epoll registration state.
@@ -95,14 +93,6 @@ type conn struct {
 	ro, rn   int
 	pend     *wire.Packet
 	pendFill int
-
-	// Idle stamps (unix nanos) for reaping; atomic because inline
-	// flushes stamp lastOut from producer goroutines.
-	lastIn, lastOut atomic.Int64
-}
-
-func newConn(e *Endpoint, pl *poller, f *os.File, fd, rank int) *conn {
-	return &conn{e: e, pl: pl, f: f, fd: fd, rank: rank}
 }
 
 // enqueue serializes p onto the stream's outbound queue and reports
@@ -118,7 +108,6 @@ func (c *conn) enqueue(p *wire.Packet) bool {
 	}
 	c.qbuf = fabric.AppendPacketPooled(c.qbuf, p)
 	c.qends = append(c.qends, len(c.qbuf))
-	c.qn++
 	c.pendingFrames.Add(1)
 	gap := now - c.lastEnq
 	c.lastEnq = now
@@ -126,7 +115,7 @@ func (c *conn) enqueue(p *wire.Packet) bool {
 	c.armed = true
 	c.qmu.Unlock()
 	if kick && (gap < inlineGapNanos || !c.tryInlineFlush()) {
-		c.pl.kick(c)
+		c.e.pl.kick(c)
 	}
 	return true
 }
@@ -157,13 +146,13 @@ func (c *conn) tryInlineFlush() bool {
 		c.iomu.Unlock()
 		return false
 	}
-	st := c.flushOnce(time.Now().UnixNano())
+	st := c.flushOnce()
 	if st == flushFailed {
 		c.ioErr = true
 	}
 	c.iomu.Unlock()
 	if st == flushDone {
-		c.pl.flushedInline.Store(true)
+		c.e.pl.flushedInline.Store(true)
 	}
 	return st == flushDone
 }
@@ -181,22 +170,22 @@ const (
 // flushOnce writes the residue of a previously detached batch, then at
 // most one freshly detached run — the whole run leaves in a single
 // write syscall when the kernel buffer has room. Caller holds iomu;
-// both the owning poller and producer inline flushes arrive here, so
+// both the poller and producer inline flushes arrive here, so
 // every byte of write-side IO stays under one lock no matter which
 // goroutine performs it.
-func (c *conn) flushOnce(now int64) flushStatus {
+func (c *conn) flushOnce() flushStatus {
 	detached := false
 	for {
 		if c.woff == len(c.wbuf) {
-			if c.wn > 0 {
+			if wn := len(c.wends); wn > 0 {
 				// A whole detached batch fully reached the kernel.
-				c.e.coalesced.Add(uint64(c.wn))
-				c.pendingFrames.Add(-int64(c.wn))
+				c.e.coalesced.Add(uint64(wn))
+				c.pendingFrames.Add(-int64(wn))
 				bufpool.Put(c.wbuf)
-				c.wbuf, c.wends, c.wn, c.woff = nil, c.wends[:0], 0, 0
+				c.wbuf, c.wends, c.woff = nil, c.wends[:0], 0
 			}
 			c.qmu.Lock()
-			if c.qn == 0 {
+			if len(c.qends) == 0 {
 				c.armed = false
 				c.qmu.Unlock()
 				return flushDone
@@ -207,9 +196,8 @@ func (c *conn) flushOnce(now int64) flushStatus {
 			}
 			// Detach the queue as the next batch; the emptied end-offset
 			// slice swaps over to the queue for reuse.
-			c.wbuf, c.wn = c.qbuf, c.qn
+			c.wbuf, c.qbuf = c.qbuf, nil
 			c.wends, c.qends = c.qends, c.wends
-			c.qbuf, c.qn = nil, 0
 			c.woff = 0
 			c.qmu.Unlock()
 			detached = true
@@ -218,7 +206,6 @@ func (c *conn) flushOnce(now int64) flushStatus {
 		c.e.flushSyscalls.Add(1)
 		if n > 0 {
 			c.woff += n
-			c.lastOut.Store(now)
 		}
 		switch err {
 		case nil:
@@ -241,7 +228,7 @@ func (c *conn) flushOnce(now int64) flushStatus {
 // failed (EOF, a hard error, a malformed frame, or an earlier failure
 // flagged in rerr): the frames in run are whole and still owed to the
 // caller, but failing the stream is the poller's job.
-func (c *conn) read(run []*wire.Packet, now int64) ([]*wire.Packet, bool) {
+func (c *conn) read(run []*wire.Packet) ([]*wire.Packet, bool) {
 	if c.rerr {
 		return run, false
 	}
@@ -280,7 +267,6 @@ func (c *conn) read(run []*wire.Packet, now int64) ([]*wire.Packet, bool) {
 		}
 		if n > 0 {
 			budget -= n
-			c.lastIn.Store(now)
 			continue
 		}
 		if err == syscall.EINTR {
@@ -353,8 +339,8 @@ func (c *conn) killRead() {
 func (c *conn) killQueue() stash {
 	c.qmu.Lock()
 	c.dead = true
-	s := stash{c.qbuf, c.qends, c.qn}
-	c.qbuf, c.qends, c.qn = nil, nil, 0
+	s := stash{c.qbuf, c.qends}
+	c.qbuf, c.qends = nil, nil
 	c.armed = false
 	c.pendingFrames.Store(0)
 	c.qmu.Unlock()

@@ -15,8 +15,8 @@ import (
 )
 
 // readBudgetBytes bounds how much one connection may pull off its
-// socket per poller visit, so a firehose peer cannot starve the other
-// connections on the same poller. Level-triggered epoll re-reports the
+// socket per poller visit, so a firehose peer cannot starve the
+// endpoint's other connections. Level-triggered epoll re-reports the
 // remaining data on the next wait.
 const readBudgetBytes = 256 << 10
 
@@ -65,53 +65,14 @@ var livePollers atomic.Int32
 // slice header passed to syscall.Write never escapes per call.
 var wakeByte = []byte{1}
 
-// pollerPool is the bounded set of event-loop goroutines that multiplex
-// every connection of one Endpoint. Pollers start lazily: an endpoint
-// that never carries a connection costs zero goroutines, and a 2-rank
-// run costs exactly one.
-type pollerPool struct {
-	pollers []*poller
-	next    int // round-robin cursor, guarded by the Endpoint mutex
-}
-
-func newPollerPool(e *Endpoint, n int) *pollerPool {
-	p := &pollerPool{pollers: make([]*poller, n)}
-	for i := range p.pollers {
-		p.pollers[i] = &poller{e: e, epfd: -1}
-	}
-	return p
-}
-
-// assignLocked picks the poller for a new connection (round robin).
-// Caller holds the Endpoint mutex.
-func (p *pollerPool) assignLocked() *poller {
-	pl := p.pollers[p.next%len(p.pollers)]
-	p.next++
-	return pl
-}
-
-// stop asks every running poller to tear down its connections and
-// exit. Pollers that never started just flip their shutdown flag so a
-// late register fails cleanly.
-func (p *pollerPool) stop() {
-	for _, pl := range p.pollers {
-		pl.mu.Lock()
-		pl.shutdown = true
-		if pl.running && !pl.woken {
-			pl.woken = true
-			syscall.Write(pl.wakeW, wakeByte)
-		}
-		pl.mu.Unlock()
-	}
-}
-
-// poller owns one epoll instance and the connections registered on it.
-// All fd lifecycle for those connections happens on the poller
-// goroutine, and so does every stream failure. Other goroutines touch
-// the sockets only under a stream's locks — a producer's inline flush
-// under iomu, a polling thread's read under rmu — and otherwise
-// communicate through the mu-guarded mailboxes below plus the wake
-// pipe.
+// poller is an Endpoint's one event-loop goroutine: it owns one epoll
+// instance and every connection of the endpoint. It starts lazily, so an
+// endpoint that never carries a connection costs zero goroutines. All fd
+// lifecycle for the connections happens on the poller goroutine, and so
+// does every stream failure. Other goroutines touch the sockets only
+// under a stream's locks — a producer's inline flush under iomu, a
+// polling thread's read under rmu — and otherwise communicate through
+// the mu-guarded mailboxes below plus the wake pipe.
 type poller struct {
 	e     *Endpoint
 	epfd  int
@@ -155,8 +116,6 @@ type poller struct {
 	conns       map[int]*conn // fd -> conn, added only
 	resume      []*conn       // flush fairness carry-over to the next loop pass
 	resumeSpare []*conn
-	now         int64 // unix nanos, refreshed once per loop pass
-	lastReap    int64
 }
 
 // mailbox holds the requests producers leave for a poller.
@@ -239,6 +198,19 @@ func (pl *poller) start() error {
 	return nil
 }
 
+// stop asks the poller to tear down its connections and exit. A poller
+// that never started just flips its shutdown flag so a late register
+// fails cleanly.
+func (pl *poller) stop() {
+	pl.mu.Lock()
+	pl.shutdown = true
+	if pl.running && !pl.woken {
+		pl.woken = true
+		syscall.Write(pl.wakeW, wakeByte)
+	}
+	pl.mu.Unlock()
+}
+
 // register hands a freshly handshaken connection to the poller. The
 // EPOLL_CTL_ADD happens on the poller goroutine so fd ownership never
 // leaves it.
@@ -313,8 +285,8 @@ func (pl *poller) park(wait time.Duration) (int, error) {
 }
 
 // loop is the event loop: wait, absorb mailboxes, flush writers, drain
-// readers, reap idlers. While traffic is hot the wait is non-blocking
-// (see spinPasses); only after a quiet stretch does the poller park.
+// readers. While traffic is hot the wait is non-blocking (see
+// spinPasses); only after a quiet stretch does the poller park.
 func (pl *poller) loop() {
 	e := pl.e
 	defer e.wg.Done()
@@ -323,12 +295,6 @@ func (pl *poller) loop() {
 	var run []*wire.Packet
 	idle := 0
 	naps := 0 // parks since the last worked pass
-	// With an idle timeout every park is bounded, so the reaper at the
-	// bottom of the loop still gets its turns.
-	var parkFor time.Duration
-	if e.idleTimeout > 0 {
-		parkFor = min(max(e.idleTimeout/4, time.Millisecond), time.Second)
-	}
 	for {
 		spin := idle < spinPasses && livePollers.Load() <= spinPollerMax
 		park := false
@@ -349,12 +315,12 @@ func (pl *poller) loop() {
 		var n int
 		var err error
 		if park {
-			wait := parkFor
 			if naps == 0 {
 				e.parks.Add(1)
 			}
-			if nap := napFirst << naps; naps < napCount && livePollers.Load() <= spinPollerMax && (wait == 0 || nap < wait) {
-				wait = nap
+			var wait time.Duration
+			if naps < napCount && livePollers.Load() <= spinPollerMax {
+				wait = napFirst << naps
 			}
 			naps++
 			n, err = pl.park(wait)
@@ -367,7 +333,6 @@ func (pl *poller) loop() {
 			pl.shutdown = true
 			pl.mu.Unlock()
 		}
-		pl.now = time.Now().UnixNano()
 
 		pl.mu.Lock()
 		if !pl.spinning {
@@ -436,10 +401,6 @@ func (pl *poller) loop() {
 				run = pl.read(c, run)
 			}
 		}
-		if e.idleTimeout > 0 && pl.now-pl.lastReap >= int64(e.idleTimeout)/2 {
-			pl.lastReap = pl.now
-			pl.reap()
-		}
 		if worked {
 			idle, naps = 0, 0
 		} else {
@@ -471,8 +432,6 @@ func (pl *poller) add(c *conn) {
 	}
 	c.added = true
 	pl.conns[c.fd] = c
-	c.lastIn.Store(pl.now)
-	c.lastOut.Store(pl.now)
 	c.qmu.Lock()
 	armed := c.armed
 	c.qmu.Unlock()
@@ -492,7 +451,7 @@ func (pl *poller) flush(c *conn) {
 		pl.fail(c)
 		return
 	}
-	st := c.flushOnce(pl.now)
+	st := c.flushOnce()
 	if st == flushFailed {
 		c.ioErr = true
 	}
@@ -532,7 +491,7 @@ func (pl *poller) read(c *conn, run []*wire.Packet) []*wire.Packet {
 	if !c.rmu.TryLock() {
 		return run
 	}
-	run, ok := c.read(run[:0], pl.now)
+	run, ok := c.read(run[:0])
 	if len(run) > 0 {
 		pl.e.inbox.PushRun(run)
 		clear(run)
@@ -560,23 +519,22 @@ func (pl *poller) fail(c *conn) {
 	c.iomu.Lock()
 	c.ioDead = true
 	lostN := 0
-	for lostN < c.wn && c.wends[lostN] <= c.woff {
+	for lostN < len(c.wends) && c.wends[lostN] <= c.woff {
 		lostN++
 	}
 	var sal stash
-	if lostN < c.wn {
+	if lostN < len(c.wends) {
 		start := 0
 		if lostN > 0 {
 			start = c.wends[lostN-1]
 		}
 		sal.buf = c.wbuf[start:]
-		sal.ends = make([]int, 0, c.wn-lostN)
-		for j := lostN; j < c.wn; j++ {
-			sal.ends = append(sal.ends, c.wends[j]-start)
+		sal.ends = make([]int, 0, len(c.wends)-lostN)
+		for _, end := range c.wends[lostN:] {
+			sal.ends = append(sal.ends, end-start)
 		}
-		sal.n = c.wn - lostN
 	}
-	c.wbuf, c.wends, c.wn, c.woff = nil, nil, 0, 0
+	c.wbuf, c.wends, c.woff = nil, nil, 0
 	c.iomu.Unlock()
 	if lostN > 0 {
 		c.e.lost.Add(uint64(lostN))
@@ -602,7 +560,7 @@ func (pl *poller) teardown(c *conn, sal stash) {
 	// was residue to salvage).
 	c.iomu.Lock()
 	c.ioDead = true
-	c.wbuf, c.wends, c.wn, c.woff = nil, nil, 0, 0
+	c.wbuf, c.wends, c.woff = nil, nil, 0
 	c.iomu.Unlock()
 	tail := c.killQueue()
 	e := c.e
@@ -613,11 +571,11 @@ func (pl *poller) teardown(c *conn, sal stash) {
 	}
 	delete(e.conns, c)
 	e.publishConnsLocked()
-	if sal.n+tail.n > 0 {
+	if stranded := len(sal.ends) + len(tail.ends); stranded > 0 {
 		if e.closed() {
 			// Close's stash sweep may already have run; count the
 			// stranded frames as lost directly.
-			e.lost.Add(uint64(sal.n + tail.n))
+			e.lost.Add(uint64(stranded))
 		} else {
 			var merged stash
 			appendFrames(&merged, sal)
@@ -636,59 +594,6 @@ func (pl *poller) teardown(c *conn, sal stash) {
 			defer e.wg.Done()
 			e.connTo(c.rank)
 		}()
-	}
-}
-
-// reap tears down connections idle in both directions beyond the
-// configured timeout. Only a fully quiescent stream qualifies — empty
-// queue, no residue, no partial inbound frame — so reaping never loses
-// data; the peer sees a clean EOF and the next Send redials.
-func (pl *poller) reap() {
-	cut := pl.now - int64(pl.e.idleTimeout)
-	var victims []*conn
-	for _, c := range pl.conns {
-		if c.gone || c.lastIn.Load() > cut || c.lastOut.Load() > cut {
-			continue
-		}
-		// A contended read lock means a reader is busy on the stream.
-		if !c.rmu.TryLock() {
-			continue
-		}
-		partial := c.pend != nil || c.rn != c.ro
-		c.rmu.Unlock()
-		if partial {
-			continue
-		}
-		// The write residue lives under iomu now that producers may
-		// flush inline; a contended lock means the stream is anything
-		// but idle.
-		if !c.iomu.TryLock() {
-			continue
-		}
-		quiet := c.woff == len(c.wbuf) && !c.ioErr
-		c.iomu.Unlock()
-		if quiet {
-			victims = append(victims, c)
-		}
-	}
-	for _, c := range victims {
-		// Marking dead under qmu closes the race with a concurrent
-		// enqueue: either the frame got in (qn > 0, skip the reap) or
-		// the producer sees dead and redials. The stamps are rechecked
-		// for an inline flush that completed (disarming again) between
-		// the scan above and this lock.
-		c.qmu.Lock()
-		idle := !c.armed && c.qn == 0 && !c.dead && !c.closing &&
-			c.lastIn.Load() <= cut && c.lastOut.Load() <= cut
-		if idle {
-			c.dead = true
-		}
-		c.qmu.Unlock()
-		if !idle {
-			continue
-		}
-		pl.e.reaped.Add(1)
-		pl.teardown(c, stash{})
 	}
 }
 

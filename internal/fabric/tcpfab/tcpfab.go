@@ -11,22 +11,18 @@
 // gives the per-sender FIFO delivery the engine's sequence-ordering layer
 // assumes, with no cross-size reordering at all.
 //
-// Connections are NOT serviced by per-stream goroutines. A bounded pool
-// of event-driven pollers (sized from GOMAXPROCS, at most maxPollers)
-// multiplexes every connection through one epoll
-// instance per poller: the paper's central claim — many communication
-// flows progressed by a small, controlled set of threads — applied to
-// the socket layer itself. An endpoint serving N peers costs O(pool)
-// goroutines, not O(N). A thread polling the endpoint reads the streams
-// itself (PollBatch), the way the paper's waiting thread polls the NIC;
-// the pollers read what lands while no thread polls. On the send side,
-// frames queued for one stream while the poller was busy are coalesced
-// and flushed as a single run — one write syscall when the kernel buffer
-// has room — the send-side dual of PollBatch. With an idle timeout set
-// (a test hook: every shipped endpoint runs without one), connections
-// idle past it in both directions are reaped (fds released, peer sees
-// clean EOF); the next Send redials transparently through the existing
-// retry path.
+// Connections are NOT serviced by per-stream goroutines. Each endpoint
+// owns one event-driven poller, started lazily, that multiplexes every
+// connection through one epoll instance: the paper's central claim —
+// many communication flows progressed by a small, controlled set of
+// threads — applied to the socket layer itself. An endpoint serving N
+// peers costs one poller goroutine, not O(N). A thread polling the
+// endpoint reads the streams itself (PollBatch), the way the paper's
+// waiting thread polls the NIC; the poller reads what lands while no
+// thread polls, flushes queued sends and alone fails streams. On the
+// send side, frames queued for one stream while the poller was busy are
+// coalesced and flushed as a single run — one write syscall when the
+// kernel buffer has room — the send-side dual of PollBatch.
 //
 // Simultaneous connect (both sides of a cold pair dial at once) can leave
 // a pair with two live streams: each side may adopt the other's dialed
@@ -45,7 +41,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -77,7 +72,7 @@ const (
 	dialBackoffFirst = 10 * time.Millisecond
 	dialBackoffMax   = 400 * time.Millisecond
 
-	// closeDrainTimeout bounds how long Close lets the pollers flush
+	// closeDrainTimeout bounds how long Close lets the poller flush
 	// queued frames toward a peer that has stopped reading.
 	closeDrainTimeout = 5 * time.Second
 
@@ -87,10 +82,6 @@ const (
 	// it switches the stream into direct-read mode, filling the pooled
 	// payload in place.
 	readBufBytes = 64 << 10
-
-	// maxPollers caps the default pool size: event loops are IO-bound,
-	// so more of them than this buys nothing even on wide hosts.
-	maxPollers = 8
 )
 
 // Config describes one process's attachment to a TCP fabric.
@@ -108,11 +99,6 @@ type Config struct {
 	// us) can be omitted; their accepted connection becomes the send
 	// path.
 	Peers map[int]string
-	// idleTimeout reaps connections quiet in both directions for this
-	// long: their fds are released, the peer sees a clean EOF, and the
-	// next Send redials transparently. 0 (every shipped caller) disables
-	// reaping; only this package's tests set it (WithIdleTimeout).
-	idleTimeout time.Duration
 }
 
 // Endpoint is one process's port on a TCP fabric.
@@ -129,8 +115,7 @@ type Endpoint struct {
 	conns   map[*conn]struct{}    // every registered stream, for close-drain
 	stash   map[int]stash         // undelivered frames of a failed stream, per peer
 
-	pool        *pollerPool
-	idleTimeout time.Duration
+	pl *poller
 
 	// The thread-side reader of PollBatch. readable is e.conns as a
 	// copy-on-write slice (republished under mu), so a poll walks it
@@ -153,7 +138,6 @@ type Endpoint struct {
 	nConns        atomic.Int64
 	coalesced     atomic.Uint64 // frames flushed as part of a multi-frame (or single) run
 	flushSyscalls atomic.Uint64 // write(2) calls issued by the flush path
-	reaped        atomic.Uint64 // connections torn down by the idle reaper
 	parks         atomic.Uint64 // poller spin→park transitions
 }
 
@@ -166,13 +150,12 @@ type Endpoint struct {
 type stash struct {
 	buf  []byte
 	ends []int // end offset of each frame in buf, ascending
-	n    int   // frame count (== len(ends))
 }
 
 // appendFrames concatenates src's frames after dst's, rebasing the end
 // offsets onto the combined buffer.
 func appendFrames(dst *stash, src stash) {
-	if src.n == 0 {
+	if len(src.ends) == 0 {
 		return
 	}
 	base := len(dst.buf)
@@ -180,7 +163,6 @@ func appendFrames(dst *stash, src stash) {
 	for _, end := range src.ends {
 		dst.ends = append(dst.ends, base+end)
 	}
-	dst.n += src.n
 }
 
 // New opens an endpoint per cfg. If cfg.Listen is set the returned
@@ -193,23 +175,19 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
 		return nil, fmt.Errorf("tcpfab: rank %d outside cluster of %d", cfg.Self, cfg.Nodes)
 	}
-	// The pool is as wide as the Go scheduler's processors: more event
-	// loops than Ps could only wait for one.
-	np := min(runtime.GOMAXPROCS(0), maxPollers)
 	e := &Endpoint{
-		self:        cfg.Self,
-		nodes:       cfg.Nodes,
-		peers:       make(map[int]string, len(cfg.Peers)),
-		out:         make(map[int]*conn),
-		dialing:     make(map[int]chan struct{}),
-		open:        make(map[net.Conn]struct{}),
-		conns:       make(map[*conn]struct{}),
-		stash:       make(map[int]stash),
-		idleTimeout: cfg.idleTimeout,
-		done:        make(chan struct{}),
-		inbox:       fabric.NewInbox(),
+		self:    cfg.Self,
+		nodes:   cfg.Nodes,
+		peers:   make(map[int]string, len(cfg.Peers)),
+		out:     make(map[int]*conn),
+		dialing: make(map[int]chan struct{}),
+		open:    make(map[net.Conn]struct{}),
+		conns:   make(map[*conn]struct{}),
+		stash:   make(map[int]stash),
+		done:    make(chan struct{}),
+		inbox:   fabric.NewInbox(),
 	}
-	e.pool = newPollerPool(e, np)
+	e.pl = &poller{e: e, epfd: -1}
 	for r, a := range cfg.Peers {
 		e.peers[r] = a
 	}
@@ -255,13 +233,13 @@ func (e *Endpoint) SendCaptures() bool { return true }
 // pollReadConns bounds how many streams one PollBatch reads itself, so
 // an empty poll costs at most this many read syscalls however many
 // peers the endpoint carries. A rotating cursor spreads the visits, and
-// the pollers still read every stream.
+// the poller still reads every stream.
 const pollReadConns = 4
 
-// PollBatch implements fabric.Endpoint. It pops what the pollers already
+// PollBatch implements fabric.Endpoint. It pops what the poller already
 // pushed to the inbox; when that is nothing, it reads the sockets
 // itself, up to pollReadConns streams without blocking, and hands the
-// frames straight to the caller: a waiting thread does not wait for a
+// frames straight to the caller: a waiting thread does not wait for the
 // poller goroutine to be scheduled. Concurrent callers take turns on
 // the one thread-side reader; a caller that finds it busy returns 0.
 // Per-stream FIFO holds across both readers: a stream's frames enter
@@ -277,10 +255,9 @@ func (e *Endpoint) PollBatch(into []*wire.Packet) int {
 	}
 	defer e.readMu.Unlock()
 	conns := *cs
-	now := time.Now().UnixNano()
 	n, i := 0, 0
 	for ; i < min(len(conns), pollReadConns) && n < len(into); i++ {
-		n = e.readConn(conns[(e.rcur+i)%len(conns)], into, n, now)
+		n = e.readConn(conns[(e.rcur+i)%len(conns)], into, n)
 	}
 	e.rcur = (e.rcur + i) % len(conns)
 	return n
@@ -288,11 +265,11 @@ func (e *Endpoint) PollBatch(into []*wire.Packet) int {
 
 // readConn is one thread-side visit to c: it fills into[n:] and returns
 // the new count. The inbox is popped again under c's read lock, since
-// anything a poller read from c earlier waits there and must go out
+// anything the poller read from c earlier waits there and must go out
 // first; frames read past into's room are pushed to the inbox before
 // the lock is released, ahead of anything c delivers later. A failure
 // is handed to the poller through the kill mailbox. Caller holds readMu.
-func (e *Endpoint) readConn(c *conn, into []*wire.Packet, n int, now int64) int {
+func (e *Endpoint) readConn(c *conn, into []*wire.Packet, n int) int {
 	c.rmu.Lock()
 	if c.rdead || c.rerr {
 		c.rmu.Unlock()
@@ -302,7 +279,7 @@ func (e *Endpoint) readConn(c *conn, into []*wire.Packet, n int, now int64) int 
 		c.rmu.Unlock()
 		return n
 	}
-	run, ok := c.read(e.rrun[:0], now)
+	run, ok := c.read(e.rrun[:0])
 	k := copy(into[n:], run)
 	if k < len(run) {
 		e.inbox.PushRun(run[k:])
@@ -311,13 +288,13 @@ func (e *Endpoint) readConn(c *conn, into []*wire.Packet, n int, now int64) int 
 	e.rrun = run[:0]
 	c.rmu.Unlock()
 	if !ok {
-		c.pl.kill(c)
+		e.pl.kill(c)
 	}
 	return n + k
 }
 
-// GoroutineFed implements fabric.GoroutineFed: the pollers also move
-// frames (those that land while no thread polls) and flush what
+// GoroutineFed implements fabric.GoroutineFed: the poller also moves
+// frames (those that land while no thread polls) and flushes what
 // producers queue, and a caller that never leaves its processor keeps
 // them queued.
 func (e *Endpoint) GoroutineFed() bool { return true }
@@ -378,9 +355,9 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 		if c.enqueue(p) {
 			return nil
 		}
-		// The stream died (or was reaped) between lookup and enqueue and
-		// its poller has unregistered it; redial and try again. A peer
-		// that is truly gone ends the loop with a dial error.
+		// The stream died between lookup and enqueue and the poller has
+		// unregistered it; redial and try again. A peer that is truly
+		// gone ends the loop with a dial error.
 	}
 }
 
@@ -431,7 +408,7 @@ func (e *Endpoint) connTo(rank int) (*conn, error) {
 			nc.Close()
 			return nil, fabric.ErrClosed
 		}
-		cn, pl, rerr := e.registerConnLocked(nc, rank)
+		cn, rerr := e.registerConnLocked(nc, rank)
 		if rerr != nil {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("tcpfab: register dialed conn for rank %d: %w", rank, rerr)
@@ -444,7 +421,7 @@ func (e *Endpoint) connTo(rank int) (*conn, error) {
 		// A stream that lost the race on both ends just idles.
 		sendPath := e.out[rank]
 		e.mu.Unlock()
-		if err := pl.register(cn); err != nil {
+		if err := e.pl.register(cn); err != nil {
 			e.unregisterUnpolled(cn)
 			return nil, fmt.Errorf("tcpfab: register dialed conn for rank %d: %w", rank, err)
 		}
@@ -507,36 +484,35 @@ func dupFD(nc net.Conn) (*os.File, int, error) {
 }
 
 // registerConnLocked converts a handshaken stream into a poller-owned
-// conn: dup the fd out of the net.Conn, pick a poller (starting it on
-// first use), adopt the stream as rank's send path when none exists —
-// loading any banked stash ahead of new traffic — and enter it in the
-// endpoint tables. Caller holds e.mu and has ruled out Close having
-// started; the caller must then hand the conn to pl.register outside
+// conn: dup the fd out of the net.Conn, start the poller on first use,
+// adopt the stream as rank's send path when none exists — loading any
+// banked stash ahead of new traffic — and enter it in the endpoint
+// tables. Caller holds e.mu and has ruled out Close having
+// started; the caller must then hand the conn to e.pl.register outside
 // the lock.
-func (e *Endpoint) registerConnLocked(nc net.Conn, rank int) (*conn, *poller, error) {
+func (e *Endpoint) registerConnLocked(nc net.Conn, rank int) (*conn, error) {
 	f, fd, err := dupFD(nc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pl := e.pool.assignLocked()
-	if err := pl.start(); err != nil {
+	if err := e.pl.start(); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	c := newConn(e, pl, f, fd, rank)
+	c := &conn{e: e, f: f, fd: fd, rank: rank}
 	if e.out[rank] == nil {
 		if s, ok := e.stash[rank]; ok {
 			delete(e.stash, rank)
-			c.qbuf, c.qends, c.qn = s.buf, s.ends, s.n
+			c.qbuf, c.qends = s.buf, s.ends
 			c.armed = true // add() performs the initial flush
-			c.pendingFrames.Add(int64(s.n))
+			c.pendingFrames.Add(int64(len(s.ends)))
 		}
 		e.out[rank] = c
 	}
 	e.conns[c] = struct{}{}
 	e.publishConnsLocked()
 	e.nConns.Add(1)
-	return c, pl, nil
+	return c, nil
 }
 
 // publishConnsLocked republishes e.conns as the slice PollBatch reads.
@@ -550,8 +526,8 @@ func (e *Endpoint) publishConnsLocked() {
 }
 
 // unregisterUnpolled backs out a conn whose poller registration failed
-// (endpoint raced Close): the stream never reached a poller, so this is
-// the one teardown path that runs off the poller goroutine.
+// (endpoint raced Close): the stream never reached the poller, so this
+// is the one teardown path that runs off the poller goroutine.
 func (e *Endpoint) unregisterUnpolled(c *conn) {
 	c.killRead()
 	tail := c.killQueue()
@@ -561,9 +537,9 @@ func (e *Endpoint) unregisterUnpolled(c *conn) {
 	}
 	delete(e.conns, c)
 	e.publishConnsLocked()
-	if tail.n > 0 {
+	if len(tail.ends) > 0 {
 		if e.closed() {
-			e.lost.Add(uint64(tail.n))
+			e.lost.Add(uint64(len(tail.ends)))
 		} else {
 			var merged stash
 			appendFrames(&merged, e.stash[c.rank])
@@ -579,7 +555,7 @@ func (e *Endpoint) unregisterUnpolled(c *conn) {
 // acceptLoop admits peers. The handshake runs in the per-connection
 // goroutine — with the conn already tracked for teardown — so a peer that
 // connects and stalls can never wedge Close. The goroutine ends at
-// registration: from then on a shared poller services the stream.
+// registration: from then on the endpoint's poller services the stream.
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
@@ -601,7 +577,7 @@ func (e *Endpoint) acceptLoop() {
 }
 
 // serveConn validates an accepted stream, adopts it as the send path to
-// its peer when none exists, and hands it to a poller.
+// its peer when none exists, and hands it to the poller.
 func (e *Endpoint) serveConn(nc net.Conn) {
 	defer e.wg.Done()
 	rank, nodes, err := readHandshake(nc)
@@ -619,12 +595,12 @@ func (e *Endpoint) serveConn(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	c, pl, rerr := e.registerConnLocked(nc, rank)
+	c, rerr := e.registerConnLocked(nc, rank)
 	e.mu.Unlock()
 	if rerr != nil {
 		return
 	}
-	if err := pl.register(c); err != nil {
+	if err := e.pl.register(c); err != nil {
 		e.unregisterUnpolled(c)
 	}
 }
@@ -647,7 +623,7 @@ func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 // bounds what one Send can carry.
 func (e *Endpoint) MaxPayload() int { return fabric.MaxPayloadBytes }
 
-// RegisterMetrics implements fabric.MetricSource: the poller pool's
+// RegisterMetrics implements fabric.MetricSource: the poller's
 // scalability counters join reg under prefix (the rail driver passes
 // "node<rank>.rail.<name>"), next to the portable driver counters.
 func (e *Endpoint) RegisterMetrics(reg *telemetry.Registry, prefix string) {
@@ -658,17 +634,16 @@ func (e *Endpoint) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".conns", "registered TCP streams currently open", func() uint64 { return uint64(e.nConns.Load()) })
 	reg.RegisterCounter(prefix+".coalesced_frames", "frames flushed to the kernel via coalesced batch writes", e.coalesced.Load)
 	reg.RegisterCounter(prefix+".flush_syscalls", "write(2) calls issued by the send flush path", e.flushSyscalls.Load)
-	reg.RegisterCounter(prefix+".reaped_idle", "connections reaped by the idle timeout", e.reaped.Load)
-	reg.RegisterCounter(prefix+".poller_parks", "times a poller left its non-blocking spin phase and parked in the netpoller", e.parks.Load)
+	reg.RegisterCounter(prefix+".poller_parks", "times the poller left its non-blocking spin phase and parked in the netpoller", e.parks.Load)
 }
 
 func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
 
 // Close implements fabric.Endpoint: stop accepting, ask every stream to
-// finish its queue and poll the flush progress (the pollers keep
+// finish its queue and poll the flush progress (the poller keeps
 // writing) so frames sent before Close still reach their peers (bounded
 // by closeDrainTimeout against a peer that stopped reading), then stop
-// the pollers — which tear down their streams — wake blocked receivers,
+// the poller — which tears down the streams — wake blocked receivers,
 // and wait for every goroutine. Packets already received remain
 // pollable. Idempotent.
 func (e *Endpoint) Close() error {
@@ -701,14 +676,14 @@ func (e *Endpoint) Close() error {
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	e.pool.stop()
+	e.pl.stop()
 	close(e.done)
 	e.wg.Wait()
 	// Stashes that never met a successful redial are abandoned now: no
 	// poller is left to bank more, so the count is final.
 	e.mu.Lock()
 	for r, s := range e.stash {
-		e.lost.Add(uint64(s.n))
+		e.lost.Add(uint64(len(s.ends)))
 		delete(e.stash, r)
 	}
 	e.mu.Unlock()

@@ -38,11 +38,11 @@ func TestEndpointConformance(t *testing.T) {
 
 // TestManyPeersConformance is the C10K shape gate: a 64-spoke hub
 // exchange over real localhost sockets, strict per-sender FIFO, with
-// goroutine growth bounded by the poller pool rather than the peer
-// count. The budget admits one accept loop per in-process endpoint plus
-// up to two pollers per spoke (simultaneous connect can leave a pair
-// with two live streams) — the old goroutine-per-stream design measured
-// ~7×peers here and fails it.
+// goroutine growth bounded by the endpoint count rather than the stream
+// count. The budget admits one accept loop and one poller per in-process
+// endpoint, however many streams simultaneous connect leaves a pair —
+// the old goroutine-per-stream design measured ~7×peers here and fails
+// it.
 func TestManyPeersConformance(t *testing.T) {
 	const peers = 64
 	conformance.RunManyPeers(t, func(t *testing.T, nodes int) fabric.Fabric {
@@ -51,7 +51,7 @@ func TestManyPeersConformance(t *testing.T) {
 			t.Fatalf("NewLocal(%d): %v", nodes, err)
 		}
 		return l
-	}, peers, true, 3*peers+48)
+	}, peers, true, 2*peers+48)
 }
 
 // realWorld builds a 2-node engine world whose inter-node rail runs over
@@ -692,17 +692,17 @@ func killConnZeroLoss(t *testing.T, size, pre, post int) {
 
 // quietPair opens two connected endpoints with one frame already
 // exchanged, so each side's poller is running and owns the stream.
-func quietPair(t *testing.T, idle time.Duration) (ep0, ep1 *tcpfab.Endpoint) {
+func quietPair(t *testing.T) (ep0, ep1 *tcpfab.Endpoint) {
 	t.Helper()
-	ep0, err := tcpfab.New(tcpfab.WithIdleTimeout(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0"}, idle))
+	ep0, err := tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ep0.Close() })
-	ep1, err = tcpfab.New(tcpfab.WithIdleTimeout(tcpfab.Config{
+	ep1, err = tcpfab.New(tcpfab.Config{
 		Self: 1, Nodes: 2, Listen: "127.0.0.1:0",
 		Peers: map[int]string{0: ep0.Addr().String()},
-	}, idle))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,7 +740,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // (KillConn's mailbox; the Send after a quiet gap flushes inline and
 // leaves the sender's poller asleep).
 func TestParkedPollerWakes(t *testing.T) {
-	ep0, ep1 := quietPair(t, 0)
+	ep0, ep1 := quietPair(t)
 	parked := func() bool { return ep0.PollersParked() && ep1.PollersParked() }
 
 	eventually(t, "both pollers park", parked)
@@ -760,27 +760,60 @@ func TestParkedPollerWakes(t *testing.T) {
 	sendRecv(t, ep1, ep0, 3)
 }
 
-// TestIdleReapFromParkedPoller: with an idle timeout a park carries a
-// deadline, so a poller with nothing to wake it still gets to reap.
-func TestIdleReapFromParkedPoller(t *testing.T) {
-	ep0, ep1 := quietPair(t, 40*time.Millisecond)
-	reg := telemetry.NewRegistry()
-	ep0.RegisterMetrics(reg, "ep0")
-	ep1.RegisterMetrics(reg, "ep1")
-
-	eventually(t, "both idle streams are reaped", func() bool {
-		return ep1.OpenConns() == 0 && ep0.OpenConns() == 0
-	})
-	snap := reg.Snapshot()
-	if n := snap.Value("ep0.reaped_idle") + snap.Value("ep1.reaped_idle"); n == 0 {
-		t.Error("streams closed, but not by the idle reaper")
+// TestOnePollerPerEndpoint pins the poller shape: however many peers an
+// endpoint talks to and however many processors the host offers, one
+// event-loop goroutine services all of its streams. A hub exchanges a
+// frame each way with three spokes at GOMAXPROCS >= 2, then every
+// endpoint's pollers gauge must read 1.
+func TestOnePollerPerEndpoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const spokes = 3
+	l, err := tcpfab.NewLocal(spokes + 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ep := range []string{"ep0", "ep1"} {
-		if snap.Value(ep+".poller_parks") == 0 {
-			t.Errorf("%s reaped without its poller ever parking: the deadline path did not run", ep)
+	defer l.Close()
+	reg := telemetry.NewRegistry()
+	eps := make([]*tcpfab.Endpoint, spokes+1)
+	for r := range eps {
+		ep, _ := l.Endpoint(r)
+		eps[r] = ep.(*tcpfab.Endpoint)
+		eps[r].RegisterMetrics(reg, fmt.Sprintf("ep%d", r))
+	}
+	hub := eps[0]
+	for r := 1; r <= spokes; r++ {
+		if err := hub.Send(&wire.Packet{Kind: wire.PktCtrl, Src: 0, Dst: r, Seq: 1, Payload: []byte("out")}); err != nil {
+			t.Fatalf("send to spoke %d: %v", r, err)
 		}
 	}
-	sendRecv(t, ep1, ep0, 2) // the next Send redials
+	for r := 1; r <= spokes; r++ {
+		if p := eps[r].BlockingRecv(30 * time.Second); p == nil || p.Src != 0 {
+			t.Fatalf("spoke %d: got %+v from the hub", r, p)
+		}
+		if err := eps[r].Send(&wire.Packet{Kind: wire.PktCtrl, Src: r, Dst: 0, Seq: 1, Payload: []byte("back")}); err != nil {
+			t.Fatalf("spoke %d reply: %v", r, err)
+		}
+	}
+	from := map[int]bool{}
+	for range spokes {
+		p := hub.BlockingRecv(30 * time.Second)
+		if p == nil {
+			t.Fatalf("hub got replies from %v, want all %d spokes", from, spokes)
+		}
+		from[p.Src] = true
+	}
+	if len(from) != spokes {
+		t.Fatalf("hub got replies from %v, want all %d spokes", from, spokes)
+	}
+	if n := hub.OpenConns(); n < spokes {
+		t.Fatalf("hub holds %d streams, want at least %d", n, spokes)
+	}
+	snap := reg.Snapshot()
+	for r := range eps {
+		if n := snap.Value(fmt.Sprintf("ep%d.pollers", r)); n != 1 {
+			t.Errorf("endpoint %d runs %d pollers, want 1", r, n)
+		}
+	}
 }
 
 // TestSendNeverBlocksOnStalledReceiver pins the Endpoint contract that

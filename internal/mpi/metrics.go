@@ -24,5 +24,5 @@ func registerNodeMetrics(reg *telemetry.Registry, rank int, srv *piom.Server) {
 	p := fmt.Sprintf("node%d.piom", rank)
 	reg.RegisterCounter(p+".polls", "event-server progress passes", func() uint64 { return srv.Stats().Polls })
 	reg.RegisterCounter(p+".worked", "progress passes that did work", func() uint64 { return srv.Stats().Worked })
-	reg.RegisterCounter(p+".blocking_wakeups", "events processed by the blocking watcher", func() uint64 { return srv.Stats().BlockingWakeups })
+	reg.RegisterCounter(p+".blocking_wakeups", "parks of the blocking watcher that woke on an arriving frame", func() uint64 { return srv.Stats().BlockingWakeups })
 }

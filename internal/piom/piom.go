@@ -45,8 +45,11 @@ type Source interface {
 	// the executing core for cost attribution, or -1 when called from a
 	// non-core context (blocking watcher).
 	Progress(core topo.CoreID) bool
-	// BlockingWait parks until an event arrives (or the timeout expires),
-	// processes it, and reports whether work was done. It must not spin.
+	// BlockingWait parks until an event arrives (or the timeout expires)
+	// and processes it. It reports whether the park itself woke on an
+	// event; work a pass before the park found does not count. The
+	// result feeds Stats.BlockingWakeups and nothing else. It must not
+	// spin.
 	BlockingWait(timeout time.Duration) bool
 }
 
@@ -142,7 +145,7 @@ func hostTimings(idleHook bool) (waitSpin, watchCadence time.Duration) {
 type Stats struct {
 	Polls           uint64 // Progress passes executed
 	Worked          uint64 // passes that did work
-	BlockingWakeups uint64 // events processed by the blocking watcher
+	BlockingWakeups uint64 // blocking-watcher parks that woke on an event
 }
 
 // Server coordinates progress for one node.
