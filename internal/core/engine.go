@@ -79,15 +79,6 @@ type Config struct {
 	// "fifo" (one frame per send, the ablation's reference). It has no
 	// say in striping, which follows the rails' stripe weights.
 	Strategy string
-	// AutoStripeWeights enables online stripe-weight tuning: the engine's
-	// maintenance tick measures each rail's goodput (bytes moved per
-	// microsecond, discounted by its loss ratio) from Stats deltas and
-	// folds it into the live stripe weight as an EWMA, so a
-	// degraded-but-alive rail sheds load mid-run instead of stalling
-	// stripe tails. Off by default: benchmarks that sweep rails solo
-	// (a zero weight on every other rail) must not have their measured
-	// weights re-tuned underneath them.
-	AutoStripeWeights bool
 	// maxPendingRdvPerPeer caps how many rendezvous sends to one
 	// destination may sit in the unacked replay window (RTS posted or
 	// data in flight) at once. The self-healing sublayer retains every
@@ -138,13 +129,11 @@ type Stats struct {
 	// a receiver DATA-ack; RdvParked counts rendezvous sends that hit the
 	// per-peer unacked window cap and waited for an ack before their RTS
 	// went out; RailReadmits counts probation rails returned to the
-	// stripe set by a successful health probe; StripeRetunes counts
-	// online EWMA stripe-weight adjustments applied.
-	RdvReplays    uint64
-	RdvAcked      uint64
-	RdvParked     uint64
-	RailReadmits  uint64
-	StripeRetunes uint64
+	// stripe set by a successful health probe.
+	RdvReplays   uint64
+	RdvAcked     uint64
+	RdvParked    uint64
+	RailReadmits uint64
 	// Peer-death counters (docs/CLUSTER.md): PeerDead counts ranks this
 	// engine declared dead (deadline detection or MarkPeerDead);
 	// ReqsFailed counts requests completed with ErrPeerDead — pending
@@ -300,7 +289,6 @@ type Engine struct {
 	nAcks      atomic.Uint64
 	nRdvParked atomic.Uint64
 	nReadmits  atomic.Uint64
-	nRetunes   atomic.Uint64
 	nPeerDead  atomic.Uint64
 	nReqFailed atomic.Uint64
 	nDropped   atomic.Uint64
@@ -343,15 +331,14 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		health:  make([]railHealth, len(rails)),
 		pollBuf: make([]*wire.Packet, pollBatchSize),
 	}
-	now := time.Now().UnixNano()
 	for i := range e.health {
 		e.health[i].probeGap.Store(int64(probeGapInit))
-		e.health[i].lastAt = now
 	}
 	if cfg.PeerDeadline > 0 {
 		// A peer never heard from counts as silent since construction,
 		// not since the epoch — a world that dies during rendezvous
 		// setup still gets a full deadline before the verdict.
+		now := time.Now().UnixNano()
 		for i := range e.peers {
 			e.peers[i].lastHeard.Store(now)
 		}
@@ -395,8 +382,9 @@ func (e *Engine) defaultRail() *nic.Driver { return e.rails[0] }
 // Rails exposes the engine's rail drivers in registration order
 // (rails[0] is the default inter-node rail). Callers must treat the
 // slice as read-only; it exists so launchers and benchmarks can inspect
-// per-rail stats and retune striping weights (Driver.SetStripeWeight)
-// without the engine re-exporting every driver knob.
+// per-rail stats and set striping weights (Driver.SetStripeWeight)
+// without the engine re-exporting every driver knob. The engine itself
+// never changes a rail's weight.
 func (e *Engine) Rails() []*nic.Driver { return e.rails }
 
 // railFor picks the rail for traffic to dst: self traffic prefers a
@@ -442,7 +430,6 @@ func (e *Engine) Stats() Stats {
 		RdvAcked:       e.nAcks.Load(),
 		RdvParked:      e.nRdvParked.Load(),
 		RailReadmits:   e.nReadmits.Load(),
-		StripeRetunes:  e.nRetunes.Load(),
 		PeerDead:       e.nPeerDead.Load(),
 		ReqsFailed:     e.nReqFailed.Load(),
 		FramesDropped:  e.nDropped.Load(),

@@ -95,9 +95,9 @@ func (e *Engine) progress(core topo.CoreID, bounded bool) bool {
 			worked = true
 		}
 	}
-	// Self-healing maintenance rides the progress loop: replay timers,
-	// probation probes, weight retunes. Gated to near-zero cost when
-	// nothing is pending.
+	// Self-healing maintenance rides the progress loop: replay timers
+	// and probation probes. Gated to near-zero cost when nothing is
+	// pending.
 	e.maybeMaint(n)
 	if sampled {
 		e.tel.dwell.ObserveDuration(time.Since(t0))

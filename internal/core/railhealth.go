@@ -9,13 +9,14 @@ import (
 	"pioman/internal/wire"
 )
 
-// Rail lifecycle — probation, health probes, live re-admission — plus
-// the online stripe-weight retune. A rail that fails a span submission
-// is not abandoned for the life of the run (the pre-self-healing
-// behavior): it moves to probation, where the maintenance tick probes it
-// with a cheap ping frame at a backoff-spaced cadence; when the echo of a
-// probe sent after the demotion comes back with quiet loss counters the
-// rail rejoins the stripe set live.
+// Rail lifecycle — probation, health probes, live re-admission. A rail's
+// stripe weight is what its nic.Params declares or what a caller sets
+// with Driver.SetStripeWeight; nothing here changes it. A rail that
+// fails a span submission is not abandoned for the life of the run (the
+// pre-self-healing behavior): it moves to probation, where the
+// maintenance tick probes it with a cheap ping frame at a backoff-spaced
+// cadence; when the echo of a probe sent after the demotion comes back
+// with quiet loss counters the rail rejoins the stripe set live.
 // Probation state machine per rail (docs/FABRIC.md):
 //
 //	active --span submission failed--> probation
@@ -28,25 +29,12 @@ const (
 	// off enough that a rail dead for minutes costs one frame a second.
 	probeGapInit = 50 * time.Millisecond
 	probeGapMax  = time.Second
-	// weightPeriod spaces online stripe-weight measurements; 50ms
-	// windows are long enough for a goodput estimate to mean something.
-	weightPeriod = 50 * time.Millisecond
-	// weightAlpha is the EWMA blend: w' = (1-α)·w + α·measured.
-	weightAlpha = 0.4
-	// weightDeadband suppresses SetStripeWeight churn: retunes apply
-	// only when the new weight moved more than 10% relative.
-	weightDeadband = 0.10
-	// rttAlpha is the EWMA blend for a rail's probe round-trip time.
-	// RTT swings on a ping cadence are noisier than goodput windows, so
-	// it smooths harder than weightAlpha.
-	rttAlpha = 0.3
 )
 
 // railHealth is one rail's lifecycle state, held in the engine's health
-// slice parallel to rails. Fields crossed by the polling path
+// slice parallel to rails. Every field is crossed by the polling path
 // (demotion from stripeData, re-admission from handlePong) and the
-// maintenance tick are atomics; the EWMA bookkeeping is touched only
-// by the maintenance scan's owner (maybeMaint's CAS winner).
+// maintenance tick, so all are atomics.
 //
 // demotedAt is the whole lifecycle state in one word — zero while the
 // rail is active, the demotion's unix-nanos stamp while it is on
@@ -60,14 +48,6 @@ type railHealth struct {
 	probeGap  atomic.Int64  // current probe spacing, nanos
 	nextProbe atomic.Int64  // unix nanos of the next due probe
 	probeDst  atomic.Int32  // peer the probe pings (the failed span's dst)
-	nextRTT   atomic.Int64  // unix nanos of the next RTT probe (active rails)
-	rttNanos  atomic.Int64  // EWMA probe round-trip time, 0 = not yet measured
-
-	// EWMA bookkeeping, owned by the maintenance scan.
-	lastBytes uint64
-	lastSent  uint64
-	lastLost  uint64
-	lastAt    int64
 }
 
 // active reports whether the rail is in the stripe set (not on probation).
@@ -109,8 +89,8 @@ func (e *Engine) demoteRail(r *nic.Driver, dst int) {
 }
 
 // railMaint runs the rail-lifecycle half of the maintenance tick:
-// asynchronous-loss demotions, due probation probes, then the online
-// weight retune; caller owns the maintenance scan.
+// asynchronous-loss demotions, then due probation probes; caller owns
+// the maintenance scan.
 //
 // The demotion scan catches what submission-time detection cannot: a
 // stream that dies moments *after* its span was accepted surfaces the
@@ -152,11 +132,11 @@ func (e *Engine) railMaint(now int64) {
 			}
 			// Rebaseline before each probe: a readmission requires the
 			// loss counters quiet across the ping round trip itself. The
-			// Seq carries the send stamp: it dates the echo against the
-			// demotion (handlePong) and yields an RTT sample for the
-			// retune. demoteRail sets nextProbe to its demotion stamp, so
-			// a probe gated on it postdates the demotion; one that raced
-			// that store carries an older stamp and is merely ignored.
+			// Seq carries the send stamp, which dates the echo against
+			// the demotion (handlePong). demoteRail sets nextProbe to its
+			// demotion stamp, so a probe gated on it postdates the
+			// demotion; one that raced that store carries an older stamp
+			// and is merely ignored.
 			h.errsBase.Store(r.Losses())
 			r.SendControl(wire.PktPing, nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
 			gap := h.probeGap.Load()
@@ -166,37 +146,6 @@ func (e *Engine) railMaint(now int64) {
 			}
 			h.probeGap.Store(gap)
 		}
-	}
-	if e.cfg.AutoStripeWeights {
-		e.rttProbes(now)
-		e.retuneWeights(now)
-	}
-}
-
-// rttProbes sends a timestamped health ping on each active striping rail
-// once per weightPeriod; caller owns the maintenance scan. The pong
-// echoes the stamp (handlePong) and the EWMA round-trip time feeds the
-// latency penalty in retuneWeights — queueing delay that a goodput
-// window cannot see. Probes go to a fixed representative peer (rank 0,
-// or 1 when we are rank 0), skipping it once it is declared dead.
-func (e *Engine) rttProbes(now int64) {
-	dst := 0
-	if e.node == 0 {
-		dst = 1
-	}
-	if e.PeerDead(dst) {
-		return
-	}
-	for i, r := range e.rails {
-		h := &e.health[i]
-		if !h.active() || r.StripeWeight() <= 0 {
-			continue
-		}
-		if now < h.nextRTT.Load() {
-			continue
-		}
-		h.nextRTT.Store(now + int64(weightPeriod))
-		r.SendControl(wire.PktPing, nic.Header{Src: e.node, Dst: dst, Tag: -1, Seq: uint64(now)})
 	}
 }
 
@@ -211,30 +160,17 @@ func (e *Engine) handlePing(rail *nic.Driver, p *wire.Packet) {
 // sent after the demotion proves the rail carries frames both ways
 // again, and quiet loss counters since the ping prove nothing else died
 // meanwhile — together that readmits the rail to the stripe set, live.
-// The evidence must be causal: the echo of a ping sent before the
-// demotion (an RTT probe queued behind striped DATA, say) crossed the
-// rail while it still worked and says nothing about it now. A stale pong
-// or one with moved counters leaves the rail on probation; the next
-// probe rebaselines and tries again.
+// The evidence must be causal: the echo of a probe sent before the
+// current demotion (a probation probe from an earlier demotion, answered
+// late) crossed the rail while it still worked and says nothing about it
+// now. A stale pong or one with moved counters leaves the rail on
+// probation; the next probe rebaselines and tries again.
 func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 	i := e.railIndex(rail)
 	if i < 0 {
 		return
 	}
 	h := &e.health[i]
-	// Every ping carries its send stamp in Seq; the echo is an RTT
-	// sample for the retune's latency penalty regardless of whether the
-	// rail is on probation.
-	if p.Seq != 0 {
-		if rtt := time.Now().UnixNano() - int64(p.Seq); rtt > 0 {
-			prev := h.rttNanos.Load()
-			if prev == 0 {
-				h.rttNanos.Store(rtt)
-			} else {
-				h.rttNanos.Store(int64((1-rttAlpha)*float64(prev) + rttAlpha*float64(rtt)))
-			}
-		}
-	}
 	demoted := h.demotedAt.Load()
 	if demoted == 0 || int64(p.Seq) <= demoted {
 		return
@@ -255,81 +191,5 @@ func (e *Engine) handlePong(rail *nic.Driver, p *wire.Packet) {
 	e.nReadmits.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRailReadmit, -1, -1, 0, "rail %s readmitted", rail.Name())
-	}
-}
-
-// retuneWeights folds each rail's measured goodput into its live stripe
-// weight as an EWMA; caller owns the maintenance scan. Goodput is bytes
-// moved per microsecond over the window, discounted by the window's loss
-// ratio and by the rail's probe RTT relative to the best rail's, so a
-// degraded-but-alive rail (delivering, but slowly, lossily, or behind a
-// deep queue) sheds stripe share continuously instead of stalling tails
-// at full share. The RTT penalty is what catches latency a goodput
-// window cannot see: a rail that still moves bytes but does so k× slower
-// round-trip gets its measured goodput divided by k.
-// Idle rails and rails whose weight is zero (deliberately out of the
-// stripe set) are left alone.
-func (e *Engine) retuneWeights(now int64) {
-	// The penalty baseline is the fastest active striping rail; with one
-	// rail (or no RTT samples yet) the penalty is a no-op.
-	minRTT := int64(0)
-	for i, r := range e.rails {
-		h := &e.health[i]
-		if !h.active() || r.StripeWeight() <= 0 {
-			continue
-		}
-		if rtt := h.rttNanos.Load(); rtt > 0 && (minRTT == 0 || rtt < minRTT) {
-			minRTT = rtt
-		}
-	}
-	for i, r := range e.rails {
-		h := &e.health[i]
-		if !h.active() {
-			// A probation rail carries no stripe traffic; freeze its weight
-			// so it rejoins with the share it held when it failed instead
-			// of one decayed by idle windows.
-			continue
-		}
-		if now-h.lastAt < int64(weightPeriod) {
-			continue
-		}
-		st := r.Stats()
-		bytes := st.DataBytes + st.EagerBytes
-		sent := st.DataSent + st.EagerSent
-		lost := r.Losses()
-		dBytes, dSent, dLost := bytes-h.lastBytes, sent-h.lastSent, lost-h.lastLost
-		dt := now - h.lastAt
-		h.lastBytes, h.lastSent, h.lastLost, h.lastAt = bytes, sent, lost, now
-		if dt > 4*int64(weightPeriod) {
-			// Stale window — the rail just came off probation (baselines
-			// frozen) or the engine idled. The deltas span the gap, so a
-			// goodput computed from them is garbage; rebaseline and measure
-			// from the next window.
-			continue
-		}
-		if dSent == 0 || dBytes == 0 {
-			continue
-		}
-		w := r.StripeWeight()
-		if w <= 0 {
-			continue
-		}
-		lossRatio := float64(dLost) / float64(dSent)
-		if lossRatio > 1 {
-			lossRatio = 1
-		}
-		measured := float64(dBytes) / (float64(dt) / 1e3) * (1 - lossRatio)
-		if rtt := h.rttNanos.Load(); rtt > 0 && minRTT > 0 && rtt > minRTT {
-			measured *= float64(minRTT) / float64(rtt)
-		}
-		next := (1-weightAlpha)*w + weightAlpha*measured
-		if diff := next - w; diff < w*weightDeadband && diff > -w*weightDeadband {
-			continue
-		}
-		r.SetStripeWeight(next)
-		e.nRetunes.Add(1)
-		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindData, -1, -1, 0, "rail %s weight %.0f -> %.0f", r.Name(), w, next)
-		}
 	}
 }

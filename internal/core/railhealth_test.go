@@ -8,11 +8,12 @@ import (
 )
 
 // TestStalePongDoesNotReadmit pins that rail health evidence is causal:
-// the echo of a ping sent before the demotion (an RTT probe whose pong
-// queued behind striped DATA) crossed the rail while it still worked, so
-// it must leave the rail on probation; only the echo of a probe sent
-// after the demotion readmits it. A Sequential engine nobody waits on
-// runs no progress pass, so no genuine probe races the injected pongs.
+// the echo of a probe sent before the current demotion (a probation
+// probe from an earlier demotion, answered late) crossed the rail while
+// it still worked, so it must leave the rail on probation; only the echo
+// of a probe sent after the demotion readmits it. A Sequential engine
+// nobody waits on runs no progress pass, so no genuine probe races the
+// injected pongs.
 func TestStalePongDoesNotReadmit(t *testing.T) {
 	c := newCluster(t, 2, withMode(Sequential))
 	eng := c.Nodes[0].Eng

@@ -333,8 +333,8 @@ func (e *Engine) stripeData(h nic.Header, data []byte, rails []*nic.Driver) {
 	}
 	off := 0
 	for i, r := range rails {
-		// Weights are live (SetStripeWeight, the online retune), so the
-		// last span takes whatever the rounding or a retune left.
+		// Weights are live (a caller may SetStripeWeight mid-run), so
+		// the last span takes whatever the rounding or a new weight left.
 		end := len(data)
 		if i < len(rails)-1 && total > 0 {
 			end = min(off+int(float64(len(data))*r.StripeWeight()/total), len(data))
@@ -402,7 +402,7 @@ func (e *Engine) dataRails(into []*nic.Driver, dst, size int) []*nic.Driver {
 		}
 	}
 	if len(into) == 0 {
-		// Every weight was retuned to zero.
+		// Every weight was set to zero.
 		into = append(into, e.railFor(dst))
 	}
 	return into

@@ -70,15 +70,15 @@ func newSessionID() uint64 {
 }
 
 // maybeMaint runs the self-healing maintenance scan when it is due: the
-// rendezvous resend timer, probation-rail health probes, and the online
-// stripe-weight retune. n is the progress-pass count; the pass mask plus
-// three atomic loads keep the common idle case (nothing pending, every
-// rail active, auto-weights off) at a handful of instructions per pass.
+// rendezvous resend timer and probation-rail health probes. n is the
+// progress-pass count; the pass mask plus two atomic loads keep the
+// common idle case (nothing pending, every rail active) at a handful of
+// instructions per pass.
 func (e *Engine) maybeMaint(n uint64) {
 	if n&maintPassMask != 0 {
 		return
 	}
-	if e.pendingRdv.Load() == 0 && e.probationCount.Load() == 0 && !e.cfg.AutoStripeWeights {
+	if e.pendingRdv.Load() == 0 && e.probationCount.Load() == 0 {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -86,8 +86,8 @@ func (e *Engine) maybeMaint(n uint64) {
 	if now < next || !e.nextMaint.CompareAndSwap(next, maintRunning) {
 		return
 	}
-	// The CAS winner owns the scan — maintBuf, maintDone and the rails'
-	// EWMA fields — until it stores the next due time.
+	// The CAS winner owns the scan — maintBuf and maintDone — until it
+	// stores the next due time.
 	if e.pendingRdv.Load() > 0 {
 		e.replayDue(now)
 	}

@@ -61,7 +61,6 @@ func newEngineTelemetry(reg *telemetry.Registry, e *Engine) *engineTelemetry {
 	reg.RegisterCounter(p+".rdv_replays", "unacked rendezvous RTS/data re-posted by the replay timer", e.nReplays.Load)
 	reg.RegisterCounter(p+".rdv_acked", "rendezvous sends completed by a receiver data-ack", e.nAcks.Load)
 	reg.RegisterCounter(p+".rail_readmits", "probation rails readmitted to the stripe set", e.nReadmits.Load)
-	reg.RegisterCounter(p+".stripe_retunes", "online EWMA stripe-weight adjustments applied", e.nRetunes.Load)
 	reg.RegisterCounter(p+".peer_dead", "peer ranks declared dead (deadline detection or cluster verdict)", e.nPeerDead.Load)
 	reg.RegisterCounter(p+".reqs_failed", "requests completed with ErrPeerDead", e.nReqFailed.Load)
 	reg.RegisterCounter(p+".frames_dropped", "inbound frames dropped, for the reasons core.dropReason lists: source outside the world, kind not consumed, malformed train, malformed RTS, negative DATA offset, dead source, consumed sequence, DATA past length", e.nDropped.Load)
@@ -101,9 +100,6 @@ func (e *Engine) registerRails(reg *telemetry.Registry) {
 				return 0
 			}
 			return 1
-		})
-		reg.RegisterGauge(prefix+".rtt_ns", "EWMA health-probe round-trip time (ns, 0 until measured)", func() uint64 {
-			return uint64(h.rttNanos.Load())
 		})
 	}
 }

@@ -86,14 +86,16 @@ func RunSelfHealing(t *testing.T, open OpenFabric) {
 // RunSelfHealSoak runs the rail death-and-recovery soak against the
 // backend: a bonded two-rail world where the secondary rail's sender
 // endpoint is killed mid-run and later revives, under a stream of
-// striped rendezvous with online stripe weights enabled. The world must
-// (1) keep completing transfers through the dead window via acked
-// replay, (2) demote the killed rail to probation when its loss
-// surfaces, (3) readmit it after a successful health probe — and not
-// before: a readmission seen while the endpoint still discards every
-// frame was granted on evidence that predates the failure — and
-// (4) demonstrably put traffic back on it — all asserted from telemetry
-// snapshot deltas, the way an operator would see it.
+// striped rendezvous. The world must (1) keep completing transfers
+// through the dead window via acked replay, (2) demote the killed rail
+// to probation when its loss surfaces, (3) readmit it after a successful
+// health probe — and not before: a readmission seen while the endpoint
+// still discards every frame was granted on evidence that predates the
+// failure — (4) demonstrably put traffic back on it, and (5) leave both
+// rails' declared stripe weights untouched: probation and readmission
+// move a rail in and out of the stripe set, never its share — all
+// asserted from telemetry snapshot deltas, the way an operator would see
+// it.
 func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 	t.Run("SelfHealSoak", func(t *testing.T) {
 		good := open(t, 2)
@@ -109,15 +111,14 @@ func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 		})
 		reg := telemetry.NewRegistry()
 		w := mpi.NewWorld(mpi.Config{
-			Nodes:             2,
-			Mode:              core.Multithreaded,
-			OffloadEager:      true,
-			EnableBlocking:    true,
-			AutoStripeWeights: true,
-			MX:                failoverParams("railA"),
-			ExtraRails:        []nic.Params{failoverParams("railB")},
-			Fabrics:           map[string]fabric.Fabric{"railA": good, "railB": chaotic},
-			Metrics:           reg,
+			Nodes:          2,
+			Mode:           core.Multithreaded,
+			OffloadEager:   true,
+			EnableBlocking: true,
+			MX:             failoverParams("railA"),
+			ExtraRails:     []nic.Params{failoverParams("railB")},
+			Fabrics:        map[string]fabric.Fabric{"railA": good, "railB": chaotic},
+			Metrics:        reg,
 		})
 		defer closeWorld(t, w)
 		msg := patterned(192 << 10)
@@ -182,8 +183,11 @@ func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 			t.Errorf("readmitted rail only lost traffic: sent +%d, lost +%d",
 				sentAfter-readmitSent, lostAfter-readmitLost)
 		}
-		if rt := snap.Value("node0.engine.stripe_retunes"); rt == 0 {
-			t.Error("node0.engine.stripe_retunes is 0: online weights never adjusted during the soak")
+		for _, rail := range []string{"railA", "railB"} {
+			want := uint64(failoverParams(rail).StripeWeight)
+			if got := snap.Value("node0.rail." + rail + ".stripe_weight"); got != want {
+				t.Errorf("node0.rail.%s.stripe_weight is %d after the soak, want the declared %d", rail, got, want)
+			}
 		}
 		if hs := snap.Value("node0.rail.railB.health_state"); hs != 0 {
 			t.Error("railB still reports probation in the final snapshot")

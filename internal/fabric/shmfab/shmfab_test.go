@@ -125,6 +125,20 @@ func TestSelfHealingConformance(t *testing.T) {
 	})
 }
 
+// TestSelfHealSoakConformance runs the rail death-and-recovery soak:
+// mid-run kill and revival of the secondary shared-memory rail,
+// probation, probe-driven re-admission, and post-recovery traffic on the
+// healed rail, whose declared stripe weight must survive unchanged.
+func TestSelfHealSoakConformance(t *testing.T) {
+	conformance.RunSelfHealSoak(t, func(t *testing.T, nodes int) fabric.Fabric {
+		l, err := shmfab.NewLocal(nodes, t.TempDir())
+		if err != nil {
+			t.Fatalf("NewLocal(%d): %v", nodes, err)
+		}
+		return l
+	})
+}
+
 // TestPeerDeathConformance runs the bounded-failure contract: one rank
 // of a three-rank shared-memory world dies mid-rendezvous, pending
 // requests toward it must complete with core.ErrPeerDead within the

@@ -103,20 +103,10 @@ func TestPeerDeathConformance(t *testing.T) {
 	})
 }
 
-// TestRTTRetuneConformance runs the latency-penalty regression: a bonded
-// world where railB delivers everything but 2ms late, invisible to
-// sender-side goodput windows, and the health-probe RTT must drive the
-// online retune to shed the slow rail's stripe share.
-func TestRTTRetuneConformance(t *testing.T) {
-	conformance.RunRTTRetune(t, func(t *testing.T, nodes int) fabric.Fabric {
-		return simfab.New(wire.NewFabric(nodes, wire.MYRI10G()))
-	})
-}
-
 // TestSelfHealSoakConformance runs the rail death-and-recovery soak:
 // mid-run kill and revival of the secondary simulated rail, probation,
 // probe-driven re-admission, and post-recovery traffic on the healed
-// rail, with online stripe weights enabled throughout.
+// rail, whose declared stripe weight must survive unchanged.
 func TestSelfHealSoakConformance(t *testing.T) {
 	conformance.RunSelfHealSoak(t, func(t *testing.T, nodes int) fabric.Fabric {
 		return simfab.New(wire.NewFabric(nodes, wire.MYRI10G()))

@@ -168,7 +168,7 @@ func TestPeerDeathConformance(t *testing.T) {
 // TestSelfHealSoakConformance runs the rail death-and-recovery soak:
 // mid-run kill and revival of the secondary socket rail, probation,
 // probe-driven re-admission, and post-recovery traffic on the healed
-// rail, with online stripe weights enabled throughout.
+// rail, whose declared stripe weight must survive unchanged.
 func TestSelfHealSoakConformance(t *testing.T) {
 	conformance.RunSelfHealSoak(t, func(t *testing.T, nodes int) fabric.Fabric {
 		l, err := tcpfab.NewLocal(nodes)

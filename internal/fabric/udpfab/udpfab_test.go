@@ -138,7 +138,7 @@ func TestPeerDeathConformance(t *testing.T) {
 // TestSelfHealSoakConformance runs the rail death-and-recovery soak:
 // mid-run kill and revival of the secondary UDP rail, probation,
 // probe-driven re-admission, and post-recovery traffic on the healed
-// rail, with online stripe weights enabled throughout.
+// rail, whose declared stripe weight must survive unchanged.
 func TestSelfHealSoakConformance(t *testing.T) {
 	conformance.RunSelfHealSoak(t, openLocal)
 }

@@ -44,13 +44,6 @@ type Config struct {
 	AdaptiveOffload bool
 	// Strategy is the eager optimizer's name (core.Config.Strategy).
 	Strategy string
-	// AutoStripeWeights mirrors core.Config.AutoStripeWeights: each
-	// engine's maintenance tick continuously re-tunes the live stripe
-	// weights from measured per-rail goodput (EWMA over Stats deltas),
-	// so a degraded rail sheds stripe share mid-run. Leave it off for
-	// benchmarks that calibrate weights themselves (solo sweeps that
-	// zero every other rail's weight).
-	AutoStripeWeights bool
 	// MX configures the inter-node rail (zero value: nic.MXParams).
 	MX nic.Params
 	// SHM configures the intra-node rail; nil Name disables it.
@@ -295,14 +288,13 @@ func (w *World) startNode(rank int, rails []*nic.Driver) *Node {
 		rec = trace.NewRecorder(cfg.TraceCapacity)
 	}
 	eng := core.New(rank, sch, srv, rails, core.Config{
-		Mode:              cfg.Mode,
-		OffloadEager:      cfg.OffloadEager,
-		AdaptiveOffload:   cfg.AdaptiveOffload,
-		Strategy:          cfg.Strategy,
-		AutoStripeWeights: cfg.AutoStripeWeights,
-		PeerDeadline:      cfg.PeerDeadline,
-		Trace:             rec,
-		Metrics:           cfg.Metrics,
+		Mode:            cfg.Mode,
+		OffloadEager:    cfg.OffloadEager,
+		AdaptiveOffload: cfg.AdaptiveOffload,
+		Strategy:        cfg.Strategy,
+		PeerDeadline:    cfg.PeerDeadline,
+		Trace:           rec,
+		Metrics:         cfg.Metrics,
 	})
 	if cfg.Metrics != nil {
 		registerNodeMetrics(cfg.Metrics, rank, srv)

@@ -244,8 +244,9 @@ type Driver struct {
 	// would refuse the submission outright.
 	maxFrame int
 	// stripeWeight is the live striping weight (float64 bits): it starts
-	// at Params.StripeWeight and may be retuned at runtime from measured
-	// bandwidth, so it lives outside the immutable Params copy.
+	// at Params.StripeWeight and a caller may replace it at runtime with
+	// SetStripeWeight (say, from a calibration run), so it lives outside
+	// the immutable Params copy. The engine never changes it.
 	stripeWeight atomic.Uint64
 
 	// Activity counters. telemetry.Counter is the same single atomic
@@ -347,7 +348,7 @@ func (d *Driver) StripeWeight() float64 {
 	return math.Float64frombits(d.stripeWeight.Load())
 }
 
-// SetStripeWeight retunes the striping weight at runtime, e.g. from a
+// SetStripeWeight sets the striping weight at runtime, e.g. to a
 // bandwidth actually measured on this host instead of the preset's
 // declared baseline. Negative weights are clamped to zero.
 func (d *Driver) SetStripeWeight(w float64) {

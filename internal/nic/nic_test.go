@@ -278,8 +278,8 @@ func TestDecodeRTS(t *testing.T) {
 // TestStripeWeights pins the preset weights the multirail strategy keys
 // off: inter-node rails (simulated and real) declare bandwidth shares,
 // the simulated intra-node SHM channel declares none (it must stay out
-// of cross-node striping), and a driver's live weight can be retuned at
-// runtime from measured bandwidth.
+// of cross-node striping), and a caller can set a driver's live weight
+// at runtime from a measured bandwidth.
 func TestStripeWeights(t *testing.T) {
 	for name, p := range map[string]Params{
 		"mx": MXParams(), "tcp": TCPParams(), "real": RealParams(), "shm-real": ShmParams(),
@@ -298,7 +298,7 @@ func TestStripeWeights(t *testing.T) {
 	}
 	d.SetStripeWeight(123.5)
 	if d.StripeWeight() != 123.5 {
-		t.Fatalf("retuned weight %v, want 123.5", d.StripeWeight())
+		t.Fatalf("set weight %v, want 123.5", d.StripeWeight())
 	}
 	d.SetStripeWeight(-1)
 	if d.StripeWeight() != 0 {
