@@ -19,8 +19,8 @@ import (
 // engine's health state and the rail's current striping weight.
 type railRow struct {
 	sent, recv, lost, errs uint64
-	weight                 uint64
-	health                 uint64 // 0 active, 1 probation
+	weight                 float64 // from the stripe_weight_milli gauge
+	health                 uint64  // 0 active, 1 probation
 	occ                    *telemetry.HistogramValue
 }
 
@@ -69,8 +69,8 @@ func renderTop(delta map[string]telemetry.MetricValue, elapsed time.Duration) st
 				r.lost += m.Value
 			case "send_errs":
 				r.errs += m.Value
-			case "stripe_weight":
-				r.weight = m.Value
+			case "stripe_weight_milli":
+				r.weight = float64(m.Value) / 1000
 			case "health_state":
 				r.health = m.Value
 			case "batch_occupancy":
@@ -141,7 +141,7 @@ func renderTop(delta map[string]telemetry.MetricValue, elapsed time.Duration) st
 		if r.health != 0 {
 			state = "PROB"
 		}
-		fmt.Fprintf(&b, "%-16s %10.0f %10.0f %8d %8d %6d %6d %7d %6s\n",
+		fmt.Fprintf(&b, "%-16s %10.0f %10.0f %8d %8d %6d %6d %7.4g %6s\n",
 			key, rate(r.sent), rate(r.recv), r.occ.Quantile(0.5), r.occ.Quantile(0.99), r.lost, r.errs, r.weight, state)
 	}
 	if len(peers) > 0 {

@@ -17,11 +17,12 @@ func cannedSnapshots() (*telemetry.Snapshot, *telemetry.Snapshot) {
 	lost := reg.Counter("node0.rail.shm.lost_frames", "")
 	reg.Counter("node0.rail.shm.send_errs", "")
 	occ := reg.Histogram("node0.rail.shm.batch_occupancy", "")
-	reg.RegisterGauge("node0.rail.shm.stripe_weight", "", func() uint64 { return 12 })
+	reg.RegisterGauge("node0.rail.shm.stripe_weight_milli", "", func() uint64 { return 12000 })
 	reg.RegisterGauge("node0.rail.shm.health_state", "", func() uint64 { return 0 })
 	// A second rail sitting in probation, to pin the lifecycle column.
 	reg.Counter("node0.rail.wan.eager_sent", "")
 	reg.RegisterGauge("node0.rail.wan.health_state", "", func() uint64 { return 1 })
+	reg.RegisterGauge("node0.rail.wan.stripe_weight_milli", "", func() uint64 { return 4 })
 	sends := reg.Counter("node0.engine.sends_posted", "")
 	dwell := reg.Histogram("node0.engine.progress_dwell_ns", "")
 	pSent := reg.Counter("node0.peer.1.sent_msgs", "")
@@ -68,7 +69,8 @@ func TestRenderTop(t *testing.T) {
 		"bufpool: 50 gets/s, 90.0% pooled",
 		"weight",
 		"state",
-		"12", // shm's live stripe weight
+		"12",    // shm's live stripe weight, 12000 thousandths
+		"0.004", // wan's, 4 thousandths
 		"up",
 		"node0.wan",
 		"PROB", // the probation rail's lifecycle state

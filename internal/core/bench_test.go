@@ -84,7 +84,7 @@ func BenchmarkAggrEncodeDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := encodeAggr(train)
+		enc := pooledTrain(train)
 		if !validAggr(enc) {
 			b.Fatal("decode failed")
 		}

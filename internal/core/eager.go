@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/bufpool"
 	"pioman/internal/nic"
+	"pioman/internal/sync2"
 	"pioman/internal/topo"
 	"pioman/internal/trace"
 	"pioman/internal/wire"
@@ -178,20 +180,14 @@ func (e *Engine) matchTrain(core topo.CoreID, src int, train []byte) (rest []byt
 	for len(train) > 0 {
 		matched := e.matchBuf[:0]
 		e.qlock.Lock()
-		if !p.dead.Load() && len(p.stash) == 0 {
-			for len(train) > 0 && len(matched) < trainHold {
-				tag, seq, data, next := splitAggr(train)
-				if seq != p.lastSeq+1 {
-					break
-				}
-				r := e.matchPostedLocked(src, tag)
-				if r == nil {
-					break
-				}
-				p.lastSeq = seq
-				matched = append(matched, trainMatch{r: r, tag: tag, data: data})
-				train = next
+		for open := p.inOrderLocked(); len(train) > 0 && len(matched) < trainHold && open; {
+			tag, seq, data, next := splitAggr(train)
+			r := e.matchNextLocked(p, src, tag, seq)
+			if r == nil {
+				break
 			}
+			matched = append(matched, trainMatch{r: r, tag: tag, data: data})
+			train = next
 		}
 		e.qlock.Unlock()
 		for i, m := range matched {
@@ -204,6 +200,49 @@ func (e *Engine) matchTrain(core topo.CoreID, src int, train []byte) (rest []byt
 		}
 	}
 	return train
+}
+
+// matchLone delivers a lone eager frame under one qlock hold when it is
+// the stream's next, its peer is alive, the stash is empty and a posted
+// receive matches it — the case of every window's credit and every
+// ping-pong leg — and reports whether it did; caller holds pollLock.
+// Any other frame (a gap, a stash, a dead peer, a consumed sequence, an
+// unexpected frame) is left to handleMatchable, which needs the arrival
+// and its three holds.
+func (e *Engine) matchLone(core topo.CoreID, p *wire.Packet) bool {
+	src := &e.peers[p.Src]
+	var r *RecvReq
+	e.qlock.Lock()
+	if src.inOrderLocked() {
+		r = e.matchNextLocked(src, p.Src, p.Tag, p.Seq)
+	}
+	e.qlock.Unlock()
+	if r == nil {
+		return false
+	}
+	e.deliverEager(core, r, p.Src, p.Tag, p.Payload)
+	return true
+}
+
+// inOrderLocked reports whether the peer's stream delivers frames as
+// they come: the peer is alive and nothing waits in its stash. Caller
+// holds qlock.
+func (p *peer) inOrderLocked() bool { return len(p.stash) == 0 && !p.dead.Load() }
+
+// matchNextLocked takes the posted receive for the eager frame (tag,
+// seq) from src of a stream inOrderLocked approved, when seq is the
+// stream's next and a receive matches: it then advances lastSeq and
+// returns the receive; otherwise it changes nothing and returns nil.
+// Caller holds qlock.
+func (e *Engine) matchNextLocked(p *peer, src, tag int, seq uint64) *RecvReq {
+	if seq != p.lastSeq+1 {
+		return nil
+	}
+	r := e.posted.match(src, tag)
+	if r != nil {
+		p.lastSeq = seq
+	}
+	return r
 }
 
 // processMatchable dispatches an in-order arrival and reports whether a
@@ -223,7 +262,7 @@ func (e *Engine) processMatchable(core topo.CoreID, ev *arrival) (kept bool) {
 // copy, so even the unexpected path recycles its buffers.
 func (e *Engine) handleEager(core topo.CoreID, ev *arrival) (kept bool) {
 	e.qlock.Lock()
-	r := e.matchPostedLocked(ev.src, ev.tag)
+	r := e.posted.match(ev.src, ev.tag)
 	e.qlock.Unlock()
 	if r != nil {
 		e.deliverEager(core, r, ev.src, ev.tag, ev.payload)
@@ -241,7 +280,7 @@ func (e *Engine) handleEager(core topo.CoreID, ev *arrival) (kept bool) {
 		e.cfg.Trace.Recordf(trace.KindUnexpected, int(core), ev.tag, n, "src=%d", ev.src)
 	}
 	e.qlock.Lock()
-	if r := e.matchPostedLocked(ev.src, ev.tag); r != nil {
+	if r := e.posted.match(ev.src, ev.tag); r != nil {
 		e.qlock.Unlock()
 		// Second copy, pool to application buffer.
 		ev.rail.ChargeMatchCopy(n)
@@ -269,17 +308,53 @@ func (e *Engine) deliverEager(core topo.CoreID, r *RecvReq, src, tag int, payloa
 	r.req.Complete()
 }
 
-// matchPostedLocked removes and returns the oldest posted receive matching
-// (src, tag); caller holds qlock. A posted receive may wildcard the source
-// (AnySource) and/or the tag (AnyTag).
-func (e *Engine) matchPostedLocked(src, tag int) *RecvReq {
-	for i, r := range e.posted {
-		if (r.tag == tag || r.tag == AnyTag) && (r.src == AnySource || r.src == src) {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
+// postedQueue is the engine's list of posted receives, oldest first,
+// guarded by qlock. Like sendQueue it keeps a head index: a window of
+// receives matched in post order pops each at the head in O(1), where
+// removing from a plain slice shifts every younger entry.
+type postedQueue struct {
+	q    []*RecvReq
+	head int
+}
+
+// push appends a newly posted receive.
+func (pq *postedQueue) push(r *RecvReq) {
+	pq.q, pq.head = sync2.CompactQueue(pq.q, pq.head)
+	pq.q = append(pq.q, r)
+}
+
+// match removes and returns the oldest posted receive matching (src,
+// tag), or nil; caller holds qlock. A posted receive may wildcard the
+// source (AnySource) and/or the tag (AnyTag). A receive behind the head
+// leaves by shifting the older entries it skipped one slot up, so
+// removal costs no more than the scan that found it.
+func (pq *postedQueue) match(src, tag int) *RecvReq {
+	for i := pq.head; i < len(pq.q); i++ {
+		if r := pq.q[i]; r.matches(src, tag) {
+			copy(pq.q[pq.head+1:i+1], pq.q[pq.head:i])
+			pq.q[pq.head] = nil
+			pq.head++
+			if pq.head == len(pq.q) {
+				pq.q, pq.head = pq.q[:0], 0
+			}
 			return r
 		}
 	}
 	return nil
+}
+
+// matches reports whether a message from src under tag matches the
+// posted receive r, wildcards included.
+func (r *RecvReq) matches(src, tag int) bool {
+	return (r.tag == tag || r.tag == AnyTag) && (r.src == AnySource || r.src == src)
+}
+
+// deleteFunc removes every posted receive del reports true for, keeping
+// the order of the rest.
+func (pq *postedQueue) deleteFunc(del func(*RecvReq) bool) {
+	n := copy(pq.q, pq.q[pq.head:])
+	clear(pq.q[n:])
+	pq.q, pq.head = slices.DeleteFunc(pq.q[:n], del), 0
 }
 
 // takeUnexpected removes and returns the oldest unexpected arrival

@@ -192,6 +192,9 @@ type Engine struct {
 	// goroutine that would deliver the awaited frame may need this very
 	// processor. Fixed at construction.
 	goroutineFed bool
+	// selfRail carries self traffic: the first rail named "shm", else
+	// the default rail. Fixed at construction.
+	selfRail *nic.Driver
 
 	// qlock protects the matching lists, the send queue and every peer's
 	// protocol state. Critical sections are short (list
@@ -199,8 +202,24 @@ type Engine struct {
 	// outside it.
 	qlock      sync2.SpinLock
 	sendq      sendQueue
-	posted     []*RecvReq
+	posted     postedQueue
 	unexpected []*arrival
+	// sendqReady mirrors "sendq is not empty" for the submission path's
+	// unlocked gate: the push that fills the queue sets it and the take
+	// that empties it clears it, both under qlock, so an empty progress
+	// pass skips submitLock and qlock. A push that races the gate is
+	// picked up by the next pass, which its post's kick or wait runs.
+	sendqReady atomic.Bool
+	// sendFree and recvFree are the engine's local request stacks,
+	// guarded by qlock; sendBack and recvBack are the lock-free lists
+	// Release returns requests to (request.go, "Request freelists").
+	sendFree []*SendReq
+	recvFree []*RecvReq
+	sendBack atomic.Pointer[SendReq]
+	recvBack atomic.Pointer[RecvReq]
+	// nSends and nRecvs count posts; guarded by qlock, which every post
+	// holds anyway.
+	nSends, nRecvs uint64
 	// peers is indexed by rank and never resized, so &e.peers[r] is
 	// stable and the per-message path indexes instead of hashing.
 	peers []peer
@@ -242,6 +261,9 @@ type Engine struct {
 	// trains in; every user holds submitLock, so one buffer serves the
 	// engine and steady-state submission stays allocation-free.
 	trainBuf []*SendReq
+	// encodeTrain is encodeTrainBuf bound to the engine, made once so a
+	// train's submission passes the rail its encoder without allocating.
+	encodeTrain func(out []byte)
 
 	// biglock is the Sequential baseline's library-wide mutex: classical
 	// thread-safe engines serialize every library call behind one lock
@@ -277,8 +299,6 @@ type Engine struct {
 
 	msgID atomic.Uint64
 
-	nSends     atomic.Uint64
-	nRecvs     atomic.Uint64
 	nEager     atomic.Uint64
 	nOffload   atomic.Uint64
 	nRdv       atomic.Uint64
@@ -331,6 +351,7 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		health:  make([]railHealth, len(rails)),
 		pollBuf: make([]*wire.Packet, pollBatchSize),
 	}
+	e.encodeTrain = e.encodeTrainBuf
 	for i := range e.health {
 		e.health[i].probeGap.Store(int64(probeGapInit))
 	}
@@ -344,6 +365,13 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		}
 	}
 	weighted := 0
+	e.selfRail = rails[0]
+	for _, r := range rails {
+		if r.Name() == "shm" {
+			e.selfRail = r
+			break
+		}
+	}
 	for _, r := range rails {
 		e.goroutineFed = e.goroutineFed || r.GoroutineFed()
 		if r.StripeWeight() > 0 {
@@ -388,14 +416,10 @@ func (e *Engine) defaultRail() *nic.Driver { return e.rails[0] }
 func (e *Engine) Rails() []*nic.Driver { return e.rails }
 
 // railFor picks the rail for traffic to dst: self traffic prefers a
-// shared-memory rail when one is configured.
+// shared-memory rail when one is configured (selfRail).
 func (e *Engine) railFor(dst int) *nic.Driver {
 	if dst == e.node {
-		for _, r := range e.rails {
-			if r.Name() == "shm" {
-				return r
-			}
-		}
+		return e.selfRail
 	}
 	return e.rails[0]
 }
@@ -417,9 +441,10 @@ func (e *Engine) Close() {
 
 // Stats returns a snapshot of engine counters.
 func (e *Engine) Stats() Stats {
+	sends, recvs := e.postCounts()
 	return Stats{
-		SendsPosted:    e.nSends.Load(),
-		RecvsPosted:    e.nRecvs.Load(),
+		SendsPosted:    sends,
+		RecvsPosted:    recvs,
 		EagerSubmits:   e.nEager.Load(),
 		OffloadSubmits: e.nOffload.Load(),
 		RdvStarted:     e.nRdv.Load(),
@@ -434,4 +459,11 @@ func (e *Engine) Stats() Stats {
 		ReqsFailed:     e.nReqFailed.Load(),
 		FramesDropped:  e.nDropped.Load(),
 	}
+}
+
+// postCounts reads the posted-request counters under qlock.
+func (e *Engine) postCounts() (sends, recvs uint64) {
+	e.qlock.Lock()
+	defer e.qlock.Unlock()
+	return e.nSends, e.nRecvs
 }

@@ -975,7 +975,7 @@ func TestAggrCodecProperty(t *testing.T) {
 				data: payload(rng.Intn(512), byte(i)),
 			})
 		}
-		enc := encodeAggr(train)
+		enc := pooledTrain(train)
 		subs := decodeAggr(enc)
 		if len(subs) != n {
 			t.Fatalf("trial %d: decoded %d subs, want %d", trial, len(subs), n)
@@ -996,7 +996,7 @@ func TestDecodeAggrCorruption(t *testing.T) {
 	}
 	// Valid header claiming more data than present.
 	train := []*SendReq{{tag: 1, data: []byte("abcd")}}
-	enc := encodeAggr(train)
+	enc := pooledTrain(train)
 	if decodeAggr(enc[:len(enc)-2]) != nil {
 		t.Error("truncated train decoded")
 	}

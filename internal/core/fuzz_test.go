@@ -163,7 +163,7 @@ func FuzzEngineFrames(f *testing.F) {
 		for _, u := range e.unexpected {
 			u.release()
 		}
-		e.unexpected, e.posted = e.unexpected[:0], e.posted[:0]
+		e.unexpected, e.posted = e.unexpected[:0], postedQueue{}
 		e.qlock.Unlock()
 		after := bufpool.Snapshot()
 		if gets, puts := after.Hits+after.Misses-before.Hits-before.Misses, after.Puts+after.Drops-before.Puts-before.Drops; gets != puts {

@@ -160,11 +160,19 @@ var ErrPeerDead = errors.New("core: peer rank is dead")
 func (e *Engine) inWorld(rank int) bool { return uint(rank) < uint(len(e.peers)) }
 
 // checkRank panics when an application post names a rank outside the
-// world — a caller bug the per-rank maps used to absorb silently.
+// world — a caller bug the per-rank maps used to absorb silently. The
+// panic lives in badRank, so the check itself inlines into every post.
 func (e *Engine) checkRank(op string, rank int) {
 	if !e.inWorld(rank) {
-		panic(fmt.Sprintf("core: %s names rank %d outside the world of %d ranks", op, rank, len(e.peers)))
+		e.badRank(op, rank)
 	}
+}
+
+// badRank raises checkRank's panic.
+//
+//go:noinline
+func (e *Engine) badRank(op string, rank int) {
+	panic(fmt.Sprintf("core: %s names rank %d outside the world of %d ranks", op, rank, len(e.peers)))
 }
 
 // PeerDead reports whether rank has been declared dead on this engine.
@@ -251,7 +259,7 @@ func (e *Engine) failPeer(rank int, sess, lastSeq uint64) {
 	}
 	// Posted receives naming the rank; AnySource survives (another rank
 	// can still match it).
-	e.posted = slices.DeleteFunc(e.posted, func(r *RecvReq) bool {
+	e.posted.deleteFunc(func(r *RecvReq) bool {
 		if r.src != rank {
 			return false
 		}
@@ -303,9 +311,11 @@ func (e *Engine) MarkPeerAlive(rank int) {
 // already completed with ErrPeerDead, so every Wait path returns
 // immediately and Release works as usual.
 func (e *Engine) failSend(dst, tag int, data []byte) *SendReq {
-	r := sendReqPool.Get().(*SendReq)
+	e.qlock.Lock()
+	r := e.takeSendLocked()
+	e.nSends++
+	e.qlock.Unlock()
 	r.dst, r.tag, r.data = dst, tag, data
-	e.nSends.Add(1)
 	e.nReqFailed.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d refused: peer dead", dst)
@@ -316,10 +326,12 @@ func (e *Engine) failSend(dst, tag int, data []byte) *SendReq {
 
 // failRecv refuses a receive naming a dead rank, mirroring failSend.
 func (e *Engine) failRecv(src, tag int, buf []byte) *RecvReq {
-	r := recvReqPool.Get().(*RecvReq)
+	e.qlock.Lock()
+	r := e.takeRecvLocked()
+	e.nRecvs++
+	e.qlock.Unlock()
 	r.src, r.tag, r.buf = src, tag, buf
 	r.from = src
-	e.nRecvs.Add(1)
 	e.nReqFailed.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(buf), "irecv src=%d refused: peer dead", src)

@@ -169,11 +169,12 @@ func (e *Engine) BlockingWait(timeout time.Duration) bool {
 }
 
 // submitPending grabs the submission lock and drains the ready part of
-// the send queue — one train only when bounded. fromApp marks
+// the send queue — one train only when bounded; a pass that finds the
+// queue empty (sendqReady clear) takes neither lock. fromApp marks
 // submissions executed on the posting thread (the baseline path) as
 // opposed to offloaded ones.
 func (e *Engine) submitPending(core topo.CoreID, fromApp, bounded bool) bool {
-	if !e.submitLock.TryLock() {
+	if !e.sendqReady.Load() || !e.submitLock.TryLock() {
 		return false
 	}
 	defer e.submitLock.Unlock()
@@ -202,6 +203,15 @@ func (e *Engine) submitInline(r *SendReq) {
 	}
 }
 
+// pushSendLocked queues a ready eager send, raising sendqReady when the
+// queue was empty; caller holds qlock.
+func (e *Engine) pushSendLocked(r *SendReq) {
+	if e.sendq.peek() == nil {
+		e.sendqReady.Store(true)
+	}
+	e.sendq.push(r)
+}
+
 // dequeueReady pops the next train whose destination rail can accept a
 // submission; it returns nil either when the queue is empty or when the
 // head's rail is still busy (the send keeps waiting, per the feed-on-idle
@@ -220,10 +230,20 @@ func (e *Engine) dequeueReady() []*SendReq {
 		return nil
 	}
 	e.trainBuf = e.sendq.take(e.trainBuf, e.aggregate, rail.MTU())
+	if e.sendq.peek() == nil {
+		e.sendqReady.Store(false)
+	}
 	return e.trainBuf
 }
 
+// encodeTrainBuf encodes the train in trainBuf into out; encodeTrain,
+// its method value made once at construction, is what submitTrain hands
+// the rail, so handing it over allocates nothing. Caller holds
+// submitLock.
+func (e *Engine) encodeTrainBuf(out []byte) { encodeAggr(out, e.trainBuf) }
+
 // submitTrain puts one train on the wire and completes its requests.
+// The train is trainBuf, as dequeueReady built it.
 // Eager sends complete at submission: the payload has been copied out of
 // the application buffer (or PIO'd), so the buffer is reusable. The
 // completion loop runs last and the request is never touched after its
@@ -245,12 +265,12 @@ func (e *Engine) submitTrain(core topo.CoreID, train []*SendReq, fromApp bool) {
 			e.cfg.Trace.Recordf(trace.KindSubmit, int(core), r0.tag, r0.Len(), "dst=%d seq=%d", r0.dst, r0.seq)
 		}
 	} else {
-		payload := encodeAggr(train)
-		rail.SendAggr(railHeader(e.node, r0.dst, -1, r0.seq, 0), payload)
+		n := aggrSize(train)
+		rail.SendAggr(railHeader(e.node, r0.dst, -1, r0.seq, 0), n, e.encodeTrain)
 		e.nEager.Add(uint64(len(train)))
 		e.nAggr.Add(uint64(len(train)))
 		if e.tracing() {
-			e.cfg.Trace.Recordf(trace.KindSubmit, int(core), -1, len(payload), "dst=%d aggregated=%d", r0.dst, len(train))
+			e.cfg.Trace.Recordf(trace.KindSubmit, int(core), -1, n, "dst=%d aggregated=%d", r0.dst, len(train))
 		}
 	}
 	for _, r := range train {
@@ -320,8 +340,10 @@ func (e *Engine) dropFrame(core topo.CoreID, why dropReason, src, tag int) {
 // A frame validFrame refuses is dropped before anything else: it does
 // not index a peer, stamp the sender's liveness or count as received.
 //
-// Packet ownership ends here: an eager frame rides its arrival and is
-// released once that is processed (possibly later, out of the stash);
+// Packet ownership ends here: an eager frame that matchLone delivers
+// straight from the packet is released when it returns; any other eager
+// frame rides its arrival and is released once that is processed
+// (possibly later, out of the stash);
 // every other frame, an aggregated train included, is released as soon
 // as its handler returns. A train's entries are walked in place:
 // matchTrain delivers its in-order, expected prefix straight from the
@@ -350,6 +372,9 @@ func (e *Engine) handlePacket(rail *nic.Driver, core topo.CoreID, p *wire.Packet
 	}
 	switch p.Kind {
 	case wire.PktEager:
+		if e.matchLone(core, p) {
+			break
+		}
 		ev := newArrival(rail, p.Src, p.Tag, p.Seq)
 		ev.payload, ev.pkt = p.Payload, p
 		e.handleMatchable(core, ev)

@@ -199,7 +199,7 @@ func (e *Engine) handleRTSFrame(rail *nic.Driver, core topo.CoreID, p *wire.Pack
 // reports itself kept.
 func (e *Engine) handleRTS(core topo.CoreID, ev *arrival) (kept bool) {
 	e.qlock.Lock()
-	r := e.matchPostedLocked(ev.src, ev.tag)
+	r := e.posted.match(ev.src, ev.tag)
 	if r == nil {
 		e.unexpected = append(e.unexpected, ev)
 		e.qlock.Unlock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"pioman/internal/piom"
@@ -12,17 +11,79 @@ import (
 	"pioman/internal/trace"
 )
 
-// Request freelists. Isend/Irecv draw their request structs here so the
-// steady-state communication path allocates nothing per operation; a
-// request flows back via its Release method once the owner is done with
-// it. Release is an optimization, not an obligation: requests that are
-// never released are reclaimed by the GC exactly as before, so only
-// callers that own the full lifecycle (the mpi layer's blocking
-// wrappers, benchmark loops) need bother.
-var (
-	sendReqPool = sync.Pool{New: func() any { return new(SendReq) }}
-	recvReqPool = sync.Pool{New: func() any { return new(RecvReq) }}
-)
+// Request freelists. Each engine recycles its own request structs, so
+// the steady-state communication path allocates nothing per operation
+// and pays no process-wide pool: Isend and Irecv pop a struct from the
+// engine's local stack inside the qlock hold they take anyway, and
+// Release pushes it back onto a lock-free list with one CAS. When the
+// local stack runs dry, the poster takes the whole returned list with
+// one Swap. Many goroutines push but only the qlock holder takes, and it
+// takes everything at once, so the list needs no ABA guard. Release is
+// an optimization, not an obligation: requests that are never released
+// are reclaimed by the GC, so only callers that own the full lifecycle
+// (the mpi layer's blocking wrappers, benchmark loops) need bother.
+
+// maxFreeReqs caps each engine's local request stack, as shmfab caps
+// its scan run: a burst of posts must not pin its peak for the engine's
+// lifetime, so a refill keeps at most this many and leaves the rest to
+// the GC.
+const maxFreeReqs = 1024
+
+// takeSendLocked pops a zeroed send request off the engine's freelist;
+// caller holds qlock. The pop inlines into the post; only an empty
+// stack pays the call into refillSendLocked.
+func (e *Engine) takeSendLocked() *SendReq {
+	n := len(e.sendFree) - 1
+	if n < 0 {
+		return e.refillSendLocked()
+	}
+	r := e.sendFree[n]
+	e.sendFree[n] = nil
+	e.sendFree = e.sendFree[:n]
+	return r
+}
+
+// refillSendLocked takes the whole returned list into the empty local
+// stack, up to maxFreeReqs, and pops one request off it — or allocates
+// when nothing was returned; caller holds qlock.
+func (e *Engine) refillSendLocked() *SendReq {
+	for r := e.sendBack.Swap(nil); r != nil && len(e.sendFree) < maxFreeReqs; {
+		next := r.next
+		r.next = nil
+		e.sendFree = append(e.sendFree, r)
+		r = next
+	}
+	if len(e.sendFree) == 0 {
+		return &SendReq{eng: e}
+	}
+	return e.takeSendLocked()
+}
+
+// takeRecvLocked is takeSendLocked for receive requests.
+func (e *Engine) takeRecvLocked() *RecvReq {
+	n := len(e.recvFree) - 1
+	if n < 0 {
+		return e.refillRecvLocked()
+	}
+	r := e.recvFree[n]
+	e.recvFree[n] = nil
+	e.recvFree = e.recvFree[:n]
+	return r
+}
+
+// refillRecvLocked is refillSendLocked for receive requests.
+func (e *Engine) refillRecvLocked() *RecvReq {
+	for r := e.recvBack.Swap(nil); r != nil && len(e.recvFree) < maxFreeReqs; {
+		next := r.next
+		r.next = nil
+		e.recvFree = append(e.recvFree, r)
+		r = next
+	}
+	if len(e.recvFree) == 0 {
+		return &RecvReq{eng: e}
+	}
+	return e.takeRecvLocked()
+}
 
 // SendReq is an asynchronous send request. An eager send completes when
 // its payload has been submitted to the NIC (copied out of the
@@ -32,7 +93,11 @@ var (
 // zero-copy replay buffer, stays untouchable until the peer provably
 // holds the whole payload.
 type SendReq struct {
-	req   piom.Request
+	req piom.Request
+	// eng is the engine whose freelist the request returns to, and next
+	// its link while it waits on that engine's returned list.
+	eng   *Engine
+	next  *SendReq
 	dst   int
 	tag   int
 	seq   uint64
@@ -107,24 +172,34 @@ func (r *SendReq) Err() error { return r.req.Err() }
 // Req exposes the underlying event-server request.
 func (r *SendReq) Req() *piom.Request { return &r.req }
 
-// Release returns a completed request to the engine's freelist. The
-// caller must be the request's sole owner and must not touch r again:
-// the next Isend anywhere in the process may reuse the struct.
-// Releasing an incomplete request panics — the engine still holds it.
+// Release returns a completed request to its engine's freelist with one
+// CAS; it is safe on any goroutine. The caller must be the request's
+// sole owner and must not touch r again: the next post on the same
+// engine may reuse the struct. Releasing an incomplete request panics —
+// the engine still holds it.
 func (r *SendReq) Release() {
 	if !r.req.Completed() {
 		panic("core: Release of an incomplete SendReq")
 	}
-	*r = SendReq{}
-	sendReqPool.Put(r)
+	e := r.eng
+	*r = SendReq{eng: e}
+	for {
+		r.next = e.sendBack.Load()
+		if e.sendBack.CompareAndSwap(r.next, r) {
+			return
+		}
+	}
 }
 
 // RecvReq is an asynchronous receive request.
 type RecvReq struct {
 	req piom.Request
-	src int // AnySource or a node id
-	tag int
-	buf []byte
+	// eng and next serve the engine's freelist, as SendReq's do.
+	eng  *Engine
+	next *RecvReq
+	src  int // AnySource or a node id
+	tag  int
+	buf  []byte
 	// Guarded by qlock until completion:
 	n         int
 	from      int
@@ -166,16 +241,23 @@ func (r *RecvReq) MatchedTag() int { return r.gotTag }
 // after completion).
 func (r *RecvReq) Truncated() bool { return r.truncated }
 
-// Release returns a completed request to the engine's freelist. The
-// caller must have read every result it needs (Len, From, MatchedTag,
-// Truncated) and must not touch r again: the next Irecv anywhere in the
-// process may reuse the struct. Releasing an incomplete request panics.
+// Release returns a completed request to its engine's freelist, as
+// SendReq.Release does. The caller must have read every result it needs
+// (Len, From, MatchedTag, Truncated) and must not touch r again: the
+// next post on the same engine may reuse the struct. Releasing an
+// incomplete request panics.
 func (r *RecvReq) Release() {
 	if !r.req.Completed() {
 		panic("core: Release of an incomplete RecvReq")
 	}
-	*r = RecvReq{}
-	recvReqPool.Put(r)
+	e := r.eng
+	*r = RecvReq{eng: e}
+	for {
+		r.next = e.recvBack.Load()
+		if e.recvBack.CompareAndSwap(r.next, r) {
+			return
+		}
+	}
 }
 
 // Isend posts an asynchronous send of data to dst under tag.
@@ -187,7 +269,10 @@ func (r *RecvReq) Release() {
 // Sequential mode (or with offloading disabled) the eager submission cost
 // is paid here, on the calling thread, as classical engines do.
 //
-// The caller must not modify data until the request completes.
+// An eager post takes one qlock hold: the request struct comes off the
+// engine's freelist, and is counted, numbered and queued in the same
+// hold. The caller must not modify data until the request completes,
+// and may hand the request back with Release once it has.
 func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 	e.checkRank("Isend", dst)
 	if e.cfg.Mode == Sequential {
@@ -200,23 +285,29 @@ func (e *Engine) Isend(dst, tag int, data []byte) *SendReq {
 	if e.postFailsFast(dst) {
 		return e.failSend(dst, tag, data)
 	}
-	r := sendReqPool.Get().(*SendReq)
-	r.dst, r.tag, r.data = dst, tag, data
-	r.rdv = len(data) > e.railFor(dst).EagerMax()
-	e.nSends.Add(1)
 	p := &e.peers[dst]
 	if e.tel != nil {
 		p.sent.Inc()
 	}
-	if r.rdv {
+	if len(data) > e.railFor(dst).EagerMax() {
+		e.qlock.Lock()
+		r := e.takeSendLocked()
+		e.nSends++
+		e.qlock.Unlock()
+		r.dst, r.tag, r.data, r.rdv = dst, tag, data, true
 		e.startRdv(r)
 		return r
 	}
 
+	// The eager post is one qlock hold: draw the request, count it,
+	// number it in the stream and queue it.
 	e.qlock.Lock()
+	r := e.takeSendLocked()
+	r.dst, r.tag, r.data = dst, tag, data
+	e.nSends++
 	p.nextSeq++
 	r.seq = p.nextSeq
-	e.sendq.push(r)
+	e.pushSendLocked(r)
 	e.qlock.Unlock()
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(data), "isend dst=%d seq=%d", dst, r.seq)
@@ -269,17 +360,17 @@ func (e *Engine) Irecv(src, tag int, buf []byte) *RecvReq {
 	if src != AnySource && e.postFailsFast(src) {
 		return e.failRecv(src, tag, buf)
 	}
-	r := recvReqPool.Get().(*RecvReq)
-	r.src, r.tag, r.buf = src, tag, buf
-	e.nRecvs.Add(1)
 	if e.tracing() {
 		e.cfg.Trace.Recordf(trace.KindRegister, -1, tag, len(buf), "irecv src=%d", src)
 	}
 
 	e.qlock.Lock()
+	r := e.takeRecvLocked()
+	r.src, r.tag, r.buf = src, tag, buf
+	e.nRecvs++
 	u := e.takeUnexpected(src, tag)
 	if u == nil {
-		e.posted = append(e.posted, r)
+		e.posted.push(r)
 		e.qlock.Unlock()
 		e.kick()
 		return r
@@ -307,9 +398,7 @@ func (e *Engine) OffloadWaiting() bool {
 	if e.cfg.Mode != Multithreaded || !e.cfg.OffloadEager {
 		return false
 	}
-	e.qlock.Lock()
-	defer e.qlock.Unlock()
-	return e.sendq.peek() != nil
+	return e.sendqReady.Load()
 }
 
 // Wait blocks the calling thread until req completes, driving progress
@@ -346,13 +435,36 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 		return
 	}
 	core := th.Core()
-	deadline := time.Now().Add(e.srv.WaitSpin())
 	// The budget check rides the step's done check, ahead of its yield,
 	// and the completion check also leads each step: a frame delivered
 	// while the waiter yielded ends the wait at once, without one more
-	// pass, and one found by that pass is not left to th.Block.
-	spent := func() bool { return req.Completed() || time.Now().After(deadline) }
-	for !req.Completed() && !e.pollStep(core, spent) {
+	// pass, and one found by that pass is not left to th.Block. The
+	// clock costs as much as a pass, so the wait reads it only when it
+	// must: the deadline is set after the first pass (which, for the
+	// first wait of a window, submits the whole train), then checked
+	// every waitClockEvery steps and after every yield, which can hand
+	// the processor away for a long while.
+	var deadline time.Time
+	steps, yielded := 0, false
+	spent := func() bool {
+		if req.Completed() {
+			return true
+		}
+		steps++
+		switch {
+		case deadline.IsZero():
+			deadline = time.Now().Add(e.srv.WaitSpin())
+			return false
+		case !yielded && steps%waitClockEvery != 0:
+			return false
+		}
+		return time.Now().After(deadline)
+	}
+	for !req.Completed() {
+		var done bool
+		if done, yielded = e.pollStep(core, spent); done {
+			break
+		}
 	}
 	if !req.Completed() {
 		th.Block(req.Flag())
@@ -372,8 +484,8 @@ func (e *Engine) Wait(req *piom.Request, th *sched.Thread) {
 // udpfab's reader those that land while nobody polls — and a
 // waiter that never leaves its processor keeps that goroutine queued
 // until Go's preemption tick. Rails whose poll alone moves the frames
-// are exempt.
-func (e *Engine) pollStep(core topo.CoreID, done func() bool) bool {
+// are exempt. yielded reports whether the step ended in that Gosched.
+func (e *Engine) pollStep(core topo.CoreID, done func() bool) (ok, yielded bool) {
 	var worked bool
 	if e.cfg.Mode == Sequential || e.srv == nil {
 		e.biglock.Lock()
@@ -383,13 +495,20 @@ func (e *Engine) pollStep(core topo.CoreID, done func() bool) bool {
 		worked = e.pollUncounted(core)
 	}
 	if done() {
-		return true
+		return true, false
 	}
 	if !worked && e.goroutineFed {
 		runtime.Gosched()
+		return false, true
 	}
-	return false
+	return false, false
 }
+
+// waitClockEvery is how many poll steps a Multithreaded wait runs
+// between two reads of the clock when it has not yielded: sixteen
+// passes that find nothing take a few µs, so a spent budget still ends
+// within that of its deadline.
+const waitClockEvery = 16
 
 // pollUntil runs pollStep on th until done holds, or until deadline
 // passes when it is nonzero, and reports whether done held. Every
@@ -404,7 +523,7 @@ func (e *Engine) pollUntil(th *sched.Thread, deadline time.Time, done func() boo
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
 		}
-		if e.pollStep(th.Core(), done) {
+		if ok, _ := e.pollStep(th.Core(), done); ok {
 			return true
 		}
 		if time.Now().After(yieldAt) {
@@ -434,8 +553,19 @@ func (e *Engine) pollUncounted(core topo.CoreID) (worked bool) {
 	return e.srv.Poll(core)
 }
 
-// WaitSend waits for a send request on the calling thread.
-func (e *Engine) WaitSend(r *SendReq, th *sched.Thread) { e.Wait(&r.req, th) }
+// WaitSend waits for a send request on the calling thread. The check
+// for a request already complete — every request of a window but the
+// first — inlines into the caller.
+func (e *Engine) WaitSend(r *SendReq, th *sched.Thread) {
+	if !r.req.Completed() {
+		e.Wait(&r.req, th)
+	}
+}
 
-// WaitRecv waits for a receive request on the calling thread.
-func (e *Engine) WaitRecv(r *RecvReq, th *sched.Thread) { e.Wait(&r.req, th) }
+// WaitRecv waits for a receive request on the calling thread, with
+// WaitSend's inlined completion check.
+func (e *Engine) WaitRecv(r *RecvReq, th *sched.Thread) {
+	if !r.req.Completed() {
+		e.Wait(&r.req, th)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"pioman/internal/fabric/bufpool"
 	"pioman/internal/sync2"
 )
 
@@ -96,15 +95,19 @@ func (s *sendQueue) take(into []*SendReq, aggregate bool, mtu int) []*SendReq {
 // [tag int64][seq uint64][len uint64][payload].
 const aggrEntryOverhead = 24
 
-// encodeAggr serializes a train into one payload drawn from the fabric
-// buffer pool; the caller hands it to nic.Driver.SendAggr, which takes
-// ownership.
-func encodeAggr(train []*SendReq) []byte {
+// aggrSize returns the encoded size of a train.
+func aggrSize(train []*SendReq) int {
 	total := 0
 	for _, r := range train {
 		total += aggrEntryOverhead + len(r.data)
 	}
-	out := bufpool.Get(total)
+	return total
+}
+
+// encodeAggr serializes a train into out, which holds exactly
+// aggrSize(train) bytes — a fabric buffer-pool borrow, or the
+// transport's own send memory (nic.Driver.SendAggr).
+func encodeAggr(out []byte, train []*SendReq) {
 	off := 0
 	for _, r := range train {
 		binary.LittleEndian.PutUint64(out[off:], uint64(int64(r.tag)))
@@ -113,7 +116,6 @@ func encodeAggr(train []*SendReq) []byte {
 		off += aggrEntryOverhead
 		off += copy(out[off:], r.data)
 	}
-	return out
 }
 
 // validAggr reports whether payload is a well-formed train: one or more

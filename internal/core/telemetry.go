@@ -50,8 +50,14 @@ const dwellSampleMask = 63
 // "node<rank>.peer.<rank>.*", one family per rank of the world.
 func newEngineTelemetry(reg *telemetry.Registry, e *Engine) *engineTelemetry {
 	p := fmt.Sprintf("node%d.engine", e.node)
-	reg.RegisterCounter(p+".sends_posted", "send requests posted", e.nSends.Load)
-	reg.RegisterCounter(p+".recvs_posted", "receive requests posted", e.nRecvs.Load)
+	reg.RegisterCounter(p+".sends_posted", "send requests posted", func() uint64 {
+		sends, _ := e.postCounts()
+		return sends
+	})
+	reg.RegisterCounter(p+".recvs_posted", "receive requests posted", func() uint64 {
+		_, recvs := e.postCounts()
+		return recvs
+	})
 	reg.RegisterCounter(p+".eager_submits", "eager messages submitted", e.nEager.Load)
 	reg.RegisterCounter(p+".offload_submits", "submissions executed off the posting thread", e.nOffload.Load)
 	reg.RegisterCounter(p+".rdv_started", "rendezvous handshakes started", e.nRdv.Load)

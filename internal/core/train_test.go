@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
 )
 
@@ -43,7 +44,16 @@ func inject(e *Engine, src int, es []trainEntry, perEntry bool) {
 	for i, en := range es {
 		train[i] = &SendReq{tag: en.tag, seq: en.seq, data: en.data}
 	}
-	e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktAggr, Src: src, Tag: -1, Seq: es[0].seq, Payload: encodeAggr(train)})
+	e.handlePacket(e.defaultRail(), -1, &wire.Packet{Kind: wire.PktAggr, Src: src, Tag: -1, Seq: es[0].seq, Payload: pooledTrain(train)})
+}
+
+// pooledTrain encodes train into a fabric buffer-pool borrow, as
+// nic.Driver.SendAggr does for a transport that cannot build the frame
+// in place.
+func pooledTrain(train []*SendReq) []byte {
+	out := bufpool.Get(aggrSize(train))
+	encodeAggr(out, train)
+	return out
 }
 
 // trainOutcome is everything a scenario leaves behind that matching

@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pioman/internal/fabric/bufpool"
 	"pioman/internal/wire"
@@ -63,18 +64,38 @@ func EncodedSize(p *wire.Packet) int {
 // receiver's MaxFrameBytes guard would kill the connection. Transports
 // refuse such payloads in Send first, as a synchronous error.
 func AppendPacket(dst []byte, p *wire.Packet) []byte {
-	if len(p.Payload) > MaxPayloadBytes {
-		panic(fmt.Sprintf("fabric: %d-byte payload exceeds frame limit %d", len(p.Payload), MaxPayloadBytes))
+	dst = appendHeader(dst, p, len(p.Payload), p.Payload != nil)
+	return append(dst, p.Payload...)
+}
+
+// AppendEncoded appends the frame of p with an n-byte payload that
+// encode writes in place, exactly as AppendPacket frames p once
+// p.Payload holds those bytes: the transport half of FrameEncoder. It
+// grows dst only when dst lacks the capacity, so a transport that hands
+// it the empty slice of its own send memory gets the frame built there.
+// p.Payload is ignored.
+func AppendEncoded(dst []byte, p *wire.Packet, n int, encode func(payload []byte)) []byte {
+	dst = appendHeader(dst, p, n, true)
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	encode(dst[len(dst)-n:])
+	return dst
+}
+
+// appendHeader appends the length prefix and fixed header of p's frame,
+// for a payload of n bytes (present marks a non-nil payload).
+func appendHeader(dst []byte, p *wire.Packet, n int, present bool) []byte {
+	if n > MaxPayloadBytes {
+		panic(fmt.Sprintf("fabric: %d-byte payload exceeds frame limit %d", n, MaxPayloadBytes))
 	}
 	var flags byte
-	if p.Payload != nil {
+	if present {
 		flags = flagPayload
 	}
 	wireLen := p.WireLen
 	if wireLen == 0 {
-		wireLen = len(p.Payload)
+		wireLen = n
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerBytes+len(p.Payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerBytes+n))
 	dst = append(dst, codecVersion, byte(p.Kind), flags, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(p.Src)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(p.Dst)))
@@ -83,8 +104,7 @@ func AppendPacket(dst []byte, p *wire.Packet) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, p.MsgID)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(p.Offset)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(wireLen)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Payload)))
-	return append(dst, p.Payload...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // DecodePacketPooled parses one complete frame, exactly b, into a packet

@@ -149,6 +149,35 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestAppendEncodedMatchesAppendPacket: a frame built with
+// AppendEncoded — header, then a payload encode writes in place — is
+// byte for byte the frame AppendPacket builds from the same payload,
+// whether dst has the capacity (the in-place case) or must grow.
+func TestAppendEncodedMatchesAppendPacket(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		payload := make([]byte, 1+rng.Intn(4096))
+		rng.Read(payload)
+		p := &wire.Packet{Kind: wire.PktAggr, Src: rng.Intn(8), Dst: rng.Intn(8), Tag: -1,
+			Seq: rng.Uint64(), WireLen: len(payload) + 32, Payload: payload}
+		want := AppendPacket(nil, p)
+		p.Payload = nil
+		encode := func(b []byte) {
+			if len(b) != len(payload) {
+				t.Fatalf("encode handed %d bytes for a %d-byte payload", len(b), len(payload))
+			}
+			copy(b, payload)
+		}
+		room := make([]byte, 0, len(want))
+		if got := AppendEncoded(room, p, len(payload), encode); !bytes.Equal(got, want) || &got[0] != &room[:1][0] {
+			t.Fatalf("packet %d: in-place frame differs from AppendPacket's, or left dst", i)
+		}
+		if got := AppendEncoded([]byte{7}, p, len(payload), encode); !bytes.Equal(got[1:], want) || got[0] != 7 {
+			t.Fatalf("packet %d: grown frame differs from AppendPacket's", i)
+		}
+	}
+}
+
 // TestCodecRefusesOversizedPayloads: the encoder must stop an over-limit
 // payload on the sender with a panic (transports refuse it earlier, in
 // Send, as an error), because an encoded oversize frame either kills the

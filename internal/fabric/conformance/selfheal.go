@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -184,9 +185,9 @@ func RunSelfHealSoak(t *testing.T, open OpenFabric) {
 				sentAfter-readmitSent, lostAfter-readmitLost)
 		}
 		for _, rail := range []string{"railA", "railB"} {
-			want := uint64(failoverParams(rail).StripeWeight)
-			if got := snap.Value("node0.rail." + rail + ".stripe_weight"); got != want {
-				t.Errorf("node0.rail.%s.stripe_weight is %d after the soak, want the declared %d", rail, got, want)
+			want := uint64(math.Round(failoverParams(rail).StripeWeight * 1000))
+			if got := snap.Value("node0.rail." + rail + ".stripe_weight_milli"); got != want {
+				t.Errorf("node0.rail.%s.stripe_weight_milli is %d after the soak, want the declared %d", rail, got, want)
 			}
 		}
 		if hs := snap.Value("node0.rail.railB.health_state"); hs != 0 {

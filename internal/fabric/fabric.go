@@ -105,6 +105,24 @@ type GoroutineFed interface {
 	GoroutineFed() bool
 }
 
+// FrameEncoder is an optional Endpoint capability: SendEncoded sends p
+// with an n-byte payload that encode writes straight into the
+// transport's own send memory (shmfab: the ring slot the frame is
+// published from), so the payload is built once, where a buffer built
+// for Send would be copied again. It reports false, having sent nothing,
+// whenever it cannot take the frame in place right now — the frame
+// outgrows one slot, the ring is short of room, queued bytes must go
+// first, the endpoint is closing — and the caller then builds the
+// payload in a buffer and calls Send, which keeps the send order and
+// the error reporting. p.Payload must be nil. Like a capturing Send,
+// SendEncoded is done with p and with encode when it returns. A wrapper
+// that must see every frame (conformance.Chaos) does not forward it.
+type FrameEncoder interface {
+	// SendEncoded sends p with the n-byte payload encode writes in
+	// place, or reports false having sent nothing.
+	SendEncoded(p *wire.Packet, n int, encode func(payload []byte)) bool
+}
+
 // LossCounter is an optional Endpoint capability: transports that can
 // lose frames after Send accepted them (a stream that fails under queued
 // writes, a bounded Close drain) expose the running count here. Together

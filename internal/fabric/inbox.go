@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pioman/internal/sync2"
@@ -17,9 +18,14 @@ import (
 // scans, self-sends) call Push/PushRun; the engine drains through
 // PopRun and parks in Recv.
 type Inbox struct {
-	mu     sync.Mutex
-	pkts   []*wire.Packet
-	head   int
+	mu   sync.Mutex
+	pkts []*wire.Packet
+	head int
+	// n mirrors the queued count, stored under mu by every push and pop,
+	// so PopRun reads "empty" without the mutex: the empty poll a
+	// waiting core repeats takes no lock. A push that races the read is
+	// found by the next poll.
+	n      atomic.Int64
 	notify chan struct{}
 }
 
@@ -44,18 +50,23 @@ func (ib *Inbox) PushRun(run []*wire.Packet) {
 	}
 	ib.mu.Lock()
 	ib.pkts, ib.head = sync2.PushRun(ib.pkts, ib.head, run)
+	ib.n.Store(int64(len(ib.pkts) - ib.head))
 	ib.mu.Unlock()
 	sync2.Notify(ib.notify)
 }
 
 // PopRun pops up to len(into) queued packets in FIFO order under one
 // lock acquisition and returns how many it wrote — the consumer half of
-// the batched receive path. Entries of into past the count are
-// untouched.
+// the batched receive path. An empty inbox costs one atomic load and no
+// lock. Entries of into past the count are untouched.
 func (ib *Inbox) PopRun(into []*wire.Packet) int {
+	if ib.n.Load() == 0 {
+		return 0
+	}
 	ib.mu.Lock()
 	var n int
 	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
+	ib.n.Store(int64(len(ib.pkts) - ib.head))
 	ib.mu.Unlock()
 	return n
 }
@@ -68,6 +79,7 @@ func (ib *Inbox) pop() *wire.Packet {
 	var one [1]*wire.Packet
 	ib.mu.Lock()
 	ib.pkts, ib.head, _ = sync2.PopRun(ib.pkts, ib.head, one[:])
+	ib.n.Store(int64(len(ib.pkts) - ib.head))
 	more := ib.head < len(ib.pkts)
 	ib.mu.Unlock()
 	if more {

@@ -196,15 +196,29 @@ func (r *ring) freeSlots() int {
 	return r.slots - int(r.prod-atomic.LoadUint64(u64at(r.mem, offConsSeq)))
 }
 
-// writeSlot publishes one slot carrying data (producer side). The caller
-// has checked freeSlots; len(data) must be within the slot capacity.
-func (r *ring) writeSlot(data []byte) {
+// slotBuf returns the producer's next slot's data area as an empty
+// slice with the slot's capacity, so a frame can be encoded straight
+// into the mapping; publishSlot then publishes the first n bytes. The
+// caller has checked freeSlots.
+func (r *ring) slotBuf() []byte {
+	off := r.slotOff(r.prod) + slotHdrBytes
+	return r.mem[off : off : off+r.slotBytes]
+}
+
+// publishSlot publishes the producer's next slot carrying the first n
+// bytes of its data area (producer side).
+func (r *ring) publishSlot(n int) {
 	off := r.slotOff(r.prod)
-	copy(r.mem[off+slotHdrBytes:off+slotHdrBytes+len(data)], data)
-	*u32at(r.mem, off+8) = uint32(len(data))
+	*u32at(r.mem, off+8) = uint32(n)
 	atomic.StoreUint64(u64at(r.mem, off), r.prod+1)
 	r.prod++
 	atomic.StoreUint64(u64at(r.mem, offProdSeq), r.prod)
+}
+
+// writeSlot publishes one slot carrying data (producer side). The caller
+// has checked freeSlots; len(data) must be within the slot capacity.
+func (r *ring) writeSlot(data []byte) {
+	r.publishSlot(copy(r.slotBuf()[:len(data)], data))
 }
 
 // readable reports whether the consumer's next slot has been published.

@@ -123,9 +123,9 @@ type Endpoint struct {
 //
 // Every serialization buffer bigger than one slot is a bufpool borrow,
 // returned once its bytes are in the ring: a direct-path frame once its
-// slots are written, a pump batch once it is pumped. Frames that fit one
-// slot encode in scratch, kept for the ring's lifetime, so a small-frame
-// storm costs no pool operation at all.
+// slots are written, a pump batch once it is pumped. A direct-path frame
+// that fits one slot is encoded in place, in the slot itself, so a
+// small-frame storm costs no pool operation and no copy.
 type outRing struct {
 	r    *ring
 	mu   sync.Mutex
@@ -133,7 +133,6 @@ type outRing struct {
 
 	buf     []byte // serialized frames awaiting the pump
 	nframes int    // frames in buf, for loss accounting
-	scratch []byte // one slot's worth of serialization buffer for the direct path
 	pumping bool   // pump holds bytes it has not finished writing
 	closing bool   // endpoint closing: drain, then stop
 }
@@ -310,21 +309,16 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	// the whole frame fits right now, because this path must not wait.
 	if size := fabric.EncodedSize(p); !o.pumping && len(o.buf) == 0 &&
 		o.r.freeSlots() >= slotsFor(size, o.r.slotBytes) {
-		var enc []byte
 		if size <= o.r.slotBytes {
-			if o.scratch == nil {
-				o.scratch = make([]byte, 0, o.r.slotBytes)
-			}
-			enc = fabric.AppendPacket(o.scratch[:0], p)
-		} else {
-			enc = fabric.AppendPacket(bufpool.Get(size)[:0], p)
+			// One slot: encode straight into the mapping.
+			o.r.publishSlot(len(fabric.AppendPacket(o.r.slotBuf(), p)))
+			return nil
 		}
+		enc := fabric.AppendPacket(bufpool.Get(size)[:0], p)
 		for off := 0; off < len(enc); off += o.r.slotBytes {
 			o.r.writeSlot(enc[off:min(off+o.r.slotBytes, len(enc))])
 		}
-		if size > o.r.slotBytes {
-			bufpool.Put(enc)
-		}
+		bufpool.Put(enc)
 		return nil
 	}
 	// The ring is short of room or the pump holds bytes: queue the frame
@@ -333,6 +327,26 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 	o.nframes++
 	o.cond.Signal()
 	return nil
+}
+
+// SendEncoded implements fabric.FrameEncoder: a frame toward another
+// rank that fits one slot, with the pump parked, nothing queued and a
+// free slot, is built in that slot — the header and then encode's
+// payload, written straight into the mapping — and published. Anything
+// else reports false, and the caller's Send takes the frame.
+func (e *Endpoint) SendEncoded(p *wire.Packet, n int, encode func(payload []byte)) bool {
+	if e.closed() || p.Dst == e.self || p.Dst < 0 || p.Dst >= e.nodes {
+		return false
+	}
+	o := e.out[p.Dst]
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closing || o.pumping || len(o.buf) != 0 ||
+		fabric.HeaderScratchBytes+n > o.r.slotBytes || o.r.freeSlots() == 0 {
+		return false
+	}
+	o.r.publishSlot(len(fabric.AppendEncoded(o.r.slotBuf(), p, n, encode)))
+	return true
 }
 
 // slotsFor returns how many slots a frame of n bytes occupies.

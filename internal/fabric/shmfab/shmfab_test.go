@@ -613,3 +613,63 @@ func TestAbandonedInitTimesOut(t *testing.T) {
 		t.Fatalf("attachment hung %v before failing", d)
 	}
 }
+
+// TestSendEncodedInPlace pins shmfab's fabric.FrameEncoder: a frame that
+// fits one slot is built in the slot and arrives like a sent one, while
+// a self-send, a frame past one slot, a full ring, bytes the pump still
+// holds and a closed endpoint all report false — and a caller that then
+// falls back to Send keeps its frames in order.
+func TestSendEncodedInPlace(t *testing.T) {
+	dir := t.TempDir()
+	open := func(rank int) *shmfab.Endpoint {
+		ep, err := shmfab.New(shmfab.WithGeometry(shmfab.Config{Self: rank, Nodes: 2, Dir: dir}, 4, 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	src, dst := open(0), open(1)
+	var enc fabric.FrameEncoder = src
+	body := func(seq int) []byte { return bytes.Repeat([]byte{byte(seq)}, 100) }
+	// send builds frame seq in place when it can, and otherwise sends
+	// it, as nic.Driver.SendAggr does; it reports which it did.
+	send := func(seq int) bool {
+		p := &wire.Packet{Kind: wire.PktAggr, Src: 0, Dst: 1, Tag: -1, Seq: uint64(seq)}
+		if enc.SendEncoded(p, 100, func(b []byte) { copy(b, body(seq)) }) {
+			return true
+		}
+		p.Payload = body(seq)
+		if err := src.Send(p); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
+		}
+		return false
+	}
+	if enc.SendEncoded(&wire.Packet{Kind: wire.PktAggr, Src: 0, Dst: 0}, 8, func([]byte) {}) {
+		t.Error("a self-send was built in place")
+	}
+	if enc.SendEncoded(&wire.Packet{Kind: wire.PktAggr, Src: 0, Dst: 1}, 256, func([]byte) {}) {
+		t.Error("a frame past one slot was built in place")
+	}
+	// Four slots: four frames in place, then a full ring sends the fifth
+	// to the pump, and the sixth must queue behind it.
+	for seq := 1; seq <= 6; seq++ {
+		if inPlace := send(seq); inPlace != (seq <= 4) {
+			t.Fatalf("frame %d built in place: %v", seq, inPlace)
+		}
+	}
+	for seq := 1; seq <= 6; seq++ {
+		p := dst.BlockingRecv(10 * time.Second)
+		if p == nil {
+			t.Fatalf("frame %d never arrived", seq)
+		}
+		if p.Kind != wire.PktAggr || p.Seq != uint64(seq) || p.Src != 0 || !bytes.Equal(p.Payload, body(seq)) {
+			t.Fatalf("frame %d arrived as kind %v seq %d from %d, payload intact %v", seq, p.Kind, p.Seq, p.Src, bytes.Equal(p.Payload, body(seq)))
+		}
+		fabric.ReleasePacket(p)
+	}
+	src.Close()
+	if enc.SendEncoded(&wire.Packet{Kind: wire.PktAggr, Src: 0, Dst: 1}, 8, func([]byte) {}) {
+		t.Error("a closed endpoint built a frame in place")
+	}
+}

@@ -231,6 +231,10 @@ type Driver struct {
 	// outbound packet structs through the fabric packet pool instead of
 	// leaving one heap allocation per submission to the GC.
 	captures bool
+	// encoder is the endpoint's fabric.FrameEncoder capability, nil when
+	// the transport cannot build a frame in its own memory: SendAggr
+	// then encodes the train into a pooled buffer for Send.
+	encoder fabric.FrameEncoder
 	// backlog is the endpoint's fabric.Backlogger capability, nil when
 	// the transport models no transmit horizon (every real one).
 	backlog fabric.Backlogger
@@ -302,6 +306,7 @@ func New(p Params, ep fabric.Endpoint) *Driver {
 		d.captures = true
 	}
 	d.backlog, _ = ep.(fabric.Backlogger)
+	d.encoder, _ = ep.(fabric.FrameEncoder)
 	if g, ok := ep.(fabric.GoroutineFed); ok && g.GoroutineFed() {
 		d.goroutineFed = true
 	}
@@ -478,23 +483,30 @@ func (d *Driver) SendData(h Header, offset int, payload []byte) {
 }
 
 // SendAggr transmits an aggregated train of eager packs as one wire packet
-// (the optimizer's data-aggregation strategy). The payload is the encoded
-// train; the caller's core pays the same copy cost the individual packs
-// would have (they are copied into one registered buffer). payload must
-// be a fabric buffer-pool borrow, and the driver takes ownership of it
-// like sendRTS does: the packet is flagged Pooled, so whoever releases it
-// — send on a capturing rail, the receiving engine over the simulator —
-// returns the buffer.
-func (d *Driver) SendAggr(h Header, payload []byte) {
+// (the optimizer's data-aggregation strategy): an n-byte payload that
+// encode writes. The caller's core pays the same copy cost the
+// individual packs would have (they are copied into one registered
+// buffer). A transport that can build the frame in its own memory
+// (fabric.FrameEncoder: shmfab's ring slot) has encode write the train
+// there; otherwise encode fills a fabric buffer-pool borrow, and the
+// packet is flagged Pooled, so whoever releases it — send on a capturing
+// rail, the receiving engine over the simulator — returns the buffer.
+func (d *Driver) SendAggr(h Header, n int, encode func(payload []byte)) {
 	ptime.SpinFor(d.p.Cost.SubmitOverhead)
-	d.p.Cost.ChargeCopy(len(payload))
+	d.p.Cost.ChargeCopy(n)
 	ptime.SpinFor(d.p.Cost.DMASetup)
 	d.eagerSent.Add(1)
-	d.eagerBytes.Add(uint64(len(payload)))
+	d.eagerBytes.Add(uint64(n))
 	p := d.outPacket()
 	p.Kind, p.Src, p.Dst, p.Tag = wire.PktAggr, h.Src, h.Dst, h.Tag
-	p.Seq, p.MsgID, p.Payload, p.Pooled = h.Seq, h.MsgID, payload, true
-	p.WireLen = len(payload) + HeaderBytes
+	p.Seq, p.MsgID = h.Seq, h.MsgID
+	p.WireLen = n + HeaderBytes
+	if d.encoder != nil && d.encoder.SendEncoded(p, n, encode) {
+		fabric.ReleasePacket(p)
+		return
+	}
+	p.Payload, p.Pooled = bufpool.Get(n), true
+	encode(p.Payload)
 	d.send(p)
 }
 
@@ -590,8 +602,11 @@ func (d *Driver) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterCounter(prefix+".polled_frames", "frames returned by batched drains", d.batchedPks.Load)
 	reg.RegisterCounter(prefix+".send_errs", "sends rejected synchronously by the transport", d.sendErrs.Load)
 	reg.RegisterCounter(prefix+".lost_frames", "frames accepted by the transport and later lost", d.LostFrames)
-	reg.RegisterGauge(prefix+".stripe_weight", "live multirail striping weight (bytes/us)", func() uint64 {
-		return uint64(d.StripeWeight())
+	// The gauge is an integer, so the weight goes out in thousandths: a
+	// weight of 0.004 reads 4 and a change from 1 to 1.9 reads 1000 to
+	// 1900, where the whole weight would read 0 and 1 both times.
+	reg.RegisterGauge(prefix+".stripe_weight_milli", "live multirail striping weight (bytes/us) × 1000, rounded", func() uint64 {
+		return uint64(math.Round(d.StripeWeight() * 1000))
 	})
 	d.occupancy = reg.Histogram(prefix+".batch_occupancy", "frames per non-empty PollBatch drain")
 	// Transports with internal health counters (fabric.MetricSource —

@@ -306,6 +306,25 @@ func TestStripeWeights(t *testing.T) {
 	}
 }
 
+// TestStripeWeightGaugeMilli pins the stripe_weight_milli gauge: the
+// live weight in thousandths, rounded, so a fractional weight and a
+// change inside one integer step both show.
+func TestStripeWeightGaugeMilli(t *testing.T) {
+	fab := wire.NewFabric(1, wire.MYRI10G())
+	d := simDriver(MXParams(), fab, 0)
+	reg := telemetry.NewRegistry()
+	d.RegisterMetrics(reg, "node0.rail.mx")
+	for _, c := range []struct {
+		weight float64
+		want   uint64
+	}{{0.004, 4}, {1, 1000}, {1.9, 1900}, {0.0004, 0}, {0.0006, 1}} {
+		d.SetStripeWeight(c.weight)
+		if got := reg.Snapshot().Value("node0.rail.mx.stripe_weight_milli"); got != c.want {
+			t.Errorf("weight %v: gauge reads %d, want %d", c.weight, got, c.want)
+		}
+	}
+}
+
 // TestLostFramesWithoutCounter: rails whose endpoint keeps no loss
 // accounting (the simulator never loses frames) report zero rather than
 // failing the capability probe.

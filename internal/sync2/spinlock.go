@@ -22,8 +22,17 @@ type SpinLock struct {
 // spinsBeforeYield bounds busy spinning before cooperating with the runtime.
 const spinsBeforeYield = 128
 
-// Lock acquires the lock, spinning until available.
+// Lock acquires the lock, spinning until available. The uncontended
+// acquisition inlines into the caller; only a held lock pays the call
+// into the spin loop.
 func (l *SpinLock) Lock() {
+	if !l.state.CompareAndSwap(0, 1) {
+		l.lockSlow()
+	}
+}
+
+// lockSlow spins until the lock is available.
+func (l *SpinLock) lockSlow() {
 	spins := 0
 	for {
 		if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
