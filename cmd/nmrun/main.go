@@ -4,24 +4,35 @@
 // (mpi.EnvRank and friends) to every child, streams each rank's output
 // with a rank prefix, and reaps them all:
 //
-//	nmrun -n 4 -- ./pingpong -nrank -quick
+//	nmrun -n 4 -- ./pingpong -quick
+//
+// It is the one way to start a multi-process world, on any transport:
+// -fabric picks tcp (the default), udp, shm, or tcp+shm (a tcp rail
+// bonded with an shm rail) and is exported as mpi.EnvFabric. For the shm
+// fabrics nmrun creates a fresh ring directory, exports it as
+// mpi.EnvShmDir, and removes it when the run ends:
+//
+//	nmrun -n 2 -fabric tcp+shm -- ./pingpong -quick
 //
 // Ranks find each other through the registry: each opens its fabric
-// endpoint on an ephemeral port, registers (rank, fabric, addr), blocks
-// until all N arrived, and then heartbeats (internal/cluster,
-// docs/CLUSTER.md). A rank that crashes stops heartbeating; the
-// registry declares it dead, and every survivor's engine completes
-// pending requests toward it with core.ErrPeerDead instead of hanging.
+// endpoint (tcp and udp on an ephemeral port), registers (rank, fabric,
+// addr), blocks until all N arrived, and then heartbeats
+// (internal/cluster, docs/CLUSTER.md). A rank that crashes stops
+// heartbeating; the registry declares it dead, and every survivor's
+// engine completes pending requests toward it with core.ErrPeerDead
+// instead of hanging.
 //
 // Fault-tolerance switches:
 //
-//	nmrun -n 4 -kill-rank 2 -kill-after 2s -- ./pingpong -nrank
+//	nmrun -n 4 -kill-rank 2 -kill-after 2s -- ./pingpong
 //
 // kills rank 2 with SIGKILL mid-run — the CI smoke test for the
 // bounded-failure semantics: survivors must still exit 0. With
 // -respawn, a crashed rank is relaunched (the registry revives it and
 // survivors get MarkPeerAlive), up to 3 times per rank before nmrun
-// gives up — mirroring the registry's own flap ban.
+// gives up — mirroring the registry's own flap ban. -respawn is refused
+// with the shm fabrics: shmfab claims a rank's rings once per directory,
+// so a relaunched rank could not attach again.
 //
 // A registry can also run standalone, for worlds whose ranks are
 // launched by something else (or on other hosts):
@@ -29,7 +40,7 @@
 //	nmrun -registry-only -listen 127.0.0.1:7070 -n 4     # control plane
 //	PIOMAN_RANK=0 PIOMAN_NRANKS=4 \
 //	  PIOMAN_REGISTRY=127.0.0.1:7070 \
-//	  PIOMAN_REGISTRY_RANK=-1 ./pingpong -nrank           # each rank, by hand
+//	  PIOMAN_REGISTRY_RANK=-1 ./pingpong                  # each rank, by hand
 //
 // Exit status: 0 when every rank that was not deliberately killed exits
 // 0; the first failing rank's exit code otherwise.
@@ -65,6 +76,7 @@ func main() {
 	respawn := flag.Bool("respawn", false, "relaunch a rank that exits nonzero (up to 3 times per rank); the registry revives it on rejoin")
 	killRank := flag.Int("kill-rank", -1, "fault injection: SIGKILL this rank after -kill-after (its exit does not fail the run)")
 	killAfter := flag.Duration("kill-after", 2*time.Second, "how long after launch -kill-rank strikes")
+	fabricName := flag.String("fabric", "tcp", "the transport every rank opens: tcp, udp, shm, or tcp+shm (a tcp rail bonded with an shm rail); the shm fabrics get a fresh ring directory, removed when the run ends")
 	flag.Parse()
 
 	if *registryOnly {
@@ -83,6 +95,17 @@ func main() {
 	if *respawn && *killRank >= 0 {
 		fail("-respawn would immediately relaunch the rank -kill-rank just killed; pick one")
 	}
+	shm := false
+	switch *fabricName {
+	case "tcp", "udp":
+	case "shm", "tcp+shm":
+		shm = true
+	default:
+		fail(fmt.Sprintf("-fabric %q: supported fabrics are tcp, udp, shm and tcp+shm", *fabricName))
+	}
+	if shm && *respawn {
+		fail("-respawn cannot relaunch a rank over shm: its ring claim in the run's directory stays taken, so the new process could not attach")
+	}
 
 	// Resolve the control plane: an external registry as given, or a
 	// pre-picked loopback port that rank 0 will bind its embedded
@@ -97,9 +120,22 @@ func main() {
 		registryAddr, hostRank = addr, 0
 	}
 
+	env := []string{mpi.EnvFabric + "=" + *fabricName}
+	shmDir := ""
+	if shm {
+		dir, err := os.MkdirTemp("", "nmrun-rings-")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nmrun: ring directory: %v\n", err)
+			os.Exit(1)
+		}
+		shmDir = dir
+		env = append(env, mpi.EnvShmDir+"="+dir)
+	}
+
 	r := &runner{
 		n:            *n,
 		args:         args,
+		env:          env,
 		registry:     registryAddr,
 		hostRank:     hostRank,
 		heartbeat:    *heartbeat,
@@ -110,7 +146,11 @@ func main() {
 		procs:        make([]*exec.Cmd, *n),
 		respawns:     make([]int, *n),
 	}
-	os.Exit(r.run())
+	code := r.run()
+	if shmDir != "" {
+		os.RemoveAll(shmDir)
+	}
+	os.Exit(code)
 }
 
 // fail prints a usage error and exits with the flag-error convention.
@@ -160,6 +200,7 @@ func runRegistryOnly(listen string, n int, heartbeat time.Duration) int {
 type runner struct {
 	n            int
 	args         []string
+	env          []string // the run-wide contract: fabric, ring directory
 	registry     string
 	hostRank     int
 	heartbeat    time.Duration
@@ -173,7 +214,6 @@ type runner struct {
 	respawns []int
 	killed   bool // the -kill-rank strike happened
 
-	wg   sync.WaitGroup
 	code chan rankExit
 }
 
@@ -246,7 +286,6 @@ func (r *runner) run() int {
 			}
 		}
 	}
-	r.wg.Wait() // drain the output pumps
 	if final == 0 {
 		fmt.Println("nmrun: all ranks done")
 	}
@@ -264,7 +303,7 @@ func (r *runner) wasKilled() bool {
 // output through the prefix pumps.
 func (r *runner) spawn(rank int) error {
 	cmd := exec.Command(r.args[0], r.args[1:]...)
-	cmd.Env = append(os.Environ(),
+	cmd.Env = append(append(os.Environ(), r.env...),
 		fmt.Sprintf("%s=%d", mpi.EnvRank, rank),
 		fmt.Sprintf("%s=%d", mpi.EnvNranks, r.n),
 		fmt.Sprintf("%s=%s", mpi.EnvRegistry, r.registry),
@@ -291,10 +330,15 @@ func (r *runner) spawn(rank int) error {
 	r.mu.Lock()
 	r.procs[rank] = cmd
 	r.mu.Unlock()
-	r.wg.Add(2)
-	go r.pump(rank, stdout, os.Stdout)
-	go r.pump(rank, stderr, os.Stderr)
+	var pumps sync.WaitGroup
+	pumps.Add(2)
+	go r.pump(rank, stdout, os.Stdout, &pumps)
+	go r.pump(rank, stderr, os.Stderr, &pumps)
 	go func() {
+		// Wait closes the pipes once the rank exits: drain them first,
+		// or a rank's last lines are lost. The exit is reported after
+		// its output, so the reap loop ends with every pump done.
+		pumps.Wait()
 		err := cmd.Wait()
 		code := 0
 		if err != nil {
@@ -312,8 +356,8 @@ func (r *runner) spawn(rank int) error {
 }
 
 // pump copies one child stream line-by-line under a "[rank N]" prefix.
-func (r *runner) pump(rank int, src interface{ Read([]byte) (int, error) }, dst *os.File) {
-	defer r.wg.Done()
+func (r *runner) pump(rank int, src interface{ Read([]byte) (int, error) }, dst *os.File, done *sync.WaitGroup) {
+	defer done.Done()
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {

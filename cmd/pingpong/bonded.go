@@ -1,205 +1,107 @@
 package main
 
-// Bonded mode: -listen/-connect combined with -shm runs one world over
-// BOTH real transports at once — a tcpfab rail (the default rail,
-// carrying eager traffic and the rendezvous handshake) bonded with a
-// shmfab rail — which is the reproduction's analog of the paper's
-// multirail MX + shared-memory configuration, §4.3, on real fabrics.
+// Bonded phases: under nmrun -fabric tcp+shm the world runs over BOTH
+// real transports at once — a tcpfab rail (the default rail, carrying
+// eager traffic and the rendezvous handshake) bonded with a shmfab rail
+// — which is the reproduction's analog of the paper's multirail MX +
+// shared-memory configuration, §4.3, on real fabrics.
 //
-// The run sweeps the rendezvous sizes three times: data over the TCP rail
-// alone, then over the shm rail alone — the other rail's stripe weight
-// set to zero, which takes it out of striping — then striped across both.
-// The two single-rail phases double as calibration: each rail's measured
-// bandwidth becomes its striping weight (Driver.SetStripeWeight) for the
-// multirail phase, so the split matches this host's actual rails rather
-// than the preset seeds. Rank 0 finally prints the three bandwidths side
-// by side and how many DATA packets each rail carried during the
-// multirail phases — the causal evidence that striping used both rails,
-// exact on any host, where "multirail beats the best single rail" is a
-// wall-clock race that only a host with cores to drive both rails at
-// once can win.
+// After its sweep, each even rank compares the rails at the rendezvous
+// sizes three times: data over the TCP rail alone, then over the shm
+// rail alone — the other rail's stripe weight set to zero, which takes
+// it out of striping — then striped across both. The two single-rail
+// phases double as calibration: each rail's measured bandwidth becomes
+// its striping weight (Driver.SetStripeWeight) for the multirail phase,
+// so the split matches this host's actual rails rather than the preset
+// seeds. The rank finally prints the three bandwidths side by side and
+// how many DATA packets each rail carried during the multirail phases —
+// the causal evidence that striping used both rails, exact on any host,
+// where "multirail beats the best single rail" is a wall-clock race that
+// only a host with cores to drive both rails at once can win.
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"pioman/internal/core"
-	"pioman/internal/fabric/shmfab"
-	"pioman/internal/fabric/tcpfab"
-	"pioman/internal/mpi"
 	"pioman/internal/nic"
-	"pioman/internal/telemetry"
 )
 
-// tagPhase carries phase-control markers from rank 0 to the echoing
-// rank: the two rails' striping weights for the next phase.
+// tagPhase carries phase-control markers from the even rank to its
+// echoing partner: the two rails' striping weights for the next phase.
 const tagPhase = 5
 
 // bondedSizes are the rendezvous sizes the single-rail and multirail
 // phases are compared at: the sweep's large-message regime (the biggest
-// size the single-transport sweeps run, above the engine's 128 KiB
-// striping threshold; everything smaller rides the tcp rail).
+// size the sweep runs, above the engine's 128 KiB striping threshold;
+// everything smaller rides the tcp rail).
 var bondedSizes = []int{256 << 10}
 
 // bondedRounds repeats the phase cycle and keeps each cell's best p50:
 // single-shot medians on a shared host are too noisy to compare rails by.
 const bondedRounds = 2
 
-// runBonded executes one rank of the two-process bonded-rail sweep and
-// returns the process exit code. listen/connect pick the TCP role (and
-// the rank: -listen is 0), shmDir the shared ring directory. metrics,
-// when non-nil, receives the world's engine/rail registrations (-metrics).
-func runBonded(listen, connect, shmDir string, quick bool, metrics *telemetry.Registry) int {
-	iters := 40
-	if quick {
-		iters = 10
-	}
-	rank := 0
-	var (
-		tep *tcpfab.Endpoint
-		err error
-	)
-	if listen != "" {
-		tep, err = tcpfab.New(tcpfab.Config{Self: 0, Nodes: 2, Listen: listen})
-		if err == nil {
-			fmt.Printf("pingpong: rank 0 listening on %s (bonded with shm rings in %s)\n", tep.Addr(), shmDir)
-		}
-	} else {
-		rank = 1
-		tep, err = tcpfab.New(tcpfab.Config{Self: 1, Nodes: 2, Peers: map[int]string{0: connect}})
-		if err == nil {
-			err = tep.Dial(0)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pingpong: %v\n", err)
-		return 1
-	}
-	sep, err := shmfab.New(shmfab.Config{Self: rank, Nodes: 2, Dir: shmDir})
-	if err != nil {
-		tep.Close()
-		fmt.Fprintf(os.Stderr, "pingpong: %v\n", err)
-		return 1
-	}
-
-	tcpRail := nic.RealParams()
-	tcpRail.Name = "tcp"
-	w := mpi.NewDistributedBonded(mpi.Config{
-		Mode:           core.Multithreaded,
-		OffloadEager:   true,
-		EnableBlocking: true,
-		Metrics:        metrics,
-	}, []mpi.Rail{
-		{Params: tcpRail, Ep: tep},
-		{Params: nic.ShmParams(), Ep: sep},
-	})
-	defer w.Close()
-
-	if rank == 1 {
-		w.Node(1).Run(func(p *mpi.Proc) {
-			p.Send(0, tagHello, []byte("hello"))
-			echoUntilBye(p, bondedSizes[len(bondedSizes)-1], func(tag int, payload []byte) bool {
-				if tag != tagPhase {
-					return false
-				}
-				applyPhase(p.Node.Eng, parsePhaseMarker(string(payload)))
-				return true
-			})
-		})
-		fmt.Println("pingpong: rank 1 ok")
-		return 0
-	}
-	return runBondedSweep(w, iters)
-}
-
 // phaseRTT holds one phase's best-of-rounds median round trip per size.
 // Phases are named by the rail that carries the data alone; "" is the
 // striped phase.
 type phaseRTT map[int]time.Duration
 
-// runBondedSweep drives rank 0: the eager warm-up sizes, then the
-// calibrate/stripe/compare cycle over the rendezvous sizes.
-func runBondedSweep(w *mpi.World, iters int) int {
+// bondedPhases drives the even rank's calibrate/stripe/compare cycle
+// over the rendezvous sizes and prints its summary.
+func bondedPhases(x *pair, quick bool) error {
+	iters := 40
+	if quick {
+		iters = 10
+	}
 	results := map[string]phaseRTT{"tcp": {}, "shm": {}, "": {}}
 	// DATA packets each rail sent from this rank while striping was on.
 	striped := map[string]uint64{}
-	code := 0
-	w.Node(0).Run(func(p *mpi.Proc) {
-		var b [8]byte
-		p.Recv(1, tagHello, b[:5])
-		defer p.Send(1, tagBye, []byte("bye"))
-
-		// The small-message sweep first: it exercises the full eager
-		// protocol (and the unstriped rendezvous sizes) over the bonded
-		// world's default rail and warms every path up before anything
-		// is measured.
-		for _, size := range realSizes {
-			if size >= bondedSizes[0] {
-				break
+	eng := x.p.Node.Eng
+	// The striping weights: the presets' seeds until the first
+	// calibration.
+	weights := map[string]float64{"tcp": nic.RealParams().StripeWeight, "shm": nic.ShmParams().StripeWeight}
+	for round := 0; round < bondedRounds; round++ {
+		for _, phase := range []string{"tcp", "shm", ""} {
+			if phase != "" {
+				// A solo phase: the other rail's weight is zero.
+				solo := map[string]float64{"tcp": 0, "shm": 0}
+				solo[phase] = weights[phase]
+				if err := bondedSetPhase(x, solo); err != nil {
+					return err
+				}
 			}
-			proto := "eager"
-			if size > nic.RealParams().EagerMax {
-				proto = "rendezvous"
+			before := railDataSent(eng)
+			for _, size := range bondedSizes {
+				measured, err := bondedTimeSize(x, size, iters)
+				if err != nil {
+					return err
+				}
+				if best, seen := results[phase][size]; !seen || measured < best {
+					results[phase][size] = measured
+				}
+				printPhaseRow(phase, size, measured)
 			}
-			measured, err := bondedTimeSize(p, size, iters)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pingpong:", err)
-				code = 1
-				return
+			if phase == "" {
+				for name, sent := range railDataSent(eng) {
+					striped[name] += sent - before[name]
+				}
 			}
-			fmt.Printf("pingpong: %-10s %8d B  rtt p50 %10v  %8.1f MB/s\n",
-				proto, size, measured, bondedBW(size, measured))
-		}
-
-		// The striping weights: the presets' seeds until the first
-		// calibration.
-		weights := map[string]float64{"tcp": nic.RealParams().StripeWeight, "shm": nic.ShmParams().StripeWeight}
-		for round := 0; round < bondedRounds; round++ {
-			for _, phase := range []string{"tcp", "shm", ""} {
-				if phase != "" {
-					// A solo phase: the other rail's weight is zero.
-					solo := map[string]float64{"tcp": 0, "shm": 0}
-					solo[phase] = weights[phase]
-					bondedSetPhase(p, solo)
+			if phase == "shm" {
+				// Calibration done for this round: reseed the striping
+				// weights from the bandwidths just measured, on both
+				// ranks, before the multirail phase.
+				top := bondedSizes[len(bondedSizes)-1]
+				weights["tcp"] = bondedBW(top, results["tcp"][top])
+				weights["shm"] = bondedBW(top, results["shm"][top])
+				if err := bondedSetPhase(x, weights); err != nil {
+					return err
 				}
-				before := railDataSent(p.Node.Eng)
-				for _, size := range bondedSizes {
-					measured, err := bondedTimeSize(p, size, iters)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "pingpong:", err)
-						code = 1
-						return
-					}
-					if best, seen := results[phase][size]; !seen || measured < best {
-						results[phase][size] = measured
-					}
-					printPhaseRow(phase, size, measured)
-				}
-				if phase == "" {
-					for name, sent := range railDataSent(p.Node.Eng) {
-						striped[name] += sent - before[name]
-					}
-				}
-				if phase == "shm" {
-					// Calibration done for this round: reseed the striping
-					// weights from the bandwidths just measured, on both
-					// ranks, before the multirail phase.
-					top := bondedSizes[len(bondedSizes)-1]
-					weights["tcp"] = bondedBW(top, results["tcp"][top])
-					weights["shm"] = bondedBW(top, results["shm"][top])
-					bondedSetPhase(p, weights)
-					fmt.Printf("pingpong: measured rail weights  tcp %.0f MB/s  shm %.0f MB/s\n", weights["tcp"], weights["shm"])
-				}
+				fmt.Printf("pingpong: measured rail weights  tcp %.0f MB/s  shm %.0f MB/s\n", weights["tcp"], weights["shm"])
 			}
 		}
-	})
-	if code != 0 {
-		return code
 	}
 
 	for _, size := range bondedSizes {
@@ -208,8 +110,7 @@ func runBondedSweep(w *mpi.World, iters int) int {
 			bondedBW(size, results["tcp"][size]), bondedBW(size, results["shm"][size]))
 	}
 	fmt.Printf("pingpong: multirail DATA packets sent  tcp %d  shm %d\n", striped["tcp"], striped["shm"])
-	fmt.Println("pingpong: rank 0 ok")
-	return 0
+	return nil
 }
 
 // railDataSent snapshots each rail's DATA-packet send counter by name.
@@ -242,16 +143,13 @@ func bondedBW(size int, rtt time.Duration) float64 {
 
 // bondedTimeSize runs warm-up plus iters timed echoes of one size and
 // returns the median round trip.
-func bondedTimeSize(p *mpi.Proc, size, iters int) (time.Duration, error) {
-	msg := patterned(size)
-	buf := make([]byte, size)
+func bondedTimeSize(x *pair, size, iters int) (time.Duration, error) {
+	msg, buf := patterned(size), make([]byte, size)
 	samples := make([]time.Duration, iters)
 	for i := -2; i < iters; i++ { // two warm-up exchanges
 		t0 := time.Now()
-		p.Send(1, tagPing, msg)
-		n, _ := p.Recv(1, tagPong, buf)
-		if n != size || !bytes.Equal(buf, msg) {
-			return 0, fmt.Errorf("echo of %d bytes corrupted", size)
+		if err := x.exchange(msg, buf); err != nil {
+			return 0, err
 		}
 		if i >= 0 {
 			samples[i] = time.Since(t0)
@@ -263,13 +161,13 @@ func bondedTimeSize(p *mpi.Proc, size, iters int) (time.Duration, error) {
 
 // bondedSetPhase applies a phase switch on both ranks: each rail's
 // striping weight by name, zero taking the rail out of striping. The
-// local engine switches immediately; the peer switches when the marker
-// reaches the front of its echo loop, which is ordered before every
-// later ping.
-func bondedSetPhase(p *mpi.Proc, weights map[string]float64) {
-	applyPhase(p.Node.Eng, weights)
+// local engine switches immediately; the partner switches when the
+// marker reaches the front of its echo loop, which is ordered before
+// every later ping.
+func bondedSetPhase(x *pair, weights map[string]float64) error {
+	applyPhase(x.p.Node.Eng, weights)
 	marker := fmt.Sprintf("tcp=%g;shm=%g", weights["tcp"], weights["shm"])
-	p.Send(1, tagPhase, []byte(marker))
+	return x.p.SendErr(x.partner, tagPhase, []byte(marker))
 }
 
 // applyPhase sets an engine's rail weights by rail name.

@@ -13,7 +13,7 @@
 // magic word last, while the loser waits for that magic and validates the
 // geometry. A directory must serve exactly one run: reusing one across
 // runs would splice a new process into a half-consumed ring, so launchers
-// (cmd/pingpong -shm, Local) use a fresh directory per run.
+// (cmd/nmrun -fabric shm, Local) use a fresh directory per run.
 //
 // Frames are the fabric codec's length-prefixed packets, chunked across
 // consecutive slots as a byte stream, so a frame may be both far larger

@@ -6,8 +6,7 @@
 // toward a peer is dialed lazily on first send when the peer's address is
 // known, and an accepted connection is adopted as the send path when no
 // dialed one exists yet — so an asymmetric setup (only one side knows an
-// address, as in pingpong's -listen/-connect pair) still yields two-way
-// traffic. Each endpoint writes to a peer on exactly one stream, which
+// address) still yields two-way traffic. Each endpoint writes to a peer on exactly one stream, which
 // gives the per-sender FIFO delivery the engine's sequence-ordering layer
 // assumes, with no cross-size reordering at all.
 //
@@ -302,20 +301,6 @@ func (e *Endpoint) GoroutineFed() bool { return true }
 // BlockingRecv implements fabric.Endpoint.
 func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 	return e.inbox.Recv(timeout, e.done)
-}
-
-// Dial eagerly establishes the connection toward rank, which Send would
-// otherwise create lazily. Use it to fail fast on a bad address instead
-// of discovering it one dropped packet at a time.
-func (e *Endpoint) Dial(rank int) error {
-	if e.closed() {
-		return fabric.ErrClosed
-	}
-	if rank == e.self {
-		return nil
-	}
-	_, err := e.connTo(rank)
-	return err
 }
 
 // Send implements fabric.Endpoint.

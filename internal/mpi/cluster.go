@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"pioman/internal/cluster"
+	"pioman/internal/fabric/shmfab"
 	"pioman/internal/fabric/tcpfab"
+	"pioman/internal/fabric/udpfab"
 	"pioman/internal/nic"
 )
 
@@ -37,16 +39,26 @@ const (
 	// how nmrun arms engine-side death detection without the binary's
 	// cooperation.
 	EnvPeerDeadlineMS = "PIOMAN_PEER_DEADLINE_MS"
+	// EnvFabric names the transport every rank opens: "tcp" (the
+	// default), "udp", "shm", or "tcp+shm" — a tcp rail bonded with an
+	// shm rail, the paper's MX + shared-memory configuration (§4.3).
+	EnvFabric = "PIOMAN_FABRIC"
+	// EnvShmDir is the ring directory the shm fabrics share; it must be
+	// fresh for the run.
+	EnvShmDir = "PIOMAN_SHM_DIR"
 )
 
 // ClusterWorld is one rank of a multi-process world launched through the
-// cluster registry (typically by cmd/nmrun): a distributed World over a
-// tcpfab endpoint, plus the registry client whose death verdicts feed
-// the engine, plus — on the hosting rank — the embedded registry itself.
+// cluster registry (typically by cmd/nmrun): a distributed World over
+// the fabric EnvFabric names, plus the registry client whose death
+// verdicts feed the engine, plus — on the hosting rank — the embedded
+// registry itself.
 type ClusterWorld struct {
 	*World
 	// Rank is this process's rank.
 	Rank int
+	// Fabric is the EnvFabric transport the world runs over.
+	Fabric string
 	// Client is the live registry session (heartbeating once Start ran).
 	Client *cluster.Client
 	// Registry is non-nil only on the rank that embeds the control
@@ -74,9 +86,10 @@ func envInt(name string, def int) (int, error) {
 
 // JoinCluster assembles this process's rank of a multi-process cluster
 // from the nmrun environment contract: embed the registry when this rank
-// hosts it, open a tcpfab endpoint on an ephemeral port, register with
-// the registry, learn every peer's address from the formed world, and
-// start heartbeating. Registry death verdicts flow straight into the
+// hosts it, open the EnvFabric endpoints (tcp and udp on an ephemeral
+// loopback port, shm on the EnvShmDir rings), register with the
+// registry, learn every peer's address from the formed world, and start
+// heartbeating. Registry death verdicts flow straight into the
 // engine — a rank the registry declares dead gets MarkPeerDead, so every
 // pending request toward it completes with core.ErrPeerDead; a respawned
 // rank gets MarkPeerAlive. The cfg is the usual world Config; Nodes and
@@ -112,8 +125,20 @@ func JoinCluster(cfg Config) (*ClusterWorld, error) {
 	} else if dlMS > 0 {
 		cfg.PeerDeadline = time.Duration(dlMS) * time.Millisecond
 	}
+	fab, shmDir := os.Getenv(EnvFabric), os.Getenv(EnvShmDir)
+	switch fab {
+	case "":
+		fab = "tcp"
+	case "tcp", "udp":
+	case "shm", "tcp+shm":
+		if shmDir == "" {
+			return nil, fmt.Errorf("mpi: %s=%s needs %s, the run's fresh ring directory", EnvFabric, fab, EnvShmDir)
+		}
+	default:
+		return nil, fmt.Errorf("mpi: %s=%q: known fabrics are tcp, udp, shm and tcp+shm", EnvFabric, fab)
+	}
 
-	cw := &ClusterWorld{Rank: rank}
+	cw := &ClusterWorld{Rank: rank, Fabric: fab}
 	if os.Getenv(EnvHostRegistry) == "1" {
 		reg, err := cluster.NewRegistry(cluster.Config{
 			Nranks:            nranks,
@@ -126,25 +151,36 @@ func JoinCluster(cfg Config) (*ClusterWorld, error) {
 		cw.Registry = reg
 	}
 
-	ep, err := tcpfab.New(tcpfab.Config{Self: rank, Nodes: nranks, Listen: "127.0.0.1:0"})
+	rails, addr, setPeerAddr, err := openRails(fab, rank, nranks, shmDir)
 	if err != nil {
 		cw.closePartial()
-		return nil, fmt.Errorf("mpi: rank %d tcpfab endpoint: %w", rank, err)
+		return nil, fmt.Errorf("mpi: rank %d %s endpoint: %w", rank, fab, err)
 	}
-	client, peers, _, err := cluster.Join(registryAddr, rank, nranks, "tcp", ep.Addr().String(), 0)
+	client, peers, _, err := cluster.Join(registryAddr, rank, nranks, fab, addr, 0)
+	if err == nil {
+		for _, p := range peers {
+			if p.Fabric != fab {
+				client.Close()
+				err = fmt.Errorf("mpi: rank %d joined over %s, rank %d over %s", rank, fab, p.Rank, p.Fabric)
+				break
+			}
+		}
+	}
 	if err != nil {
-		ep.Close()
+		for _, r := range rails {
+			r.Ep.Close()
+		}
 		cw.closePartial()
 		return nil, err
 	}
 	cw.Client = client
 	for _, p := range peers {
-		if p.Rank != rank {
-			ep.SetPeerAddr(p.Rank, p.Addr)
+		if p.Rank != rank && setPeerAddr != nil {
+			setPeerAddr(p.Rank, p.Addr)
 		}
 	}
 
-	cw.World = NewDistributed(cfg, nic.RealParams(), ep)
+	cw.World = NewDistributedBonded(cfg, rails)
 	cw.node = cw.World.Node(rank)
 	eng := cw.node.Eng
 	client.SetHostRank(hostRank)
@@ -166,6 +202,47 @@ func JoinCluster(cfg Config) (*ClusterWorld, error) {
 		cfg.Metrics.RegisterCounter(p+".deaths", "registry death verdicts applied to the engine", cw.deaths.Load)
 	}
 	return cw, nil
+}
+
+// openRails opens this rank's endpoints for fabric fab: the rails of its
+// world, the address it registers (empty for shm, whose rings need
+// none), and how it learns a peer's registered address (nil for shm).
+func openRails(fab string, rank, nranks int, shmDir string) ([]Rail, string, func(rank int, addr string), error) {
+	if fab == "udp" {
+		ep, err := udpfab.New(udpfab.Config{Self: rank, Nodes: nranks, Listen: "127.0.0.1:0"})
+		if err != nil {
+			return nil, "", nil, err
+		}
+		return []Rail{{Params: nic.UdpParams(), Ep: ep}}, ep.Addr().String(), ep.SetPeerAddr, nil
+	}
+	var (
+		rails       []Rail
+		addr        string
+		setPeerAddr func(int, string)
+	)
+	if fab != "shm" {
+		ep, err := tcpfab.New(tcpfab.Config{Self: rank, Nodes: nranks, Listen: "127.0.0.1:0"})
+		if err != nil {
+			return nil, "", nil, err
+		}
+		tcp := nic.RealParams()
+		if fab == "tcp+shm" {
+			tcp.Name = "tcp" // named after its transport beside the shm rail
+		}
+		rails = append(rails, Rail{Params: tcp, Ep: ep})
+		addr, setPeerAddr = ep.Addr().String(), ep.SetPeerAddr
+	}
+	if fab != "tcp" {
+		ep, err := shmfab.New(shmfab.Config{Self: rank, Nodes: nranks, Dir: shmDir})
+		if err != nil {
+			for _, r := range rails {
+				r.Ep.Close()
+			}
+			return nil, "", nil, err
+		}
+		rails = append(rails, Rail{Params: nic.ShmParams(), Ep: ep})
+	}
+	return rails, addr, setPeerAddr, nil
 }
 
 // Self returns this process's node.

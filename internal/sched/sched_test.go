@@ -463,13 +463,16 @@ func TestIdleHookPreemptedByThread(t *testing.T) {
 	s := testSched(t, 1)
 	s.SetIdleHook(func(core topo.CoreID) bool { return true }) // always "working"
 	done := make(chan struct{})
-	s.Spawn("t", func(th *Thread) { close(done) })
+	th := s.Spawn("t", func(th *Thread) { close(done) })
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("greedy idle hook starved the application thread")
 	}
 	s.SetIdleHook(nil)
+	// done closes inside the thread, before it gives its core back and
+	// is counted gone: join it so the cleanup's Shutdown never sees it.
+	th.Join()
 }
 
 func TestTimerTaskletFires(t *testing.T) {
